@@ -34,7 +34,7 @@ from .metrics import (
     mean_citation_per_elapsed_years, method_occurrence, source_article_counts,
     term_frequencies, trending_terms,
 )
-from .normalize import to_document
+from .normalize import LEVEL_TAGS, field_values, to_document
 from .parsing import ExportParseError, parse_bibtex_export, parse_plaintext_export
 from .records import Corpus, MAX_PLAUSIBLE_YEAR
 from .tables import config_hash, fmt, write_table
@@ -235,11 +235,7 @@ def cmd_hindex(args, config):
     corpus = _load(args)
     groups: dict[str, list] = {}
     for doc in corpus.documents:
-        if args.level == "source":
-            keys = [doc.source] if doc.source else []
-        else:
-            keys = set(doc.authors)
-        for key in keys:
+        for key in field_values(doc, LEVEL_TAGS[args.level]):
             groups.setdefault(key, []).append(doc)
     plain = []
     for entity in sorted(groups):

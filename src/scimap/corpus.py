@@ -12,7 +12,7 @@ import re
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .normalize import fold_ascii, normalize_doi
+from .normalize import field_values, fold_ascii, normalize_doi
 from .records import (
     Corpus, CoverageReport, CoverageRow, CitedReference, Document,
     FIELD_ROLES, ScreeningEntry, coverage_label,
@@ -86,8 +86,7 @@ def dedupe_and_screen(documents: Iterable[Document],
         reference_year = max(dated)
 
     return Corpus(documents=kept, reference_year=reference_year,
-                  provenance=list(provenance), screening=screening,
-                  by_doi=by_doi, by_title_year=by_title_year)
+                  provenance=list(provenance), screening=screening)
 
 
 def _merge_into(target: Document, dup: Document) -> None:
@@ -131,21 +130,7 @@ def _union(first: list[str], second: list[str]) -> list[str]:
 def _field_missing(doc: Document, tag: str) -> bool:
     if doc.missing_fields is not None:
         return tag in doc.missing_fields
-    value = {
-        "AU": doc.authors, "CR": doc.cited_refs, "DT": doc.doc_type,
-        "SO": doc.source, "LA": doc.language, "NR": doc.ref_count,
-        "TI": doc.title, "TC": doc.total_citations, "AB": doc.abstract,
-        "C1": doc.affiliations, "RP": doc.corresponding, "DI": doc.doi,
-        "PY": doc.pub_year, "DE": doc.author_keywords,
-        "ID": doc.keywords_plus, "WC": doc.categories,
-    }[tag]
-    if tag == "TC":  # value 0 is a legal citation count, not absence
-        return False
-    if value is None:
-        return True
-    if isinstance(value, (list, str)):
-        return len(value) == 0
-    return False
+    return not field_values(doc, tag)
 
 
 def coverage_report(corpus: Corpus) -> CoverageReport:
@@ -254,14 +239,7 @@ def load_corpus(path: str | Path) -> Corpus:
         documents = [_doc_from_json(json.loads(line))
                      for line in handle if line.strip()]
     screening = [ScreeningEntry(**entry) for entry in header.get("screening", [])]
-    corpus = Corpus(documents=documents,
-                    reference_year=int(header["reference_year"]),
-                    provenance=list(header.get("provenance", [])),
-                    screening=screening)
-    for doc in documents:
-        if doc.doi:
-            corpus.by_doi.setdefault(doc.doi, doc.id)
-        if doc.title:
-            corpus.by_title_year.setdefault(
-                (normalized_title(doc.title), doc.pub_year), doc.id)
-    return corpus
+    return Corpus(documents=documents,
+                  reference_year=int(header["reference_year"]),
+                  provenance=list(header.get("provenance", [])),
+                  screening=screening)

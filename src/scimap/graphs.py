@@ -10,10 +10,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional
+from typing import Iterable, Optional
 
-from .metrics import document_terms
-from .normalize import country_of, institution_of, reference_key, surname_of
+from .digraph import reaches
+from .normalize import LEVEL_TAGS, field_values, reference_key, surname_of
 from .records import CitedReference, Corpus, Document
 
 # Minimum shared prefix for a cited-source string to match a corpus source.
@@ -64,6 +64,15 @@ def _undirected_graph(node_weights: dict[str, float],
                   metadata=metadata or {})
     graph.validate()
     return graph
+
+
+def pair_counts(item_sets: Iterable[set[str]], kept: set[str]) -> Counter:
+    """Full counting: each item set adds one unit to every unordered pair
+    of its kept items, keyed (u, v) with u < v."""
+    pairs = Counter()
+    for items in item_sets:
+        pairs.update(combinations(sorted(items & kept), 2))
+    return pairs
 
 
 # Local citation matching ------------------------------------------------------
@@ -178,22 +187,11 @@ def cooccurrence_graph(corpus: Corpus, term_field: str = "DE",
     Nodes are terms appearing in at least ``min_occurrence`` documents;
     an edge weight counts the documents where both terms appear.
     """
-    occurrence = Counter()
-    doc_terms: list[set[str]] = []
-    for doc in corpus.documents:
-        terms = document_terms(doc, term_field)
-        doc_terms.append(terms)
-        for term in terms:
-            occurrence[term] += 1
-
+    doc_terms = [field_values(doc, term_field) for doc in corpus.documents]
+    occurrence = Counter(term for terms in doc_terms for term in terms)
     kept = {t for t, c in occurrence.items() if c >= min_occurrence}
-    pair_weights = Counter()
-    for terms in doc_terms:
-        for u, v in combinations(sorted(terms & kept), 2):
-            pair_weights[(u, v)] += 1
-
     graph = _undirected_graph({t: float(occurrence[t]) for t in kept},
-                              dict(pair_weights),
+                              pair_counts(doc_terms, kept),
                               {"kind": "cooccurrence", "field": term_field,
                                "min_occurrence": min_occurrence,
                                "counting": "full"})
@@ -211,43 +209,30 @@ def cocitation_graph(corpus: Corpus, min_citations: int = 20,
     local = local or match_local_citations(corpus)
     kept = {key for key, count in local.reference_counts.items()
             if count >= min_citations}
-    node_ids = {key: local.reference_labels[key] for key in kept}
-    # Labels may collide between distinct keys; disambiguate deterministically.
+    # Labels may collide between distinct keys; disambiguate
+    # deterministically with a suffix no other kept reference carries.
+    node_ids: dict[tuple, str] = {}
+    taken = {local.reference_labels[key] for key in kept}
     used: dict[str, int] = {}
     for key in sorted(kept, key=lambda k: (local.reference_labels[k], repr(k))):
-        label = node_ids[key]
-        if label in used:
-            used[label] += 1
-            node_ids[key] = f"{label} ({used[label]})"
-        else:
-            used[label] = 1
+        label = local.reference_labels[key]
+        n = used.get(label, 0) + 1
+        while n > 1 and f"{label} ({n})" in taken:
+            n += 1
+        used[label] = n
+        node_ids[key] = label if n == 1 else f"{label} ({n})"
+        taken.add(node_ids[key])
 
-    pair_weights = Counter()
-    for refs in local.mentions.values():
-        cited = sorted(node_ids[key] for key in refs & kept)
-        for u, v in combinations(cited, 2):
-            pair_weights[(u, v)] += 1
-
+    # Labels are unique after disambiguation, so label sets count pairs.
+    cited = ({node_ids[key] for key in refs & kept}
+             for refs in local.mentions.values())
     node_weights = {node_ids[key]: float(local.reference_counts[key])
                     for key in kept}
-    return _undirected_graph(node_weights, dict(pair_weights),
+    return _undirected_graph(node_weights,
+                             pair_counts(cited, set(node_weights)),
                              {"kind": "cocitation",
                               "min_citations": min_citations,
                               "counting": "full"})
-
-
-COLLABORATION_LEVELS = ("author", "institution", "country")
-
-
-def _collaboration_entities(doc: Document, level: str) -> set[str]:
-    if level == "author":
-        return set(doc.authors)
-    if level == "institution":
-        return {institution_of(a) for a in doc.affiliations}
-    if level == "country":
-        return {c for c in (country_of(a) for a in doc.affiliations) if c}
-    raise ValueError(f"unknown collaboration level {level!r} "
-                     f"(expected one of {COLLABORATION_LEVELS})")
 
 
 def collaboration_graph(corpus: Corpus, level: str = "author",
@@ -258,27 +243,22 @@ def collaboration_graph(corpus: Corpus, level: str = "author",
     dropped.  ``top_n`` restricts nodes to the most productive entities
     before edges are counted.
     """
-    doc_counts = Counter()
-    doc_entities: list[set[str]] = []
-    for doc in corpus.documents:
-        entities = _collaboration_entities(doc, level)
-        doc_entities.append(entities)
-        for entity in entities:
-            doc_counts[entity] += 1
-
+    if level not in LEVEL_TAGS:
+        raise ValueError(f"unknown collaboration level {level!r} "
+                         f"(expected one of {', '.join(LEVEL_TAGS)})")
+    doc_entities = [field_values(doc, LEVEL_TAGS[level])
+                    for doc in corpus.documents]
+    doc_counts = Counter(entity for entities in doc_entities
+                         for entity in entities)
     kept = set(doc_counts)
     if top_n is not None:
         ranked = sorted(doc_counts.items(), key=lambda item: (-item[1], item[0]))
         kept = {entity for entity, _ in ranked[:top_n]}
 
-    pair_weights = Counter()
-    for entities in doc_entities:
-        for u, v in combinations(sorted(entities & kept), 2):
-            pair_weights[(u, v)] += 1
-
+    pair_weights = pair_counts(doc_entities, kept)
     linked = {u for u, _ in pair_weights} | {v for _, v in pair_weights}
     return _undirected_graph({e: float(doc_counts[e]) for e in sorted(linked)},
-                             dict(pair_weights),
+                             pair_weights,
                              {"kind": "collaboration", "level": level,
                               "top_n": top_n, "counting": "full"})
 
@@ -310,20 +290,6 @@ def historiograph(corpus: Corpus, n: int = 30,
 
     flags: list[str] = []
     adjacency: dict[str, set[str]] = {doc.id: set() for doc in top}
-
-    def reaches(start: str, goal: str) -> bool:
-        stack = [start]
-        seen = set()
-        while stack:
-            node = stack.pop()
-            if node == goal:
-                return True
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(adjacency[node])
-        return False
-
     kept_arcs = []
     for citing, cited in sorted(arcs):
         dated = year[citing] is not None and year[cited] is not None
@@ -333,7 +299,7 @@ def historiograph(corpus: Corpus, n: int = 30,
         # Publication-year orientation proves acyclicity only for strictly
         # newer-cites-older arcs; anything else gets a reachability check.
         if not (dated and year[citing] > year[cited]):
-            if reaches(cited, citing):
+            if reaches(adjacency, cited, citing):
                 flags.append(f"cycle-closing citation dropped: {citing}->{cited}")
                 continue
             if same_year:
@@ -351,52 +317,7 @@ def historiograph(corpus: Corpus, n: int = 30,
     return graph, flags
 
 
-def topological_order(graph: Graph) -> Optional[list[str]]:
-    """Kahn's algorithm; None when the directed graph has a cycle."""
-    indegree = {node.id: 0 for node in graph.nodes}
-    out: dict[str, list[str]] = {node.id: [] for node in graph.nodes}
-    for u, v, _ in graph.edges:
-        out[u].append(v)
-        indegree[v] += 1
-    ready = sorted(nid for nid, deg in indegree.items() if deg == 0)
-    order = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        for nxt in sorted(out[node]):
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                ready.append(nxt)
-        ready.sort()
-    return order if len(order) == len(graph.nodes) else None
-
-
 # Three-field flows -----------------------------------------------------------------
-
-FLOW_FIELDS = ("AU", "SO", "DE", "ID", "C1", "CO", "CR", "CR_SO")
-
-
-def _flow_items(doc: Document, flow_field: str,
-                local: Optional[LocalCitations]) -> set[str]:
-    if flow_field == "AU":
-        return set(doc.authors)
-    if flow_field == "SO":
-        return {doc.source} if doc.source else set()
-    if flow_field == "DE":
-        return set(doc.author_keywords)
-    if flow_field == "ID":
-        return set(doc.keywords_plus)
-    if flow_field == "C1":
-        return {institution_of(a) for a in doc.affiliations}
-    if flow_field == "CO":
-        return {c for c in (country_of(a) for a in doc.affiliations) if c}
-    if flow_field == "CR":
-        assert local is not None
-        return {local.reference_labels[key] for key in local.mentions.get(doc.id, set())}
-    if flow_field == "CR_SO":
-        return {ref.source for ref in doc.cited_refs if ref.source}
-    raise ValueError(f"unknown flow field {flow_field!r} (expected one of {FLOW_FIELDS})")
-
 
 @dataclass
 class ThreeFieldFlow:
@@ -417,11 +338,18 @@ def three_field_flow(corpus: Corpus, left: str, middle: str, right: str,
     the documents exhibiting both of its endpoints.
     """
     local = match_local_citations(corpus) if "CR" in (left, middle, right) else None
+
+    def items_of(doc: Document, side: str) -> set[str]:
+        # CR pillars show local-citation labels, which only matching knows.
+        if side == "CR":
+            return {local.reference_labels[key]
+                    for key in local.mentions.get(doc.id, set())}
+        return field_values(doc, side)
+
     per_doc = []
     counts = {side: Counter() for side in (left, middle, right)}
     for doc in corpus.documents:
-        items = {side: _flow_items(doc, side, local)
-                 for side in (left, middle, right)}
+        items = {side: items_of(doc, side) for side in (left, middle, right)}
         per_doc.append(items)
         for side in (left, middle, right):
             counts[side].update(items[side])

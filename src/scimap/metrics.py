@@ -11,10 +11,9 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .amortize import citable_years
-from .normalize import country_of, institution_of, reference_key
+from .normalize import country_of, field_values, reference_key
 from .records import Corpus, Document
 from .tables import round_half_up
-from .textterms import bigrams_of
 
 
 @dataclass
@@ -60,11 +59,8 @@ def descriptive_summary(corpus: Corpus,
     refs = {reference_key(ref) for doc in corpus.documents for ref in doc.cited_refs}
     author_counts = Counter(a for doc in corpus.documents for a in set(doc.authors))
 
-    international = 0
-    for doc in corpus.documents:
-        countries = {c for c in (country_of(a) for a in doc.affiliations) if c}
-        if len(countries) >= 2:
-            international += 1
+    international = sum(1 for doc in corpus.documents
+                        if len(field_values(doc, "CO")) >= 2)
 
     return SummaryStats(
         first_year=first_year,
@@ -231,22 +227,6 @@ class TermStat:
     q3_year: Optional[int] = None
 
 
-TERM_FIELDS = ("DE", "ID", "title-bigrams", "abstract-bigrams")
-
-
-def document_terms(doc: Document, term_field: str) -> set[str]:
-    """The distinct terms a document contributes for a term field."""
-    if term_field == "DE":
-        return set(doc.author_keywords)
-    if term_field == "ID":
-        return set(doc.keywords_plus)
-    if term_field == "title-bigrams":
-        return set(bigrams_of(doc.title))
-    if term_field == "abstract-bigrams":
-        return set(bigrams_of(doc.abstract or ""))
-    raise ValueError(f"unknown term field {term_field!r} (expected one of {TERM_FIELDS})")
-
-
 def term_frequencies(corpus: Corpus, term_field: str = "DE",
                      top_n: Optional[int] = None) -> list[TermStat]:
     """Document-occurrence counts per term, descending, ties lexicographic.
@@ -255,8 +235,7 @@ def term_frequencies(corpus: Corpus, term_field: str = "DE",
     presence, matching the full-counting link semantics)."""
     counts = Counter()
     for doc in corpus.documents:
-        for term in document_terms(doc, term_field):
-            counts[term] += 1
+        counts.update(field_values(doc, term_field))
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     if top_n is not None:
         ranked = ranked[:top_n]
@@ -281,7 +260,7 @@ def trending_terms(corpus: Corpus, min_freq: int = 5, max_per_year: int = 4,
     for doc in corpus.documents:
         if doc.pub_year is None:
             continue
-        for term in document_terms(doc, term_field):
+        for term in field_values(doc, term_field):
             years_by_term.setdefault(term, []).append(doc.pub_year)
 
     candidates = []
@@ -360,62 +339,6 @@ def mcp_ratio_pct(scp: int, mcp: int) -> float:
     if scp + mcp == 0:
         return 0.0
     return round_half_up(100.0 * mcp / (scp + mcp), 1)
-
-
-# Production over time --------------------------------------------------------
-
-ENTITY_LEVELS = ("source", "country", "affiliation")
-
-
-def _document_entities(doc: Document, level: str) -> set[str]:
-    if level == "source":
-        return {doc.source} if doc.source else set()
-    if level == "country":
-        return {c for c in (country_of(a) for a in doc.affiliations) if c}
-    if level == "affiliation":
-        return {institution_of(a) for a in doc.affiliations}
-    raise ValueError(f"unknown entity level {level!r} (expected one of {ENTITY_LEVELS})")
-
-
-def entity_production_over_time(corpus: Corpus, level: str = "source",
-                                top_n: Optional[int] = None,
-                                ) -> dict[str, tuple[AnnualSeries, AnnualSeries]]:
-    """Yearly and cumulative document production per entity.
-
-    The cumulative series carries forward flat through years without
-    output, up to the corpus' last dated year; undated documents are
-    excluded from both series and counted in the yearly series' remainder
-    bucket.
-    """
-    yearly: dict[str, Counter] = {}
-    undated: Counter = Counter()
-    last_dated = max((d.pub_year for d in corpus.documents
-                      if d.pub_year is not None), default=None)
-    for doc in corpus.documents:
-        for entity in _document_entities(doc, level):
-            if doc.pub_year is None:
-                undated[entity] += 1
-            else:
-                yearly.setdefault(entity, Counter())[doc.pub_year] += 1
-
-    entities = sorted(yearly, key=lambda e: (-sum(yearly[e].values()), e))
-    if top_n is not None:
-        entities = entities[:top_n]
-
-    out = {}
-    for entity in entities:
-        counts = yearly[entity]
-        points = [(year, float(counts[year])) for year in sorted(counts)]
-        series = AnnualSeries(points=points, unit="documents",
-                              undated=undated[entity])
-        running = 0.0
-        cumulative = []
-        for year in range(min(counts), (last_dated or max(counts)) + 1):
-            running += counts.get(year, 0)
-            cumulative.append((year, running))
-        out[entity] = (series, AnnualSeries(points=cumulative,
-                                            unit="documents cumulative"))
-    return out
 
 
 # Lexicon-driven method tally -------------------------------------------------

@@ -19,6 +19,8 @@ from fractions import Fraction
 from statistics import NormalDist
 from typing import Optional
 
+from .digraph import reaches, topological_order
+
 GENERATOR_ID = "mt19937-sha256-split"
 
 Bundle = tuple[str, str]
@@ -64,31 +66,12 @@ class Multigraph:
     def to_lines(self) -> list[str]:
         return [f"{u} {v} {m}" for (u, v), m in sorted(self.bundles.items())]
 
-
-def is_acyclic(mg: Multigraph) -> tuple[bool, Optional[list[str]]]:
-    """Kahn's algorithm over the bundle digraph (multiplicities are
-    irrelevant to cyclicity).  Returns a topological order when acyclic."""
-    indegree = {node: 0 for node in mg.nodes}
-    out: dict[str, list[str]] = {node: [] for node in mg.nodes}
-    for (u, v), _ in mg.bundles.items():
-        out[u].append(v)
-        indegree[v] += 1
-    ready = sorted(node for node, deg in indegree.items() if deg == 0)
-    order = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        changed = False
-        for nxt in out[node]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                ready.append(nxt)
-                changed = True
-        if changed:
-            ready.sort()
-    if len(order) == len(mg.nodes):
-        return True, order
-    return False, None
+    def successors(self) -> dict[str, list[str]]:
+        """Adjacency of the bundle digraph (multiplicities dropped)."""
+        out: dict[str, list[str]] = {node: [] for node in self.nodes}
+        for u, v in self.bundles:
+            out[u].append(v)
+        return out
 
 
 def _strongly_connected_components(mg: Multigraph) -> dict[str, int]:
@@ -100,9 +83,7 @@ def _strongly_connected_components(mg: Multigraph) -> dict[str, int]:
     component: dict[str, int] = {}
     counter = [0]
     comp_counter = [0]
-    out: dict[str, list[str]] = {node: [] for node in mg.nodes}
-    for (u, v) in mg.bundles:
-        out[u].append(v)
+    out = mg.successors()
 
     for root in sorted(mg.nodes):
         if root in index_of:
@@ -186,33 +167,17 @@ def run_once(mg: Multigraph, seed: int, check_support: bool = False) -> McSoluti
                 break
             pick -= mult
         if check_support:
-            assert _reaches(work, bundle[1], bundle[0]), \
+            assert reaches(work.successors(), bundle[1], bundle[0]), \
                 f"sampled off-cycle arc {bundle}"
         removed[bundle] = removed.get(bundle, 0) + 1
         if work.bundles[bundle] == 1:
             del work.bundles[bundle]
         else:
             work.bundles[bundle] -= 1
-    acyclic, order = is_acyclic(work)
-    assert acyclic and order is not None
+    order = topological_order(work.nodes, work.bundles)
+    assert order is not None
     return McSolution(removed=dict(sorted(removed.items())),
                       size=sum(removed.values()), witness_order=order)
-
-
-def _reaches(mg: Multigraph, start: str, goal: str) -> bool:
-    out: dict[str, list[str]] = {node: [] for node in mg.nodes}
-    for (u, v) in mg.bundles:
-        out[u].append(v)
-    stack, seen = [start], set()
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            return True
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.extend(out[node])
-    return False
 
 
 def success_lower_bound(t: int) -> Fraction:
@@ -229,9 +194,6 @@ class ConfidenceReport:
     reference_bound: Fraction
     seed: int
     generator: str = GENERATOR_ID
-    # Filled only when the exhaustive oracle is feasible for the instance
-    # (see the calibration harness); plain solves leave it unknown.
-    empirical_success_rate: Optional[float] = None
 
 
 def solve(mg: Multigraph, t: int, seed: int) -> tuple[McSolution, ConfidenceReport]:
@@ -266,8 +228,7 @@ def brute_force_optimum(mg: Multigraph, cap: int = 20,
     total = mg.total_arcs()
     if total > cap:
         raise ValueError(f"instance has {total} arcs, above the cap of {cap}")
-    acyclic, _ = is_acyclic(mg)
-    if acyclic:
+    if topological_order(mg.nodes, mg.bundles) is not None:
         return 0, {}
     bundles = sorted(mg.bundles.items())
     masks = sorted(range(1, 1 << len(bundles)),
@@ -277,7 +238,7 @@ def brute_force_optimum(mg: Multigraph, cap: int = 20,
         residual = Multigraph(nodes=set(mg.nodes),
                               bundles={b: m for i, (b, m) in enumerate(bundles)
                                        if not mask >> i & 1})
-        if is_acyclic(residual)[0]:
+        if topological_order(residual.nodes, residual.bundles) is not None:
             witness = {b: m for i, (b, m) in enumerate(bundles) if mask >> i & 1}
             return sum(witness.values()), witness
     raise AssertionError("unreachable: removing every arc is always acyclic")

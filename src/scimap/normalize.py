@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from typing import Optional
+from typing import Callable, Optional
 
 from .records import (
     Document, CitedReference, RawRecord, FIELD_ROLES, MIN_PLAUSIBLE_YEAR,
 )
+from .textterms import bigrams_of
 
 _DOI_RE = re.compile(r"^10\.[^/\s]+/\S+$")
 _YEAR_SEG = re.compile(r"^(1[4-9]\d{2}|20\d{2}|21\d{2})$")
@@ -292,3 +293,51 @@ def to_document(record: RawRecord, reference_year: int,
     doc.missing_fields = [tag for tag, _ in FIELD_ROLES
                           if not any(v.strip() for v in entries.get(tag, []))]
     return doc
+
+
+# Field accessor ----------------------------------------------------------------
+
+def _present(value) -> set[str]:
+    return set() if value is None or value == "" else {str(value)}
+
+
+# Tag -> the distinct values a document shows in that field: the sixteen
+# field roles plus derived fields.  C1 yields institutions; CR yields raw
+# reference strings (sankey labels CR by local-citation matching instead).
+_FIELD_VALUES: dict[str, Callable[[Document], set[str]]] = {
+    "AU": lambda doc: set(doc.authors),
+    "CR": lambda doc: {ref.raw for ref in doc.cited_refs},
+    "DT": lambda doc: _present(doc.doc_type),
+    "SO": lambda doc: _present(doc.source),
+    "LA": lambda doc: _present(doc.language),
+    "NR": lambda doc: _present(doc.ref_count),
+    "TI": lambda doc: _present(doc.title),
+    "TC": lambda doc: _present(doc.total_citations),
+    "AB": lambda doc: _present(doc.abstract),
+    "C1": lambda doc: {institution_of(a) for a in doc.affiliations},
+    "RP": lambda doc: _present(doc.corresponding),
+    "DI": lambda doc: _present(doc.doi),
+    "PY": lambda doc: _present(doc.pub_year),
+    "DE": lambda doc: set(doc.author_keywords),
+    "ID": lambda doc: set(doc.keywords_plus),
+    "WC": lambda doc: set(doc.categories),
+    "CO": lambda doc: {c for c in map(country_of, doc.affiliations) if c},
+    "CR_SO": lambda doc: {ref.source for ref in doc.cited_refs if ref.source},
+    "title-bigrams": lambda doc: set(bigrams_of(doc.title)),
+    "abstract-bigrams": lambda doc: set(bigrams_of(doc.abstract or "")),
+}
+
+# Entity levels of the collaboration network and the h-index table.
+LEVEL_TAGS = {"author": "AU", "institution": "C1", "country": "CO",
+              "source": "SO"}
+
+
+def field_values(doc: Document, tag: str) -> set[str]:
+    """The distinct values ``doc`` shows in the field ``tag``; empty when
+    the field is absent.  An unknown tag is an error."""
+    try:
+        values = _FIELD_VALUES[tag]
+    except KeyError:
+        raise ValueError(f"unknown field tag {tag!r} "
+                         f"(expected one of {', '.join(_FIELD_VALUES)})") from None
+    return values(doc)

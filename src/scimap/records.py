@@ -30,8 +30,6 @@ FIELD_ROLES: tuple[tuple[str, str], ...] = (
     ("WC", "Science Categories"),
 )
 
-DOC_TYPES = ("article", "review", "early-access", "other")
-
 # Publication years outside this window are treated as data errors.
 MIN_PLAUSIBLE_YEAR = 1450
 MAX_PLAUSIBLE_YEAR = 2100
@@ -53,10 +51,6 @@ class RawRecord:
     def first(self, tag: str) -> Optional[str]:
         values = self.entries.get(tag)
         return values[0] if values else None
-
-    def joined(self, tag: str, sep: str = " ") -> Optional[str]:
-        values = self.entries.get(tag)
-        return sep.join(values) if values else None
 
 
 @dataclass
@@ -119,7 +113,7 @@ class ScreeningEntry:
 
 @dataclass
 class Corpus:
-    """Deduplicated document collection with lookup indexes and provenance.
+    """Deduplicated document collection with screening ledger and provenance.
 
     ``reference_year`` is the year used as "now" by every age computation;
     it defaults to the latest publication year present and must be pinned
@@ -130,17 +124,9 @@ class Corpus:
     reference_year: int
     provenance: list[str] = field(default_factory=list)
     screening: list[ScreeningEntry] = field(default_factory=list)
-    by_doi: dict[str, str] = field(default_factory=dict)
-    by_title_year: dict[tuple[str, Optional[int]], str] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.documents)
-
-    def get(self, doc_id: str) -> Optional[Document]:
-        for doc in self.documents:
-            if doc.id == doc_id:
-                return doc
-        return None
 
 
 @dataclass

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Optional
 
 from .community import walktrap
-from .graphs import Graph, GraphNode
+from .graphs import Graph, GraphNode, pair_counts
 from .records import Corpus
 from .textterms import bigrams_of, stopwords, tokenize
 
@@ -77,10 +76,7 @@ def thematic_evolution(corpus: Corpus, slice_bounds: list[tuple[int, int]],
         kept_terms = {term for term, _ in sorted(
             freq.items(), key=lambda item: (-item[1], item[0]))[:n_terms]}
 
-        pair_weights = Counter()
-        for gram_list in grams:
-            for u, v in combinations(sorted(set(gram_list) & kept_terms), 2):
-                pair_weights[(u, v)] += 1
+        pair_weights = pair_counts((set(g) for g in grams), kept_terms)
         graph = Graph(
             nodes=[GraphNode(id=t, label=t, weight=float(freq[t]))
                    for t in sorted(kept_terms)],

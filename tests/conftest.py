@@ -9,6 +9,7 @@ if str(SRC) not in sys.path:
 
 from scimap.records import Document  # noqa: E402
 from scimap.corpus import dedupe_and_screen  # noqa: E402
+from scimap.digraph import topological_order  # noqa: E402
 
 
 def make_document(doc_id, *, authors=(), title="", source="", pub_year=None,
@@ -31,6 +32,12 @@ def make_document(doc_id, *, authors=(), title="", source="", pub_year=None,
 def make_ref(text):
     from scimap.normalize import parse_cited_reference
     return parse_cited_reference(text)
+
+
+def graph_order(graph):
+    """Topological order of a directed ``Graph``, None when cyclic."""
+    return topological_order(graph.node_ids(),
+                             [(u, v) for u, v, _ in graph.edges])
 
 
 def build_corpus(documents, reference_year=None, retracted=(), provenance=("test",)):

@@ -38,7 +38,7 @@ def test_ingest_builds_corpus_and_ledger(corpus_file):
     assert ledger.exists()
     _, rows = read_csv(ledger)
     assert any("duplicate-doi" in row for row in rows[1:])
-    merged = corpus.get("sample_export.txt:1")
+    merged = {doc.id: doc for doc in corpus.documents}["sample_export.txt:1"]
     assert merged.total_citations == 512  # max of the duplicate snapshots
     assert "kernel methods" in merged.author_keywords  # keyword union
 

@@ -1,0 +1,67 @@
+from __future__ import annotations
+
+import random
+
+from scimap.digraph import reaches, topological_order
+
+
+def sorted_list_kahn(nodes, arcs):
+    """Reference: Kahn's algorithm re-sorting a ready list after each step."""
+    indegree = {node: 0 for node in nodes}
+    out = {node: [] for node in nodes}
+    for u, v in arcs:
+        out[u].append(v)
+        indegree[v] += 1
+    ready = sorted(node for node, degree in indegree.items() if degree == 0)
+    order = []
+    while ready:
+        node = ready.pop(0)
+        order.append(node)
+        for nxt in out[node]:
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                ready.append(nxt)
+        ready.sort()
+    return order if len(order) == len(indegree) else None
+
+
+def test_smallest_ready_node_goes_first():
+    assert topological_order(["c", "a", "b"], [("c", "a")]) == ["b", "c", "a"]
+
+
+def test_cycle_gives_none():
+    assert topological_order("abc", [("a", "b"), ("b", "c"), ("c", "a")]) is None
+
+
+def test_parallel_arcs_and_empty_graph():
+    assert topological_order("ab", [("a", "b"), ("a", "b")]) == ["a", "b"]
+    assert topological_order([], []) == []
+
+
+def test_matches_sorted_list_kahn_on_random_digraphs():
+    rng = random.Random(5)
+    cyclic = 0
+    for _ in range(300):
+        nodes = [f"n{i}" for i in rng.sample(range(40), rng.randrange(1, 12))]
+        arcs = [tuple(rng.sample(nodes, 2)) for _ in range(rng.randrange(0, 15))
+                if len(nodes) > 1]
+        if rng.random() < 0.5:  # orient by name: acyclic
+            arcs = [(min(arc), max(arc)) for arc in arcs]
+        expected = sorted_list_kahn(nodes, arcs)
+        cyclic += expected is None
+        shuffled = list(arcs)
+        rng.shuffle(shuffled)
+        assert topological_order(set(nodes), shuffled) == expected
+    assert 0 < cyclic < 300
+
+
+def test_reaches_follows_arc_direction():
+    adjacency = {"a": {"b"}, "b": {"c"}, "c": set(), "d": {"a"}}
+    assert reaches(adjacency, "d", "c")
+    assert not reaches(adjacency, "c", "a")
+    assert reaches(adjacency, "c", "c")
+
+
+def test_reaches_terminates_on_cycles():
+    adjacency = {"a": ["b"], "b": ["a"], "c": []}
+    assert not reaches(adjacency, "a", "c")

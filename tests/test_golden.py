@@ -1,0 +1,93 @@
+"""Golden artifacts: the acceptance CLI suite plus one command per field
+path must write exactly the bytes recorded in
+``data/golden_artifacts.sha256``.
+
+The extra commands reach every tag of the field accessor that the
+acceptance suite leaves out (keyword and bigram terms, ID co-occurrence,
+author and institution collaboration, author h-index, sankey over AU,
+SO, CR, ID, CR_SO and CO).  The table is in ``sha256sum`` format; print
+a fresh one for an intended output change with
+
+    PYTHONPATH=src python tests/test_golden.py DIR
+"""
+from __future__ import annotations
+
+import hashlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from scimap.cli import main
+from test_acceptance import run_cli_suite
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "data" / "golden_artifacts.sha256"
+_TABLE_LINE = re.compile(r"^([0-9a-f]{64})  (.+)$", re.MULTILINE)
+
+FIELD_COMMANDS = {
+    "terms-ID": ["terms", "--field", "ID"],
+    "terms-title": ["terms", "--field", "title-bigrams"],
+    "terms-abstract": ["terms", "--field", "abstract-bigrams"],
+    "cooccur-ID": ["cooccur", "--field", "ID", "--min-occurrence", "1"],
+    "collab-author": ["collab", "--level", "author", "--cluster"],
+    "collab-institution": ["collab", "--level", "institution"],
+    "hindex-author": ["hindex", "--level", "author"],
+    "sankey-AU-SO-CR": ["sankey", "--left", "AU", "--middle", "SO",
+                        "--right", "CR"],
+    "sankey-ID-CR_SO-CO": ["sankey", "--left", "ID", "--middle", "CR_SO",
+                           "--right", "CO"],
+}
+
+
+def run_golden_suite(root: Path) -> dict[str, str]:
+    """Run the extended suite under ``root``; relative path -> SHA-256."""
+    run_cli_suite(root)
+    corpus = str(root / "corpus.dat")
+    for name, argv in FIELD_COMMANDS.items():
+        full = argv + ["--corpus", corpus, "--out", str(root / "fields" / name)]
+        assert main(full) == 0, f"command failed: {full}"
+    return {path.relative_to(root).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def format_table(digests: dict[str, str]) -> str:
+    return "".join(f"{digest}  {name}\n" for name, digest in sorted(digests.items()))
+
+
+def parse_table(text: str) -> dict[str, str]:
+    """Digest lines of ``text``; other lines (command chatter) are skipped."""
+    return {match[2]: match[1] for match in _TABLE_LINE.finditer(text)}
+
+
+def assert_matches_golden(digests: dict[str, str]) -> None:
+    expected = parse_table(GOLDEN.read_text("utf-8"))
+    assert sorted(digests) == sorted(expected)
+    changed = sorted(name for name in expected if digests[name] != expected[name])
+    assert not changed, f"artifacts differ from the golden table: {changed}"
+
+
+def test_golden_artifacts(tmp_path):
+    digests = run_golden_suite(tmp_path)
+    assert len(digests) == 60
+    assert_matches_golden(digests)
+
+
+def test_golden_artifacts_independent_of_hash_seed(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(HERE.parent / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    for seed in ("0", "1"):
+        env["PYTHONHASHSEED"] = seed
+        root = tmp_path / f"seed{seed}"
+        root.mkdir()
+        done = subprocess.run([sys.executable, str(Path(__file__).resolve()),
+                               str(root)], env=env, capture_output=True,
+                              text=True, check=True)
+        assert_matches_golden(parse_table(done.stdout))
+
+
+if __name__ == "__main__":
+    sys.stdout.write(format_table(run_golden_suite(Path(sys.argv[1]))))

@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import random
 
-from conftest import build_corpus, make_document, make_ref
+from conftest import build_corpus, graph_order, make_document, make_ref
 from scimap.graphs import (
     cocitation_graph, collaboration_graph, cooccurrence_graph, historiograph,
-    match_local_citations, rpys, three_field_flow, topological_order,
+    match_local_citations, rpys, three_field_flow,
 )
 
 
@@ -114,6 +114,20 @@ def test_cocitation_threshold_boundary():
     assert [node.label.startswith("ALTMAN") for node in graph.nodes] == [True]
 
 
+def test_cocitation_label_suffix_skips_labels_in_use():
+    # Two DOIs share a label; a third reference already carries "(2)".
+    refs = ["FOO A, 2001, JOURNAL, DOI 10.1/a", "FOO A, 2001, JOURNAL, DOI 10.1/b",
+            "FOO A, 2001, JOURNAL (2)"]
+    docs = [make_document(f"d{i}", title=f"d{i}", pub_year=2020,
+                          cited_refs=[make_ref(r) for r in refs])
+            for i in range(2)]
+    graph = cocitation_graph(build_corpus(docs), min_citations=1)
+    assert sorted(graph.node_ids()) == ["FOO A, 2001, JOURNAL",
+                                        "FOO A, 2001, JOURNAL (2)",
+                                        "FOO A, 2001, JOURNAL (3)"]
+    assert [w for _, _, w in graph.edges] == [2, 2, 2]
+
+
 def test_cocitation_edge_bounded_by_citation_counts():
     rng = random.Random(9)
     pool = [f"AUTH{i} X, 19{70 + i}, VENUE {i} LONGNAME" for i in range(6)]
@@ -187,7 +201,7 @@ def test_historiograph_chain():
     assert graph.directed
     assert sorted(graph.edges) == [("b2005", "a1994", 1.0),
                                    ("c2017", "b2005", 1.0)]
-    assert topological_order(graph) == ["c2017", "b2005", "a1994"]
+    assert graph_order(graph) == ["c2017", "b2005", "a1994"]
     assert flags == []
 
 
@@ -197,7 +211,7 @@ def test_historiograph_keeps_isolated_and_most_cited():
     assert "kumar2007" in graph.node_ids()  # the maximal local-citation doc
     # citing docs cite nothing inside the top set besides kumar: isolated kept
     assert len(graph.nodes) == 5
-    assert topological_order(graph) is not None
+    assert graph_order(graph) is not None
 
 
 def test_historiograph_same_year_flagged_and_acyclic():
@@ -210,7 +224,7 @@ def test_historiograph_same_year_flagged_and_acyclic():
                       cited_refs=[make_ref("XU A, 2010, VENUE X LONG")]),
     ]
     graph, flags = historiograph(build_corpus(docs, reference_year=2023), n=10)
-    assert topological_order(graph) is not None
+    assert graph_order(graph) is not None
     assert len(graph.edges) == 1
     assert any("same-year" in flag for flag in flags)
 
@@ -309,5 +323,5 @@ def test_historiograph_undated_mutual_citations_stay_acyclic():
     docs[0].doi = "10.9/p"
     docs[1].doi = "10.9/q"
     graph, flags = historiograph(corpus, n=10)
-    assert topological_order(graph) is not None
+    assert graph_order(graph) is not None
     assert any("cycle-closing" in flag for flag in flags)

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import random
 
-from conftest import build_corpus, make_document, make_ref
+from conftest import build_corpus, graph_order, make_document, make_ref
 from scimap.centrality import pagerank
 from scimap.community import modularity, walktrap
 from scimap.corpus import coverage_report
 from scimap.graphs import (
     cocitation_graph, collaboration_graph, cooccurrence_graph, historiograph,
-    match_local_citations, rpys, topological_order,
+    match_local_citations, rpys,
 )
 from scimap.metrics import (
     annual_production, bradford_zones, descriptive_summary,
@@ -107,7 +107,7 @@ def test_large_corpus_pipeline_invariants():
 
     graph, _ = historiograph(corpus, n=30, local=local)
     assert len(graph.nodes) == 30
-    assert topological_order(graph) is not None
+    assert graph_order(graph) is not None
 
 
 def test_large_corpus_deterministic():

@@ -8,10 +8,9 @@ import pytest
 from conftest import build_corpus, make_document
 from scimap.metrics import (
     annual_growth_rate, annual_production, author_document_counts,
-    bradford_zones, collaboration_indices, descriptive_summary,
-    entity_production_over_time, lotka_fit, mcp_ratio_pct,
-    mean_citation_per_elapsed_years, method_occurrence, term_frequencies,
-    trending_terms,
+    bradford_zones, collaboration_indices, descriptive_summary, lotka_fit,
+    mcp_ratio_pct, mean_citation_per_elapsed_years, method_occurrence,
+    term_frequencies, trending_terms,
 )
 
 # The zone-1 core of the 1890-article / 637-source fixture.
@@ -341,37 +340,6 @@ def test_collaboration_totals_bounded_by_corpus_size():
     corpus = build_corpus(docs, reference_year=2020)
     rows, excluded = collaboration_indices(corpus)
     assert sum(r.scp + r.mcp for r in rows) + len(excluded) == len(corpus)
-
-
-# Production over time -------------------------------------------------------------
-
-def test_entity_cumulative_is_running_sum():
-    docs = [make_document(f"d{y}", title=f"d{y}", pub_year=y, source="J ONE")
-            for y in (1991, 1992, 1993)]
-    result = entity_production_over_time(build_corpus(docs), "source")
-    yearly, cumulative = result["J ONE"]
-    assert yearly.points == [(1991, 1.0), (1992, 1.0), (1993, 1.0)]
-    assert cumulative.points == [(1991, 1.0), (1992, 2.0), (1993, 3.0)]
-
-
-def test_entity_cumulative_carries_flat():
-    docs = [make_document("a", title="a", pub_year=1991, source="J ONE"),
-            make_document("b", title="b", pub_year=1993, source="J ONE"),
-            make_document("c", title="c", pub_year=1993, source="J TWO")]
-    result = entity_production_over_time(build_corpus(docs), "source")
-    _, cumulative = result["J ONE"]
-    assert cumulative.points == [(1991, 1.0), (1992, 1.0), (1993, 2.0)]
-
-
-def test_entity_undated_remainder_bucket():
-    docs = [make_document("a", title="a", pub_year=2000, source="J ONE"),
-            make_document("b", title="b", source="J ONE")]
-    result = entity_production_over_time(build_corpus(docs, reference_year=2000),
-                                         "source")
-    yearly, cumulative = result["J ONE"]
-    assert yearly.undated == 1
-    assert sum(v for _, v in yearly.points) == 1  # undated never enters series
-    assert cumulative.points[-1][1] == 1.0
 
 
 # Method occurrence ------------------------------------------------------------------

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from scimap.digraph import topological_order
 from scimap.mfas import (
     ConfidenceReport, Multigraph, brute_force_optimum, calibration_harness,
-    cycle_bundles, is_acyclic, run_once, solve, success_lower_bound,
-    triangle_example, wilson_interval,
+    cycle_bundles, run_once, solve, success_lower_bound, triangle_example,
+    wilson_interval,
 )
 
 
@@ -25,29 +26,30 @@ def random_multigraph(rng, max_nodes=5, max_extra=8):
     return mg
 
 
+def order_of(mg):
+    return topological_order(mg.nodes, mg.bundles)
+
+
 def test_triangle_is_cyclic():
-    flag, order = is_acyclic(triangle_example())
-    assert flag is False and order is None
+    assert order_of(triangle_example()) is None
 
 
 def test_empty_graph_acyclic():
-    flag, order = is_acyclic(Multigraph())
-    assert flag is True and order == []
+    assert order_of(Multigraph()) == []
 
 
 def test_two_node_two_cycle():
     mg = Multigraph()
     mg.add("a", "b")
     mg.add("b", "a")
-    assert is_acyclic(mg)[0] is False
+    assert order_of(mg) is None
 
 
 def test_acyclic_graph_topological_witness():
     mg = Multigraph()
     mg.add("a", "b", 2)
     mg.add("b", "c")
-    flag, order = is_acyclic(mg)
-    assert flag is True
+    order = order_of(mg)
     assert order.index("a") < order.index("b") < order.index("c")
 
 
@@ -105,8 +107,8 @@ def test_run_once_soundness_and_support_on_random_instances():
             assert residual.bundles[bundle] >= 0
             if residual.bundles[bundle] == 0:
                 del residual.bundles[bundle]
-        flag, order = is_acyclic(residual)
-        assert flag is True
+        order = order_of(residual)
+        assert order is not None
         assert solution.size == sum(solution.removed.values())
         assert sorted(order) == sorted(residual.nodes)
 
@@ -202,7 +204,7 @@ def test_oracle_witness_is_feasible_and_minimal_on_random_instances():
         for bundle, count in witness.items():
             assert residual.bundles[bundle] == count  # whole bundles only
             del residual.bundles[bundle]
-        assert is_acyclic(residual)[0]
+        assert order_of(residual) is not None
         # no strictly cheaper bundle subset is acyclic
         bundles = sorted(mg.bundles.items())
         for mask in range(1 << len(bundles)):
@@ -213,7 +215,7 @@ def test_oracle_witness_is_feasible_and_minimal_on_random_instances():
                 nodes=set(mg.nodes),
                 bundles={b: m for i, (b, m) in enumerate(bundles)
                          if not mask >> i & 1})
-            assert not is_acyclic(candidate)[0]
+            assert order_of(candidate) is None
 
 
 def test_best_of_50_against_oracle_on_small_instances():

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from conftest import make_document, make_ref
 from scimap.normalize import (
-    country_of, institution_of, normalize_author_name, normalize_doi,
-    parse_cited_reference, to_document,
+    country_of, field_values, institution_of, normalize_author_name,
+    normalize_doi, parse_cited_reference, to_document,
 )
 from scimap.parsing import parse_plaintext_export
+from scimap.records import FIELD_ROLES, Document
 
 
 def test_full_given_name_reduced_to_initials():
@@ -160,3 +162,43 @@ def test_nr_cr_mismatch_flagged_both_retained():
     assert doc.ref_count == 33
     assert len(doc.cited_refs) == 2
     assert any(flag.startswith("nr-cr-mismatch") for flag in doc.quality_flags)
+
+
+# Field accessor ---------------------------------------------------------------
+
+def full_document():
+    return make_document(
+        "d1", authors=["TSAI, CF", "HSU, YF"], title="Deep credit scoring",
+        source="EXPERT SYST APPL", pub_year=2020, total_citations=0,
+        cited_refs=[make_ref("ALTMAN EI, 1968, J FINANC, V23, P589")],
+        keywords=["Credit scoring"], keywords_plus=["Bankruptcy"],
+        abstract="Credit scoring with deep networks.",
+        affiliations=["NATL CENT UNIV, TAOYUAN, TAIWAN",
+                      "UNIV OXFORD, OXFORD, ENGLAND"],
+        corresponding="NATL CENT UNIV, TAOYUAN, TAIWAN", doi="10.1/x",
+        categories=["Computer Science"], ref_count=1)
+
+
+def test_field_values_cover_every_field_role():
+    full, empty = full_document(), Document(id="e")
+    for tag, _ in FIELD_ROLES:
+        assert field_values(full, tag), tag
+        # a zero citation count is a value, not absence
+        assert bool(field_values(empty, tag)) == (tag == "TC"), tag
+
+
+def test_field_values_of_entity_and_derived_fields():
+    doc = full_document()
+    assert field_values(doc, "AU") == {"TSAI, CF", "HSU, YF"}
+    assert field_values(doc, "C1") == {"NATL CENT UNIV", "UNIV OXFORD"}
+    assert field_values(doc, "CO") == {"TAIWAN", "UNITED KINGDOM"}
+    assert field_values(doc, "CR_SO") == {"J FINANC"}
+    assert field_values(doc, "TC") == {"0"}
+    assert field_values(doc, "title-bigrams") == {"deep credit", "credit scoring"}
+    assert "deep networks" in field_values(doc, "abstract-bigrams")
+    assert field_values(Document(id="e"), "abstract-bigrams") == set()
+
+
+def test_field_values_unknown_tag_is_error():
+    with pytest.raises(ValueError, match="'XX'"):
+        field_values(full_document(), "XX")
