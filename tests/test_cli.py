@@ -7,7 +7,8 @@ import pytest
 
 from scimap.cli import main
 from scimap.corpus import load_corpus
-from scimap.graphio import read_graph
+from scimap.graphio import read_graph, write_graph
+from scimap.graphs import Graph, GraphNode
 
 DATA = Path(__file__).parent / "data"
 SAMPLE = str(DATA / "sample_export.txt")
@@ -130,6 +131,18 @@ def test_graph_pipeline_cooccur_pagerank_walktrap(corpus_file, tmp_path):
     meta, cluster_rows = read_csv(out / "clusters.csv")
     assert any("modularity" in line for line in meta)
     assert len(cluster_rows) - 1 == len(graph.nodes)
+
+
+@pytest.mark.parametrize("walk_length", ["0", "-1"])
+def test_walktrap_rejects_walk_length_below_one(tmp_path, capsys, walk_length):
+    graph_path = tmp_path / "pair.graphml"
+    write_graph(Graph(nodes=[GraphNode(id=i, label=i) for i in ("a", "b", "c")],
+                      edges=[("a", "b", 1.0), ("b", "c", 2.0)]), graph_path)
+    out = tmp_path / "out"
+    assert main(["walktrap", "--graph", str(graph_path), "--walk-length",
+                 walk_length, "--out", str(out)]) == 1
+    assert "walk length must be at least 1" in capsys.readouterr().err
+    assert not (out / "clusters.csv").exists()
 
 
 def test_cocite_collab_and_more(corpus_file, tmp_path):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import pytest
+
 from scimap.community import Clustering, modularity, walktrap
 from scimap.graphs import Graph, GraphNode
 
@@ -78,6 +80,15 @@ def test_disconnected_triangles_two_communities():
     assert result.assignment["a0"] == result.assignment["a1"] == result.assignment["a2"]
     assert result.assignment["b0"] == result.assignment["b1"] == result.assignment["b2"]
     assert result.assignment["a0"] != result.assignment["b0"]
+
+
+@pytest.mark.parametrize("walk_length", [0, -1])
+def test_walk_length_below_one_rejected(walk_length):
+    graph, _, _ = bridged_cliques()
+    with pytest.raises(ValueError, match="walk length must be at least 1"):
+        walktrap(graph, walk_length=walk_length)
+    with pytest.raises(ValueError, match="walk length must be at least 1"):
+        walktrap(Graph(), walk_length=walk_length)
 
 
 def test_tiny_graphs():

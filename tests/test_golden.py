@@ -1,12 +1,15 @@
 """Golden artifacts: the acceptance CLI suite plus one command per field
-path must write exactly the bytes recorded in
-``data/golden_artifacts.sha256``.
+path and one ``mfas`` run on a multigraph with many topological orders
+must write exactly the bytes recorded in ``data/golden_artifacts.sha256``.
 
 The extra commands reach every tag of the field accessor that the
 acceptance suite leaves out (keyword and bigram terms, ID co-occurrence,
 author and institution collaboration, author h-index, sankey over AU,
-SO, CR, ID, CR_SO and CO).  The table is in ``sha256sum`` format; print
-a fresh one for an intended output change with
+SO, CR, ID, CR_SO and CO).  The acceptance suite's triangle leaves a
+residual with one valid order; the residual of ``MULTIGRAPH`` has
+several, so its ``witness_order`` pins the topological tie rule.  The
+table is in ``sha256sum`` format; print a fresh one for an intended
+output change with
 
     PYTHONPATH=src python tests/test_golden.py DIR
 """
@@ -20,7 +23,7 @@ import sys
 from pathlib import Path
 
 from scimap.cli import main
-from test_acceptance import run_cli_suite
+from test_acceptance import CLI_SUITE_SEED, run_cli_suite
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "data" / "golden_artifacts.sha256"
@@ -40,6 +43,9 @@ FIELD_COMMANDS = {
                            "--right", "CO"],
 }
 
+# Two cycles through d (one over a parallel pair) plus acyclic branches.
+MULTIGRAPH = "s d 1\nd x 2\nx d 1\nd b 1\nb c 1\nc d 1\ns a 1\na e 1\ns e 1\n"
+
 
 def run_golden_suite(root: Path) -> dict[str, str]:
     """Run the extended suite under ``root``; relative path -> SHA-256."""
@@ -48,6 +54,11 @@ def run_golden_suite(root: Path) -> dict[str, str]:
     for name, argv in FIELD_COMMANDS.items():
         full = argv + ["--corpus", corpus, "--out", str(root / "fields" / name)]
         assert main(full) == 0, f"command failed: {full}"
+    multigraph = root / "multigraph.tsv"
+    multigraph.write_text(MULTIGRAPH, encoding="utf-8")
+    argv = ["mfas", "--graph", str(multigraph), "-t", "20", "--seed",
+            CLI_SUITE_SEED, "--out", str(root / "mfas-multigraph")]
+    assert main(argv) == 0, f"command failed: {argv}"
     return {path.relative_to(root).as_posix():
             hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(root.rglob("*")) if path.is_file()}
@@ -71,7 +82,7 @@ def assert_matches_golden(digests: dict[str, str]) -> None:
 
 def test_golden_artifacts(tmp_path):
     digests = run_golden_suite(tmp_path)
-    assert len(digests) == 60
+    assert len(digests) == 62
     assert_matches_golden(digests)
 
 
