@@ -93,6 +93,9 @@ def walktrap(graph: Graph, walk_length: int = 4) -> Clustering:
     """
     if walk_length < 1:
         raise ValueError(f"walk length must be at least 1, got {walk_length}")
+    if graph.directed:
+        raise ValueError("walktrap needs an undirected graph; "
+                         "this graph's arcs are directed")
     ids = sorted(graph.node_ids())
     n = len(ids)
     if n == 0:

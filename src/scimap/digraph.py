@@ -6,7 +6,7 @@ use it.
 from __future__ import annotations
 
 import heapq
-from typing import Hashable, Iterable, Mapping, Optional
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 
 def topological_order(nodes: Iterable[Hashable],
@@ -48,3 +48,58 @@ def reaches(adjacency: Mapping[Hashable, Iterable[Hashable]],
         seen.add(node)
         stack.extend(adjacency[node])
     return False
+
+
+def strongly_connected_components(
+        nodes: Sequence[Hashable],
+        successors: Mapping[Hashable, Iterable[Hashable]]) -> list[list]:
+    """Iterative Tarjan over the subgraph induced by ``nodes``.
+
+    Arcs to nodes outside ``nodes`` are ignored, so one component can be
+    split again on its own after an arc inside it is removed.  Components
+    come out in reverse topological order; both that order and the order
+    within each component follow the iteration order of ``nodes`` and of
+    each successor collection.
+    """
+    inside = set(nodes)
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    components = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(successors[root]))]
+        while work:
+            node, children = work[-1]
+            for child in children:
+                if child not in inside:
+                    continue
+                if child not in index:
+                    index[child] = low[child] = len(index)
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(successors[child])))
+                    break
+                if child in on_stack and index[child] < low[node]:
+                    low[node] = index[child]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from statistics import NormalDist
 from typing import Optional
 
-from .digraph import reaches, topological_order
+from .digraph import reaches, strongly_connected_components, topological_order
 
 GENERATOR_ID = "mt19937-sha256-split"
 
@@ -74,53 +76,10 @@ class Multigraph:
         return out
 
 
-def _strongly_connected_components(mg: Multigraph) -> dict[str, int]:
-    """Iterative Tarjan; returns node -> component id."""
-    index_of: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    component: dict[str, int] = {}
-    counter = [0]
-    comp_counter = [0]
-    out = mg.successors()
-
-    for root in sorted(mg.nodes):
-        if root in index_of:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, child = work[-1]
-            if child == 0:
-                index_of[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            for i in range(child, len(out[node])):
-                nxt = out[node][i]
-                if nxt not in index_of:
-                    work[-1] = (node, i + 1)
-                    work.append((nxt, 0))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index_of[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index_of[node]:
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component[member] = comp_counter[0]
-                    if member == node:
-                        break
-                comp_counter[0] += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return component
+def _component_of(components: list[list[str]]) -> dict[str, list[str]]:
+    """Node -> the member list of its component; two nodes share a
+    component exactly when they map to the same list object."""
+    return {node: members for members in components for node in members}
 
 
 def cycle_bundles(mg: Multigraph) -> list[tuple[Bundle, int]]:
@@ -129,9 +88,10 @@ def cycle_bundles(mg: Multigraph) -> list[tuple[Bundle, int]]:
     An arc (u, v) with u != v sits on a cycle exactly when u and v share
     a strongly connected component.
     """
-    component = _strongly_connected_components(mg)
+    component = _component_of(strongly_connected_components(
+        sorted(mg.nodes), mg.successors()))
     return sorted(((u, v), m) for (u, v), m in mg.bundles.items()
-                  if component[u] == component[v])
+                  if component[u] is component[v])
 
 
 @dataclass
@@ -150,34 +110,54 @@ def run_once(mg: Multigraph, seed: int, check_support: bool = False) -> McSoluti
     """One Monte Carlo run: break uniformly chosen on-cycle arcs until the
     graph is acyclic.  Deterministic given the seed.
 
+    Each bundle's sampling weight is its remaining multiplicity while its
+    ends share a strongly connected component, else 0.  A draw
+    ``randrange(total)`` picks the first bundle, in sorted order, whose
+    running weight sum exceeds it.  Taking one arc from a bundle only
+    lowers its weight; emptying a bundle can split only the component
+    that held it, so Tarjan reruns on that component alone.
+
     ``check_support`` re-verifies, independently of the sampler, that
     every removed arc lay on a cycle at its removal time.
     """
     rng = random.Random(seed)
-    work = mg.copy()
-    removed: dict[Bundle, int] = {}
+    bundles = sorted(mg.bundles)
+    left = [mg.bundles[bundle] for bundle in bundles]
+    out: dict[str, dict[str, int]] = {node: {} for node in mg.nodes}
+    for i, (u, v) in enumerate(bundles):
+        out[u][v] = i
+    component = _component_of(strongly_connected_components(sorted(mg.nodes), out))
+    weight = [m if component[u] is component[v] else 0
+              for (u, v), m in zip(bundles, left)]
+    work = mg.copy() if check_support else None
     while True:
-        candidates = cycle_bundles(work)
-        if not candidates:
+        running = list(accumulate(weight))
+        if not running or not running[-1]:
             break
-        total = sum(m for _, m in candidates)
-        pick = rng.randrange(total)
-        for bundle, mult in candidates:
-            if pick < mult:
-                break
-            pick -= mult
-        if check_support:
-            assert reaches(work.successors(), bundle[1], bundle[0]), \
-                f"sampled off-cycle arc {bundle}"
-        removed[bundle] = removed.get(bundle, 0) + 1
-        if work.bundles[bundle] == 1:
-            del work.bundles[bundle]
-        else:
-            work.bundles[bundle] -= 1
-    order = topological_order(work.nodes, work.bundles)
+        i = bisect_right(running, rng.randrange(running[-1]))
+        u, v = bundles[i]
+        if work is not None:
+            assert reaches(work.successors(), v, u), f"sampled off-cycle arc {(u, v)}"
+            work.bundles[(u, v)] -= 1
+            if not work.bundles[(u, v)]:
+                del work.bundles[(u, v)]
+        left[i] -= 1
+        weight[i] -= 1
+        if left[i]:
+            continue
+        del out[u][v]
+        members = component[u]
+        component.update(_component_of(strongly_connected_components(members, out)))
+        for node in members:
+            for nxt, j in out[node].items():
+                if component[node] is not component[nxt]:
+                    weight[j] = 0
+    removed = {bundle: mg.bundles[bundle] - m
+               for bundle, m in zip(bundles, left) if m < mg.bundles[bundle]}
+    order = topological_order(mg.nodes, (b for b, m in zip(bundles, left) if m))
     assert order is not None
-    return McSolution(removed=dict(sorted(removed.items())),
-                      size=sum(removed.values()), witness_order=order)
+    return McSolution(removed=removed, size=sum(removed.values()),
+                      witness_order=order)
 
 
 def success_lower_bound(t: int) -> Fraction:

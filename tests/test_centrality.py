@@ -225,3 +225,44 @@ def test_betweenness_ignores_edge_weights():
     light = build_graph(4, [(0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 1)])
     heavy = build_graph(4, [(0, 1, 9), (1, 3, 9), (0, 2, 1), (2, 3, 1)])
     assert betweenness(light) == betweenness(heavy)
+
+
+# networkx differential -----------------------------------------------------------
+
+def networkx_pairs(seed, count=40):
+    """Seeded weighted graphs, directed and undirected, dense to sparse
+    (isolated and dangling nodes included), each with its networkx twin."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    for trial in range(count):
+        directed = bool(trial % 2)
+        n = rng.randrange(2, 31)
+        p = rng.choice((0.05, 0.15, 0.45))
+        edges = [(u, v, rng.randrange(1, 6) * rng.choice((1.0, 0.37)))
+                 for u in range(n) for v in range(n)
+                 if u != v and (directed or u < v) and rng.random() < p]
+        graph = build_graph(n, edges or [(0, 1, 1)], directed=directed)
+        twin = nx.DiGraph() if directed else nx.Graph()
+        twin.add_nodes_from(graph.node_ids())
+        twin.add_weighted_edges_from(graph.edges)
+        yield nx, graph, twin
+
+
+def assert_relative(mine, theirs, rel):
+    assert sorted(mine) == sorted(theirs)
+    for nid, value in theirs.items():
+        assert mine[nid] == pytest.approx(value, rel=rel, abs=0.0), nid
+
+
+def test_pagerank_matches_networkx():
+    for nx, graph, twin in networkx_pairs(113):
+        mine = pagerank(graph, tolerance=1e-14, max_iter=1000)
+        theirs = nx.pagerank(twin, alpha=0.85, tol=1e-15, max_iter=1000,
+                             weight="weight")
+        assert_relative(mine, theirs, 1e-12)
+
+
+def test_betweenness_matches_networkx():
+    for nx, graph, twin in networkx_pairs(127):
+        theirs = nx.betweenness_centrality(twin, normalized=False, weight=None)
+        assert_relative(betweenness(graph), theirs, 1e-12)

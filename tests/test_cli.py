@@ -145,6 +145,19 @@ def test_walktrap_rejects_walk_length_below_one(tmp_path, capsys, walk_length):
     assert not (out / "clusters.csv").exists()
 
 
+def test_walktrap_rejects_directed_graph(tmp_path, capsys):
+    graph_path = tmp_path / "cycles.graphml"
+    write_graph(Graph(nodes=[GraphNode(id=i, label=i) for i in "abcdef"],
+                      edges=[("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0),
+                             ("d", "e", 1.0), ("e", "f", 1.0), ("f", "d", 1.0),
+                             ("c", "d", 1.0)],
+                      directed=True), graph_path)
+    out = tmp_path / "out"
+    assert main(["walktrap", "--graph", str(graph_path), "--out", str(out)]) == 1
+    assert "needs an undirected graph" in capsys.readouterr().err
+    assert not (out / "clusters.csv").exists()
+
+
 def test_cocite_collab_and_more(corpus_file, tmp_path):
     out = tmp_path / "more"
     assert main(["cocite", "--corpus", str(corpus_file),

@@ -91,6 +91,18 @@ def test_walk_length_below_one_rejected(walk_length):
         walktrap(Graph(), walk_length=walk_length)
 
 
+def test_directed_graph_rejected():
+    # Two directed 3-cycles joined by one arc: treated as undirected, it
+    # would cluster into two communities.
+    graph = Graph(nodes=[GraphNode(id=i, label=i) for i in "abcdef"],
+                  edges=[("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0),
+                         ("d", "e", 1.0), ("e", "f", 1.0), ("f", "d", 1.0),
+                         ("c", "d", 1.0)],
+                  directed=True)
+    with pytest.raises(ValueError, match="undirected"):
+        walktrap(graph)
+
+
 def test_tiny_graphs():
     assert walktrap(Graph()) == Clustering(assignment={}, modularity=0.0,
                                            n_clusters=0)

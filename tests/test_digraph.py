@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import random
 
-from scimap.digraph import reaches, topological_order
+import pytest
+
+from scimap.digraph import reaches, strongly_connected_components, topological_order
 
 
 def sorted_list_kahn(nodes, arcs):
@@ -65,3 +67,40 @@ def test_reaches_follows_arc_direction():
 def test_reaches_terminates_on_cycles():
     adjacency = {"a": ["b"], "b": ["a"], "c": []}
     assert not reaches(adjacency, "a", "c")
+
+
+def partition(components):
+    return sorted(sorted(component) for component in components)
+
+
+def test_scc_ignores_arcs_leaving_the_node_set():
+    successors = {"a": ["b"], "b": ["a", "c"], "c": ["a"]}
+    assert partition(strongly_connected_components("abc", successors)) == [["a", "b", "c"]]
+    assert partition(strongly_connected_components("ab", successors)) == [["a", "b"]]
+    assert partition(strongly_connected_components("bc", successors)) == [["b"], ["c"]]
+
+
+def test_scc_components_come_in_reverse_topological_order():
+    successors = {"a": ["b"], "b": ["c"], "c": ["b"], "d": ["a"]}
+    assert strongly_connected_components("abcd", successors) == [["c", "b"], ["a"], ["d"]]
+
+
+def test_scc_matches_networkx_on_random_digraphs():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(11)
+    for _ in range(300):
+        nodes = [f"n{i}" for i in range(rng.randrange(1, 25))]
+        arcs = {tuple(rng.sample(nodes, 2)) for _ in range(rng.randrange(0, 40))
+                if len(nodes) > 1}
+        for u, v in list(arcs):  # 2-cycles
+            if rng.random() < 0.2:
+                arcs.add((v, u))
+        successors = {node: [] for node in nodes}
+        for u, v in sorted(arcs):
+            successors[u].append(v)
+        reference = nx.DiGraph()
+        reference.add_nodes_from(nodes)  # keeps isolated nodes
+        reference.add_edges_from(arcs)
+        rng.shuffle(nodes)
+        assert partition(strongly_connected_components(nodes, successors)) == \
+            partition(nx.strongly_connected_components(reference))

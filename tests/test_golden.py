@@ -7,9 +7,12 @@ acceptance suite leaves out (keyword and bigram terms, ID co-occurrence,
 author and institution collaboration, author h-index, sankey over AU,
 SO, CR, ID, CR_SO and CO).  The acceptance suite's triangle leaves a
 residual with one valid order; the residual of ``MULTIGRAPH`` has
-several, so its ``witness_order`` pins the topological tie rule.  The
-table is in ``sha256sum`` format; print a fresh one for an intended
-output change with
+several, so its ``witness_order`` pins the topological tie rule.
+``SCC_MULTIGRAPH`` has three strongly connected components joined by
+acyclic bridges and bundles of multiplicity 2 and 3, so its ``mfas`` and
+``mfas-calibrate`` runs both decrement bundles in place and split
+components when a bundle empties.  The table is in ``sha256sum`` format;
+print a fresh one for an intended output change with
 
     PYTHONPATH=src python tests/test_golden.py DIR
 """
@@ -45,6 +48,15 @@ FIELD_COMMANDS = {
 
 # Two cycles through d (one over a parallel pair) plus acyclic branches.
 MULTIGRAPH = "s d 1\nd x 2\nx d 1\nd b 1\nb c 1\nc d 1\ns a 1\na e 1\ns e 1\n"
+# Components {a, b}, {c, d, e} and {f, g, h}, 18 arcs (the oracle's cap is 20).
+SCC_MULTIGRAPH = ("a b 2\nb a 1\na c 1\nb d 1\nc d 1\nd e 2\ne c 1\nd c 1\n"
+                  "d g 1\ne f 1\nf g 3\ng h 1\nh f 1\ng f 1\n")
+MFAS_COMMANDS = {
+    "mfas-multigraph": (MULTIGRAPH, ["mfas", "-t", "20"]),
+    "mfas-scc": (SCC_MULTIGRAPH, ["mfas", "-t", "20"]),
+    "mfas-scc-calibrate": (SCC_MULTIGRAPH,
+                           ["mfas-calibrate", "-t", "5", "--trials", "50"]),
+}
 
 
 def run_golden_suite(root: Path) -> dict[str, str]:
@@ -54,11 +66,14 @@ def run_golden_suite(root: Path) -> dict[str, str]:
     for name, argv in FIELD_COMMANDS.items():
         full = argv + ["--corpus", corpus, "--out", str(root / "fields" / name)]
         assert main(full) == 0, f"command failed: {full}"
-    multigraph = root / "multigraph.tsv"
-    multigraph.write_text(MULTIGRAPH, encoding="utf-8")
-    argv = ["mfas", "--graph", str(multigraph), "-t", "20", "--seed",
-            CLI_SUITE_SEED, "--out", str(root / "mfas-multigraph")]
-    assert main(argv) == 0, f"command failed: {argv}"
+    inputs = {MULTIGRAPH: root / "multigraph.tsv",
+              SCC_MULTIGRAPH: root / "scc-multigraph.tsv"}
+    for text, path in inputs.items():
+        path.write_text(text, encoding="utf-8")
+    for name, (text, command) in MFAS_COMMANDS.items():
+        argv = command + ["--graph", str(inputs[text]), "--seed",
+                          CLI_SUITE_SEED, "--out", str(root / name)]
+        assert main(argv) == 0, f"command failed: {argv}"
     return {path.relative_to(root).as_posix():
             hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(root.rglob("*")) if path.is_file()}
@@ -82,7 +97,7 @@ def assert_matches_golden(digests: dict[str, str]) -> None:
 
 def test_golden_artifacts(tmp_path):
     digests = run_golden_suite(tmp_path)
-    assert len(digests) == 62
+    assert len(digests) == 66
     assert_matches_golden(digests)
 
 

@@ -1,0 +1,76 @@
+"""The incremental MFAS sampler against its full-rescan oracle.
+
+``run_once`` must consume the same random draws and pick the same
+bundles as ``mfas_reference.run_once`` for every seed: equal removals,
+size and witness order, with and without ``check_support``.  The graphs
+have several strongly connected components (rings plus random arcs
+inside ordered blocks), acyclic bridges from earlier to later blocks,
+isolated nodes and multiplicities 1 to 3, so runs both decrement bundles
+and split components.
+"""
+from __future__ import annotations
+
+import random
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+import mfas_reference  # noqa: E402
+from scimap.mfas import Multigraph, cycle_bundles, run_once  # noqa: E402
+
+SEEDS = range(12)
+
+
+@st.composite
+def block_multigraphs(draw):
+    n = draw(st.integers(2, 15))
+    names = draw(st.permutations([f"v{i:02d}" for i in range(n)]))
+    block = sorted(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    mg = Multigraph(nodes=set(names))
+    for b in sorted(set(block)):
+        members = [names[i] for i in range(n) if block[i] == b]
+        if len(members) > 1 and draw(st.booleans()):
+            for u, v in zip(members, members[1:] + members[:1]):
+                mg.add(u, v, draw(st.integers(1, 3)))
+    pairs = [(names[i], names[j]) for i in range(n) for j in range(n)
+             if i != j and block[i] <= block[j]]
+    for u, v in draw(st.lists(st.sampled_from(pairs), max_size=3 * n)):
+        mg.add(u, v, draw(st.integers(1, 3)))
+    return mg
+
+
+def assert_same_runs(mg, seeds, check_support):
+    for seed in seeds:
+        got = run_once(mg, seed, check_support=check_support)
+        want = mfas_reference.run_once(mg, seed, check_support=check_support)
+        assert list(got.removed.items()) == list(want.removed.items()), seed
+        assert got.size == want.size
+        assert got.witness_order == want.witness_order
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mg=block_multigraphs(), check_support=st.booleans())
+def test_run_once_equals_reference(mg, check_support):
+    assert cycle_bundles(mg) == mfas_reference.cycle_bundles(mg)
+    assert_same_runs(mg, SEEDS, check_support)
+
+
+def test_run_once_equals_reference_on_large_components():
+    # Three 20-node rings with chords and bridges: long runs that empty
+    # many bundles inside big components before they fall apart.
+    rng = random.Random(41)
+    mg = Multigraph()
+    blocks = [[f"b{b}n{k:02d}" for k in range(20)] for b in range(3)]
+    for members in blocks:
+        for u, v in zip(members, members[1:] + members[:1]):
+            mg.add(u, v, rng.randint(1, 3))
+        for _ in range(30):
+            u, v = rng.sample(members, 2)
+            mg.add(u, v, rng.randint(1, 3))
+    for _ in range(20):
+        first, second = sorted(rng.sample(range(3), 2))
+        mg.add(rng.choice(blocks[first]), rng.choice(blocks[second]))
+    assert_same_runs(mg, range(4), check_support=False)
+    assert_same_runs(mg, range(1), check_support=True)
