@@ -31,10 +31,12 @@ list up to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graphs import Graph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _ROW_BLOCK = 64  # rows per batched cost or minimum evaluation
 
@@ -75,6 +77,8 @@ def _weight_matrix(n: int, heads: np.ndarray, tails: np.ndarray,
                    weights: np.ndarray) -> np.ndarray:
     """Symmetric edge-weight matrix; each entry sums its edges' weights
     in edge order, starting from 0.0."""
+    import numpy as np
+
     first = np.column_stack((heads, tails)).ravel()
     second = np.column_stack((tails, heads)).ravel()
     out = np.zeros((n, n))
@@ -91,6 +95,8 @@ def walktrap(graph: Graph, walk_length: int = 4) -> Clustering:
     standard form.  Ties in merge priority break deterministically on
     community creation order.
     """
+    import numpy as np  # deferred: only clustering commands pay for numpy
+
     if walk_length < 1:
         raise ValueError(f"walk length must be at least 1, got {walk_length}")
     if graph.directed:

@@ -6,6 +6,7 @@ segments, DOIs into their canonical lowercase form.
 """
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
 from typing import Callable, Optional
@@ -23,9 +24,17 @@ _PAGE_SEG = re.compile(r"^P[A-Z]?\d+[A-Z]?$")
 # Country aliases for the ragged last segment of WoS affiliation strings.
 _UK_PARTS = {"ENGLAND", "SCOTLAND", "WALES", "NORTH IRELAND", "NORTHERN IRELAND"}
 
+# Entry bounds of the per-process memos of the pure string parsers.  A
+# corpus repeats the same reference strings and author names many times,
+# so each distinct string is parsed once per process.
+REFERENCE_CACHE_SIZE = 1 << 16
+SURNAME_CACHE_SIZE = 1 << 15
+
 
 def fold_ascii(text: str) -> str:
     """Fold diacritics to ASCII (NFKD decomposition, combining marks dropped)."""
+    if text.isascii():  # ASCII is NFKD-stable and has no combining marks
+        return text
     decomposed = unicodedata.normalize("NFKD", text)
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 
@@ -67,6 +76,7 @@ def _initials_of(part: str) -> str:
     return ""
 
 
+@functools.lru_cache(maxsize=SURNAME_CACHE_SIZE)
 def surname_of(name: str) -> str:
     """Surname match key of a name in either convention.
 
@@ -102,41 +112,48 @@ def parse_cited_reference(raw: str) -> CitedReference:
 
     Segments are assigned positionally and by shape: leading name, 4-digit
     year, venue, V-token, P-token, DOI token.  Whatever cannot be
-    classified stays in ``raw`` only; the function never fails.
+    classified stays in ``raw`` only; the function never fails.  Each call
+    returns a new object (callers may edit it); only the classified
+    fields are memoized.
     """
-    ref = CitedReference(raw=raw)
+    return CitedReference(raw, *_reference_fields(raw))
+
+
+@functools.lru_cache(maxsize=REFERENCE_CACHE_SIZE)
+def _reference_fields(raw: str) -> tuple:
+    """(first_author, year, source, volume, page, doi) of ``raw``."""
+    first_author = year = source = volume = page = doi = None
     if not raw.strip():
-        return ref
+        return first_author, year, source, volume, page, doi
     segments = [seg.strip() for seg in raw.split(",")]
     claimed = [False] * len(segments)
 
     for i, seg in enumerate(segments):
         upper = seg.upper()
-        if ref.doi is None and (upper.startswith("DOI") or _DOI_RE.match(seg.rstrip(".;"))):
+        if doi is None and (upper.startswith("DOI") or _DOI_RE.match(seg.rstrip(".;"))):
             doi = normalize_doi(seg if not upper.startswith("DOI") else seg[3:])
             if doi:
-                ref.doi = doi
                 claimed[i] = True
-        elif ref.year is None and _YEAR_SEG.match(seg):
-            ref.year = int(seg)
+        elif year is None and _YEAR_SEG.match(seg):
+            year = int(seg)
             claimed[i] = True
-        elif ref.volume is None and _VOLUME_SEG.match(upper):
-            ref.volume = upper
+        elif volume is None and _VOLUME_SEG.match(upper):
+            volume = upper
             claimed[i] = True
-        elif ref.page is None and _PAGE_SEG.match(upper):
-            ref.page = upper
+        elif page is None and _PAGE_SEG.match(upper):
+            page = upper
             claimed[i] = True
 
     if segments and not claimed[0] and segments[0]:
-        ref.first_author = re.sub(r"\s+", " ", fold_ascii(segments[0]).replace(".", " ")).strip().upper()
+        first_author = re.sub(r"\s+", " ", fold_ascii(segments[0]).replace(".", " ")).strip().upper()
         claimed[0] = True
     # The venue is the first unclaimed letter-initial segment after the
     # author; segments of other shapes (e.g. a malformed year) stay in raw.
     for i, seg in enumerate(segments):
         if not claimed[i] and seg and i > 0 and seg[0].isalpha():
-            ref.source = re.sub(r"\s+", " ", fold_ascii(seg)).strip().upper()
+            source = re.sub(r"\s+", " ", fold_ascii(seg)).strip().upper()
             break
-    return ref
+    return first_author, year, source, volume, page, doi
 
 
 def reference_key(ref: CitedReference) -> tuple:

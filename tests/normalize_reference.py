@@ -1,0 +1,85 @@
+"""Test-only oracle: the string parsers that ``scimap.normalize`` shipped
+before it memoized them, kept verbatim.
+
+``fold_ascii`` always takes the NFKD path, and ``parse_cited_reference``
+and ``surname_of`` recompute on every call.  ``tests/test_normalize_memo.py``
+requires the shipped functions to return the same values as these for
+every input.
+"""
+from __future__ import annotations
+
+import re
+import unicodedata
+
+from scimap.normalize import normalize_doi
+from scimap.records import CitedReference
+
+_DOI_RE = re.compile(r"^10\.[^/\s]+/\S+$")
+_YEAR_SEG = re.compile(r"^(1[4-9]\d{2}|20\d{2}|21\d{2})$")
+_VOLUME_SEG = re.compile(r"^V\d+[A-Z]?$")
+_PAGE_SEG = re.compile(r"^P[A-Z]?\d+[A-Z]?$")
+
+
+def fold_ascii(text: str) -> str:
+    """Fold diacritics to ASCII (NFKD decomposition, combining marks dropped)."""
+    decomposed = unicodedata.normalize("NFKD", text)
+    return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+
+
+def surname_of(name: str) -> str:
+    """Surname match key of a name in either convention.
+
+    Handles "KUMAR, PR" and the citing form "KUMAR PR" alike; spaces and
+    hyphens are squeezed out so multi-word surnames compare stably.
+    """
+    head = fold_ascii(name).upper().replace(".", " ").strip()
+    if "," in head:
+        head = head.split(",")[0]
+    else:
+        tokens = head.split()
+        if len(tokens) > 1 and len(tokens[-1]) <= 3:
+            tokens = tokens[:-1]  # trailing initials
+        head = " ".join(tokens)
+    return re.sub(r"[\s\-]+", "", head)
+
+
+def parse_cited_reference(raw: str) -> CitedReference:
+    """Classify the comma-separated segments of a cited-reference string.
+
+    Segments are assigned positionally and by shape: leading name, 4-digit
+    year, venue, V-token, P-token, DOI token.  Whatever cannot be
+    classified stays in ``raw`` only; the function never fails.
+    """
+    ref = CitedReference(raw=raw)
+    if not raw.strip():
+        return ref
+    segments = [seg.strip() for seg in raw.split(",")]
+    claimed = [False] * len(segments)
+
+    for i, seg in enumerate(segments):
+        upper = seg.upper()
+        if ref.doi is None and (upper.startswith("DOI") or _DOI_RE.match(seg.rstrip(".;"))):
+            doi = normalize_doi(seg if not upper.startswith("DOI") else seg[3:])
+            if doi:
+                ref.doi = doi
+                claimed[i] = True
+        elif ref.year is None and _YEAR_SEG.match(seg):
+            ref.year = int(seg)
+            claimed[i] = True
+        elif ref.volume is None and _VOLUME_SEG.match(upper):
+            ref.volume = upper
+            claimed[i] = True
+        elif ref.page is None and _PAGE_SEG.match(upper):
+            ref.page = upper
+            claimed[i] = True
+
+    if segments and not claimed[0] and segments[0]:
+        ref.first_author = re.sub(r"\s+", " ", fold_ascii(segments[0]).replace(".", " ")).strip().upper()
+        claimed[0] = True
+    # The venue is the first unclaimed letter-initial segment after the
+    # author; segments of other shapes (e.g. a malformed year) stay in raw.
+    for i, seg in enumerate(segments):
+        if not claimed[i] and seg and i > 0 and seg[0].isalpha():
+            ref.source = re.sub(r"\s+", " ", fold_ascii(seg)).strip().upper()
+            break
+    return ref

@@ -1,0 +1,61 @@
+"""Start-up cost: numpy loads only when a command clusters.
+
+Each command runs in a fresh process, so an import that a command does
+not use is paid on every command.  This runs, in one new interpreter,
+``import scimap.cli`` and then non-clustering commands, checking that
+``numpy`` stays out of ``sys.modules``; a ``walktrap`` command after
+them must still import it and work.
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+
+SCRIPT = textwrap.dedent("""
+    import sys
+    from pathlib import Path
+
+    import scimap.cli
+
+    def run(*argv):
+        assert scimap.cli.main(list(argv)) == 0, argv
+
+    def numpy_loaded():
+        return "numpy" in sys.modules
+
+    sample, out = sys.argv[1], Path(sys.argv[2])
+    assert not numpy_loaded(), "import scimap.cli"
+    corpus = str(out / "corpus.dat")
+    run("ingest", "--format", "plaintext", sample, "--reference-year", "2023",
+        "-o", corpus)
+    run("coverage", "--corpus", corpus, "--out", str(out / "coverage"))
+    assert not numpy_loaded(), "coverage"
+    (out / "triangle.tsv").write_text("a b 1\\nb c 1\\nc a 1\\n")
+    run("mfas", "--graph", str(out / "triangle.tsv"), "-t", "5", "--seed", "7",
+        "--out", str(out / "mfas"))
+    assert not numpy_loaded(), "mfas"
+    run("cooccur", "--corpus", corpus, "--min-occurrence", "1",
+        "--out", str(out / "cooccur"))
+    assert not numpy_loaded(), "cooccur without --cluster"
+    run("walktrap", "--graph", str(out / "cooccur" / "cooccurrence.graphml"),
+        "--out", str(out / "walktrap"))
+    assert numpy_loaded(), "walktrap"
+    print("ok")
+""")
+
+
+def test_numpy_loads_only_for_clustering(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(HERE.parent / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(HERE / "data" / "sample_export.txt"),
+         str(tmp_path)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "ok"
+    assert list(tmp_path.glob("walktrap/*"))
