@@ -34,7 +34,7 @@ from .metrics import (
     mean_citation_per_elapsed_years, method_occurrence, source_article_counts,
     term_frequencies, trending_terms,
 )
-from .normalize import LEVEL_TAGS, field_values, to_document
+from .normalize import LEVEL_TAGS, REFERENCE_TAGS, field_values, to_document
 from .parsing import ExportParseError, parse_bibtex_export, parse_plaintext_export
 from .records import Corpus, MAX_PLAUSIBLE_YEAR
 from .tables import config_hash, fmt, write_table
@@ -110,9 +110,11 @@ def _outdir(args) -> Path:
     return path
 
 
-def _load(args) -> Corpus:
+def _load(args, references: bool = False) -> Corpus:
+    """Load ``--corpus``; only commands that read cited references ask
+    for them, since decoding them is most of a load."""
     try:
-        return load_corpus(args.corpus)
+        return load_corpus(args.corpus, references=references)
     except FileNotFoundError:
         raise DataError(f"corpus file not found: {args.corpus}")
 
@@ -170,7 +172,7 @@ def cmd_coverage(args, config):
 
 
 def cmd_stats(args, config):
-    corpus = _load(args)
+    corpus = _load(args, references=True)
     stats = descriptive_summary(corpus)
     growth = "" if stats.annual_growth_rate_pct is None \
         else fmt(stats.annual_growth_rate_pct)
@@ -334,7 +336,7 @@ def cmd_cooccur(args, config):
 
 
 def cmd_cocite(args, config):
-    corpus = _load(args)
+    corpus = _load(args, references=True)
     graph = cocitation_graph(corpus, min_citations=args.min_citations)
     _write_graph_artifacts(args, config, corpus, graph, "cocitation")
 
@@ -378,7 +380,7 @@ def cmd_walktrap(args, config):
 
 
 def cmd_historiograph(args, config):
-    corpus = _load(args)
+    corpus = _load(args, references=True)
     local = match_local_citations(corpus)
     graph, flags = historiograph(corpus, n=args.top_n, local=local)
     path = _outdir(args) / f"historiograph.{args.flavor}"
@@ -404,8 +406,9 @@ def cmd_historiograph(args, config):
 
 
 def cmd_sankey(args, config):
-    corpus = _load(args)
-    flow = three_field_flow(corpus, args.left, args.middle, args.right,
+    pillars = (args.left, args.middle, args.right)
+    corpus = _load(args, references=not REFERENCE_TAGS.isdisjoint(pillars))
+    flow = three_field_flow(corpus, *pillars,
                             k_left=args.k_left, k_mid=args.k_mid,
                             k_right=args.k_right)
     item_rows = []
@@ -462,7 +465,7 @@ def cmd_themes(args, config):
 
 
 def cmd_rpys(args, config):
-    corpus = _load(args)
+    corpus = _load(args, references=True)
     rows, undated = rpys(corpus)
     write_table([(r.year, r.n_references, r.citations) for r in rows],
                 ["year", "n_references", "citations"],

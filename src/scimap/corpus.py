@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -19,7 +20,7 @@ from .records import (
 )
 from .tables import round_half_up
 
-CORPUS_SCHEMA = "scimap-corpus/1"
+CORPUS_SCHEMA = "scimap-corpus/2"
 
 
 def normalized_title(title: str) -> str:
@@ -149,95 +150,107 @@ def coverage_report(corpus: Corpus) -> CoverageReport:
 
 
 # Canonical corpus file ----------------------------------------------------
+#
+# Line 1 is a JSON header.  Each document then takes two lines: its fields
+# as a JSON object, and its cited references as a JSON array of positional
+# arrays in REFERENCE_FIELDS order.  Only the analyses of cited references
+# decode the second line; every other load skips it undecoded.
 
-def _ref_to_json(ref: CitedReference) -> dict:
-    out = {"raw": ref.raw}
-    for attr in ("first_author", "year", "source", "volume", "page", "doi"):
-        value = getattr(ref, attr)
-        if value is not None:
-            out[attr] = value
-    return out
-
-
-def _doc_to_json(doc: Document) -> dict:
-    return {
-        "id": doc.id,
-        "authors": doc.authors,
-        "title": doc.title,
-        "source": doc.source,
-        "pub_year": doc.pub_year,
-        "total_citations": doc.total_citations,
-        "cited_refs": [_ref_to_json(r) for r in doc.cited_refs],
-        "ref_count": doc.ref_count,
-        "author_keywords": doc.author_keywords,
-        "keywords_plus": doc.keywords_plus,
-        "abstract": doc.abstract,
-        "affiliations": doc.affiliations,
-        "corresponding": doc.corresponding,
-        "doi": doc.doi,
-        "doc_type": doc.doc_type,
-        "language": doc.language,
-        "categories": doc.categories,
-        "quality_flags": doc.quality_flags,
-        "extra": doc.extra,
-        "missing_fields": doc.missing_fields,
-    }
+REFERENCE_FIELDS = ("raw", "first_author", "year", "source", "volume",
+                    "page", "doi")
+# Keys of a document line, in dataclass order; the loader passes them
+# straight back to the Document constructor.
+DOCUMENT_FIELDS = tuple(f.name for f in fields(Document)
+                        if f.name != "cited_refs")
 
 
-def _doc_from_json(data: dict) -> Document:
-    refs = [CitedReference(**entry) for entry in data.get("cited_refs", [])]
-    return Document(
-        id=data["id"], authors=list(data.get("authors", [])),
-        title=data.get("title", ""), source=data.get("source", ""),
-        pub_year=data.get("pub_year"),
-        total_citations=int(data.get("total_citations", 0)),
-        cited_refs=refs, ref_count=data.get("ref_count"),
-        author_keywords=list(data.get("author_keywords", [])),
-        keywords_plus=list(data.get("keywords_plus", [])),
-        abstract=data.get("abstract"),
-        affiliations=list(data.get("affiliations", [])),
-        corresponding=data.get("corresponding"), doi=data.get("doi"),
-        doc_type=data.get("doc_type", ""), language=data.get("language", ""),
-        categories=list(data.get("categories", [])),
-        quality_flags=list(data.get("quality_flags", [])),
-        extra=dict(data.get("extra", {})),
-        missing_fields=data.get("missing_fields"),
-    )
+def _dump(value) -> str:
+    return json.dumps(value, ensure_ascii=True, separators=(",", ":"))
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> Path:
-    """Write the versioned corpus file: one JSON header line, then one
-    JSON document per line in stable field order."""
+    """Write the versioned corpus file: one JSON header line, then two
+    lines per document (fields, cited references) in stable field order.
+
+    A document whose ``missing_fields`` is None gets it filled from its
+    values here, while its references are in memory, so ``coverage``
+    never needs them after a load.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [json.dumps({
+    lines = [_dump({
         "schema": CORPUS_SCHEMA,
         "reference_year": corpus.reference_year,
         "provenance": corpus.provenance,
         "screening": [{"removed_id": e.removed_id, "reason": e.reason,
                        "kept_id": e.kept_id, "detail": e.detail}
                       for e in corpus.screening],
-    }, ensure_ascii=True, separators=(",", ":"))]
-    lines.extend(json.dumps(_doc_to_json(doc), ensure_ascii=True,
-                            separators=(",", ":"))
-                 for doc in corpus.documents)
+    })]
+    for doc in corpus.documents:
+        if doc.missing_fields is None:
+            doc.missing_fields = [tag for tag, _ in FIELD_ROLES
+                                  if not field_values(doc, tag)]
+        lines.append(_dump({name: getattr(doc, name)
+                            for name in DOCUMENT_FIELDS}))
+        lines.append(_dump([[ref.raw, ref.first_author, ref.year, ref.source,
+                             ref.volume, ref.page, ref.doi]
+                            for ref in doc.cited_refs]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
-def load_corpus(path: str | Path) -> Corpus:
+def _references(line: str) -> Optional[list[CitedReference]]:
+    """The references of one reference line; None when it is malformed."""
+    try:
+        entries = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    if type(entries) is not list or not all(
+            type(entry) is list and len(entry) == len(REFERENCE_FIELDS)
+            for entry in entries):
+        return None
+    return [CitedReference(*entry) for entry in entries]
+
+
+def load_corpus(path: str | Path, references: bool = False) -> Corpus:
+    """Read a corpus file.
+
+    Without ``references`` each reference line is skipped undecoded and
+    every document's ``cited_refs`` is None, so code that reads them
+    without asking fails at once instead of seeing empty lists.
+    """
     path = Path(path)
+    documents = []
     with path.open(encoding="utf-8") as handle:
-        header_line = handle.readline()
         try:
-            header = json.loads(header_line)
+            header = json.loads(handle.readline())
         except json.JSONDecodeError as exc:
             raise ValueError(f"not a corpus file: {path}") from exc
-        if header.get("schema") != CORPUS_SCHEMA:
-            raise ValueError(f"unsupported corpus schema in {path}: "
-                             f"{header.get('schema')!r}")
-        documents = [_doc_from_json(json.loads(line))
-                     for line in handle if line.strip()]
+        schema = header.get("schema") if type(header) is dict else None
+        if schema != CORPUS_SCHEMA:
+            raise ValueError(f"unsupported corpus schema {schema!r} in {path} "
+                             f"(expected {CORPUS_SCHEMA}): re-ingest with "
+                             f"this version")
+        lineno = 2
+        while line := handle.readline():
+            try:
+                doc = Document(**json.loads(line))
+            except (json.JSONDecodeError, TypeError):
+                doc = None
+            # coverage reads missing_fields in place of the skipped references
+            if doc is None or type(doc.missing_fields) is not list:
+                raise ValueError(f"{path}: line {lineno}: not a document")
+            refs_line = handle.readline()
+            if not refs_line:
+                raise ValueError(f"{path}: line {lineno}: document has no "
+                                 f"reference line")
+            doc.cited_refs = _references(refs_line) if references else None
+            if references and doc.cited_refs is None:
+                raise ValueError(f"{path}: line {lineno + 1}: reference line is "
+                                 f"not a JSON array of {len(REFERENCE_FIELDS)}"
+                                 f"-element arrays")
+            documents.append(doc)
+            lineno += 2
     screening = [ScreeningEntry(**entry) for entry in header.get("screening", [])]
     return Corpus(documents=documents,
                   reference_year=int(header["reference_year"]),

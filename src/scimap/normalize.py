@@ -344,6 +344,10 @@ _FIELD_VALUES: dict[str, Callable[[Document], set[str]]] = {
     "abstract-bigrams": lambda doc: set(bigrams_of(doc.abstract or "")),
 }
 
+# Tags whose values come from cited references: a command reading one of
+# them must load the corpus with its references.
+REFERENCE_TAGS = frozenset({"CR", "CR_SO"})
+
 # Entity levels of the collaboration network and the h-index table.
 LEVEL_TAGS = {"author": "AU", "institution": "C1", "country": "CO",
               "source": "SO"}

@@ -80,7 +80,8 @@ class Document:
     source: str = ""
     pub_year: Optional[int] = None
     total_citations: int = 0
-    cited_refs: list[CitedReference] = field(default_factory=list)
+    # None after a corpus load that did not ask for references.
+    cited_refs: Optional[list[CitedReference]] = field(default_factory=list)
     ref_count: Optional[int] = None
     author_keywords: list[str] = field(default_factory=list)
     keywords_plus: list[str] = field(default_factory=list)
@@ -96,8 +97,9 @@ class Document:
     quality_flags: list[str] = field(default_factory=list)
     # Unknown export tags preserved verbatim for forward compatibility.
     extra: dict[str, list[str]] = field(default_factory=dict)
-    # Table-4 tags absent from the raw record, filled by to_document; when
-    # None (documents built in code) coverage falls back to value emptiness.
+    # Table-4 tags absent from the raw record, filled by to_document and by
+    # save_corpus; when None (documents built in code and not yet saved)
+    # coverage falls back to value emptiness.
     missing_fields: Optional[list[str]] = None
 
 

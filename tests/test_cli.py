@@ -198,6 +198,30 @@ def test_cocite_collab_and_more(corpus_file, tmp_path):
     assert (out / "themes.csv").exists()
 
 
+@pytest.mark.parametrize("argv, references", [
+    (["sankey", "--left", "AU", "--middle", "SO", "--right", "CR"], True),
+    (["sankey", "--left", "ID", "--middle", "CR_SO", "--right", "CO"], True),
+    (["sankey", "--left", "CO", "--middle", "DE", "--right", "C1"], False),
+    (["stats"], True),
+    (["rpys"], True),
+    (["coverage"], False),
+    (["collab", "--level", "country"], False),
+])
+def test_only_reference_readers_decode_references(corpus_file, tmp_path,
+                                                  monkeypatch, argv, references):
+    import scimap.cli
+    asked = []
+
+    def recording_load(path, references=False):
+        asked.append(references)
+        return load_corpus(path, references=references)
+
+    monkeypatch.setattr(scimap.cli, "load_corpus", recording_load)
+    assert main(argv + ["--corpus", str(corpus_file),
+                        "--out", str(tmp_path / "out")]) == 0
+    assert asked == [references]
+
+
 def test_methods_command(corpus_file, tmp_path):
     lexicon = tmp_path / "lexicon.json"
     lexicon.write_text(json.dumps({
@@ -288,8 +312,8 @@ def test_bibtex_and_plaintext_carriers_agree(tmp_path):
     from_txt = tmp_path / "txt.dat"
     assert main(["ingest", "--format", "plaintext", SAMPLE,
                  "--reference-year", "2023", "-o", str(from_txt)]) == 0
-    bib = load_corpus(from_bib)
-    txt = load_corpus(from_txt)
+    bib = load_corpus(from_bib, references=True)
+    txt = load_corpus(from_txt, references=True)
     pairs = {doc.doi: doc for doc in txt.documents if doc.doi}
     assert len(bib) == 2
     for doc in bib.documents:

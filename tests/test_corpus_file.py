@@ -1,0 +1,180 @@
+"""Corpus file schema 2: two lines per document, references decoded on
+request only, and malformed files rejected with a line number."""
+from __future__ import annotations
+
+import dataclasses
+import json
+
+import pytest
+
+from conftest import build_corpus, make_document, make_ref
+from scimap.cli import main
+from scimap.corpus import (
+    CORPUS_SCHEMA, REFERENCE_FIELDS, coverage_report, load_corpus, save_corpus,
+)
+from scimap.normalize import REFERENCE_TAGS, _FIELD_VALUES, field_values
+from scimap.records import (
+    CitedReference, Corpus, Document, FIELD_ROLES, ScreeningEntry,
+)
+
+
+def sample_corpus():
+    docs = [
+        make_document("a", authors=["KUMAR, PR"], title="Review", pub_year=2007,
+                      source="EUR J OPER RES", total_citations=9,
+                      cited_refs=[make_ref("ALTMAN EI, 1968, J FINANC, V23, P589"),
+                                  make_ref("OHLSON JA, 1980, J ACCOUNTING RES")],
+                      affiliations=["IDRBT, HYDERABAD, INDIA"]),
+        make_document("b", title="Other", pub_year=2010, keywords=["svm"]),
+    ]
+    return build_corpus(docs, reference_year=2023)
+
+
+def saved_lines(tmp_path):
+    path = tmp_path / "corpus.dat"
+    save_corpus(sample_corpus(), path)
+    return path, path.read_text("utf-8").splitlines(keepends=True)
+
+
+def test_reference_fields_follow_the_dataclass():
+    assert REFERENCE_FIELDS == tuple(f.name for f in
+                                     dataclasses.fields(CitedReference))
+
+
+def test_two_lines_per_document(tmp_path):
+    path, lines = saved_lines(tmp_path)
+    assert json.loads(lines[0])["schema"] == CORPUS_SCHEMA == "scimap-corpus/2"
+    assert len(lines) == 1 + 2 * 2
+    assert "cited_refs" not in json.loads(lines[1])
+    assert json.loads(lines[2])[1] == ["OHLSON JA, 1980, J ACCOUNTING RES",
+                                       "OHLSON JA", 1980, "J ACCOUNTING RES",
+                                       None, None, None]
+    assert json.loads(lines[4]) == []
+
+
+def test_load_without_references_leaves_them_unset(tmp_path):
+    path, _ = saved_lines(tmp_path)
+    loaded = load_corpus(path)
+    doc = loaded.documents[0]
+    assert doc.cited_refs is None
+    with pytest.raises(TypeError):
+        len(doc.cited_refs)
+    for tag in _FIELD_VALUES:
+        if tag in REFERENCE_TAGS:
+            with pytest.raises(TypeError):
+                field_values(doc, tag)
+        else:
+            field_values(doc, tag)
+
+
+def test_invalid_reference_line_is_skipped_undecoded(tmp_path):
+    path, lines = saved_lines(tmp_path)
+    lines[2] = "{not json\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert [d.id for d in load_corpus(path).documents] == ["a", "b"]
+    with pytest.raises(ValueError, match="line 3: reference line"):
+        load_corpus(path, references=True)
+
+
+@pytest.mark.parametrize("bad", ['{"raw": "x"}', '["ALTMAN EI, 1968"]',
+                                 '[["ALTMAN EI, 1968", "ALTMAN EI", 1968]]',
+                                 '[[1, 2, 3, 4, 5, 6, 7, 8]]'])
+def test_reference_line_must_hold_seven_element_arrays(tmp_path, capsys, bad):
+    path, lines = saved_lines(tmp_path)
+    lines[4] = bad + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    load_corpus(path)
+    with pytest.raises(ValueError, match="line 5: reference line is not a JSON "
+                                         "array of 7-element arrays"):
+        load_corpus(path, references=True)
+    assert main(["stats", "--corpus", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "line 5: reference line" in capsys.readouterr().err
+
+
+def test_last_document_without_reference_line(tmp_path, capsys):
+    path, lines = saved_lines(tmp_path)
+    path.write_text("".join(lines[:-1]), encoding="utf-8")
+    for references in (False, True):
+        with pytest.raises(ValueError, match="line 4: document has no reference"):
+            load_corpus(path, references=references)
+    assert main(["coverage", "--corpus", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "line 4: document has no reference line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ['{"id": "b", "unknown": 1}', '["b"]',
+                                 '{"id": "b", "missing_fields": null}'])
+def test_malformed_document_line_names_its_line(tmp_path, bad):
+    path, lines = saved_lines(tmp_path)
+    lines[3] = bad + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match="line 4: not a document"):
+        load_corpus(path)
+
+
+def test_version_1_file_asks_for_reingest(tmp_path, capsys):
+    path = tmp_path / "old.dat"
+    path.write_text(json.dumps({"schema": "scimap-corpus/1",
+                                "reference_year": 2023}) + "\n"
+                    + json.dumps({"id": "a", "cited_refs": []}) + "\n")
+    assert main(["coverage", "--corpus", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "scimap-corpus/1" in err and "re-ingest with this version" in err
+
+
+def test_save_fills_missing_fields_so_coverage_needs_no_references(tmp_path):
+    corpus = sample_corpus()
+    assert all(doc.missing_fields is None for doc in corpus.documents)
+    expected = coverage_report(corpus)
+    path = tmp_path / "corpus.dat"
+    save_corpus(corpus, path)
+    loaded = load_corpus(path)
+    assert all(doc.missing_fields is not None for doc in loaded.documents)
+    assert "CR" in loaded.documents[1].missing_fields
+    assert "CR" not in loaded.documents[0].missing_fields
+    assert coverage_report(loaded) == expected
+
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+TEXT = st.text(max_size=12)
+OPTIONAL_TEXT = st.none() | TEXT
+OPTIONAL_INT = st.none() | st.integers(-10**6, 10**6)
+TEXTS = st.lists(TEXT, max_size=3)
+REFERENCE = st.builds(
+    CitedReference,
+    raw=st.one_of(TEXT, st.sampled_from(['A "quoted" ref\nsplit',
+                                         "KUDELIĆ R, 2019, ÜBER, V1, P2"])),
+    first_author=OPTIONAL_TEXT, year=OPTIONAL_INT, source=OPTIONAL_TEXT,
+    volume=OPTIONAL_TEXT, page=OPTIONAL_TEXT, doi=OPTIONAL_TEXT)
+DOCUMENT = st.builds(
+    Document, id=TEXT, authors=TEXTS, title=TEXT, source=TEXT,
+    pub_year=OPTIONAL_INT, total_citations=st.integers(0, 10**6),
+    cited_refs=st.lists(REFERENCE, max_size=4), ref_count=OPTIONAL_INT,
+    author_keywords=TEXTS, keywords_plus=TEXTS, abstract=OPTIONAL_TEXT,
+    affiliations=TEXTS, corresponding=OPTIONAL_TEXT, doi=OPTIONAL_TEXT,
+    doc_type=TEXT, language=TEXT, categories=TEXTS, quality_flags=TEXTS,
+    extra=st.dictionaries(TEXT, TEXTS, max_size=2),
+    missing_fields=st.none() | st.lists(
+        st.sampled_from([tag for tag, _ in FIELD_ROLES]), unique=True))
+CORPUS = st.builds(
+    Corpus, documents=st.lists(DOCUMENT, max_size=4),
+    reference_year=st.integers(1450, 2100), provenance=TEXTS,
+    screening=st.lists(st.builds(ScreeningEntry, removed_id=TEXT, reason=TEXT,
+                                 kept_id=TEXT, detail=TEXT), max_size=2))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(CORPUS)
+def test_round_trip_with_and_without_references(tmp_path_factory, corpus):
+    path = tmp_path_factory.mktemp("rt") / "corpus.dat"
+    save_corpus(corpus, path)
+    assert load_corpus(path, references=True) == corpus
+    without = load_corpus(path)
+    assert without == dataclasses.replace(corpus, documents=[
+        dataclasses.replace(doc, cited_refs=None) for doc in corpus.documents])
+    again = path.with_name("again.dat")
+    save_corpus(load_corpus(path, references=True), again)
+    assert again.read_bytes() == path.read_bytes()
