@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import fields
+from itertools import product
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -158,6 +159,12 @@ def coverage_report(corpus: Corpus) -> CoverageReport:
 
 REFERENCE_FIELDS = ("raw", "first_author", "year", "source", "volume",
                     "page", "doi")
+# The field types a reference array may have, in REFERENCE_FIELDS order:
+# raw a string, year an int or null, the rest strings or nulls.  Types
+# are matched exactly, so a bool year is refused.
+_TEXT = (str, type(None))
+_REFERENCE_TYPES = frozenset(product((str,), _TEXT, (int, type(None)),
+                                     _TEXT, _TEXT, _TEXT, _TEXT))
 # Keys of a document line, in dataclass order; the loader passes them
 # straight back to the Document constructor.
 DOCUMENT_FIELDS = tuple(f.name for f in fields(Document)
@@ -206,7 +213,7 @@ def _references(line: str) -> Optional[list[CitedReference]]:
     except json.JSONDecodeError:
         return None
     if type(entries) is not list or not all(
-            type(entry) is list and len(entry) == len(REFERENCE_FIELDS)
+            type(entry) is list and tuple(map(type, entry)) in _REFERENCE_TYPES
             for entry in entries):
         return None
     return [CitedReference(*entry) for entry in entries]
@@ -248,7 +255,8 @@ def load_corpus(path: str | Path, references: bool = False) -> Corpus:
             if references and doc.cited_refs is None:
                 raise ValueError(f"{path}: line {lineno + 1}: reference line is "
                                  f"not a JSON array of {len(REFERENCE_FIELDS)}"
-                                 f"-element arrays")
+                                 f"-element arrays (raw a string, year an "
+                                 f"integer or null, the rest strings or null)")
             documents.append(doc)
             lineno += 2
     screening = [ScreeningEntry(**entry) for entry in header.get("screening", [])]

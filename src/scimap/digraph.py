@@ -6,7 +6,7 @@ use it.
 from __future__ import annotations
 
 import heapq
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Container, Hashable, Iterable, Mapping, Optional, Sequence
 
 
 def topological_order(nodes: Iterable[Hashable],
@@ -36,15 +36,20 @@ def topological_order(nodes: Iterable[Hashable],
 
 
 def reaches(adjacency: Mapping[Hashable, Iterable[Hashable]],
-            start: Hashable, goal: Hashable) -> bool:
-    """Whether a directed path leads from ``start`` to ``goal`` (DFS)."""
+            start: Hashable, goal: Hashable,
+            within: Optional[Container[Hashable]] = None) -> bool:
+    """Whether a directed path leads from ``start`` to ``goal`` (DFS).
+
+    With ``within``, only paths whose every node lies in ``within`` count,
+    and the search never leaves it.
+    """
     stack, seen = [start], set()
     while stack:
         node = stack.pop()
+        if node in seen or within is not None and node not in within:
+            continue
         if node == goal:
             return True
-        if node in seen:
-            continue
         seen.add(node)
         stack.extend(adjacency[node])
     return False

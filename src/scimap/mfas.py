@@ -17,9 +17,10 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, compress
 from statistics import NormalDist
-from typing import Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .digraph import reaches, strongly_connected_components, topological_order
 
@@ -59,10 +60,13 @@ class Multigraph:
             if not text or text.startswith("#"):
                 continue
             parts = text.split()
-            if len(parts) not in (2, 3):
-                raise ValueError(f"line {lineno}: expected 'u v [multiplicity]'")
-            mult = int(parts[2]) if len(parts) == 3 else 1
-            mg.add(parts[0], parts[1], mult)
+            try:
+                if len(parts) not in (2, 3):
+                    raise ValueError("expected 'u v [multiplicity]'")
+                mult = int(parts[2]) if len(parts) == 3 else 1
+                mg.add(parts[0], parts[1], mult)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
         return mg
 
     def to_lines(self) -> list[str]:
@@ -76,10 +80,15 @@ class Multigraph:
         return out
 
 
-def _component_of(components: list[list[str]]) -> dict[str, list[str]]:
-    """Node -> the member list of its component; two nodes share a
-    component exactly when they map to the same list object."""
-    return {node: members for members in components for node in members}
+def _component_of(components: list[list[str]]) -> dict[str, set[str]]:
+    """Node -> the member set of its component; two nodes share a
+    component exactly when they map to the same set object."""
+    component = {}
+    for members in components:
+        inside = set(members)
+        for node in members:
+            component[node] = inside
+    return component
 
 
 def cycle_bundles(mg: Multigraph) -> list[tuple[Bundle, int]]:
@@ -96,9 +105,46 @@ def cycle_bundles(mg: Multigraph) -> list[tuple[Bundle, int]]:
 
 @dataclass
 class McSolution:
+    """The arcs one run removed.
+
+    ``witness_order``, the topological order of the arcs the run left, is
+    built on first read: a caller that compares sizes never pays for it.
+    """
+
     removed: dict[Bundle, int]
     size: int
-    witness_order: list[str]
+    nodes: set[str] = field(repr=False, compare=False)
+    # The bundles the run left arcs in, as a one-shot iterator over its
+    # own remaining multiplicities; only witness_order reads it.
+    residual: Iterator[Bundle] = field(repr=False, compare=False)
+
+    @cached_property
+    def witness_order(self) -> list[str]:
+        order = topological_order(self.nodes, self.residual)
+        assert order is not None, "a run leaves an acyclic residual"
+        return order
+
+
+class _RunStart(NamedTuple):
+    """What every run on one graph starts from; runs copy what they change."""
+
+    bundles: list[Bundle]              # sorted; bundle i is index i below
+    multiplicity: list[int]
+    out: dict[str, dict[str, int]]     # u -> {v: index of bundle (u, v)}
+    component: dict[str, set[str]]
+    weight: list[int]
+
+
+def _run_start(mg: Multigraph) -> _RunStart:
+    bundles = sorted(mg.bundles)
+    multiplicity = [mg.bundles[bundle] for bundle in bundles]
+    out: dict[str, dict[str, int]] = {node: {} for node in mg.nodes}
+    for i, (u, v) in enumerate(bundles):
+        out[u][v] = i
+    component = _component_of(strongly_connected_components(sorted(mg.nodes), out))
+    weight = [m if component[u] is component[v] else 0
+              for (u, v), m in zip(bundles, multiplicity)]
+    return _RunStart(bundles, multiplicity, out, component, weight)
 
 
 def _derive_seed(*parts) -> int:
@@ -106,7 +152,8 @@ def _derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-def run_once(mg: Multigraph, seed: int, check_support: bool = False) -> McSolution:
+def run_once(mg: Multigraph, seed: int, check_support: bool = False, *,
+             start: Optional[_RunStart] = None) -> McSolution:
     """One Monte Carlo run: break uniformly chosen on-cycle arcs until the
     graph is acyclic.  Deterministic given the seed.
 
@@ -114,21 +161,23 @@ def run_once(mg: Multigraph, seed: int, check_support: bool = False) -> McSoluti
     ends share a strongly connected component, else 0.  A draw
     ``randrange(total)`` picks the first bundle, in sorted order, whose
     running weight sum exceeds it.  Taking one arc from a bundle only
-    lowers its weight; emptying a bundle can split only the component
-    that held it, so Tarjan reruns on that component alone.
+    lowers its weight.  Emptying bundle (u, v) splits the component that
+    held it exactly when u no longer reaches v inside it; only then does
+    Tarjan rerun, on that component alone.
 
-    ``check_support`` re-verifies, independently of the sampler, that
-    every removed arc lay on a cycle at its removal time.
+    ``start`` is ``_run_start(mg)``, built once when many runs share a
+    graph; it is only read.  ``check_support`` re-verifies, independently
+    of the sampler, that every removed arc lay on a cycle at its removal
+    time.
     """
+    if start is None:
+        start = _run_start(mg)
     rng = random.Random(seed)
-    bundles = sorted(mg.bundles)
-    left = [mg.bundles[bundle] for bundle in bundles]
-    out: dict[str, dict[str, int]] = {node: {} for node in mg.nodes}
-    for i, (u, v) in enumerate(bundles):
-        out[u][v] = i
-    component = _component_of(strongly_connected_components(sorted(mg.nodes), out))
-    weight = [m if component[u] is component[v] else 0
-              for (u, v), m in zip(bundles, left)]
+    bundles = start.bundles
+    left = start.multiplicity.copy()
+    weight = start.weight.copy()
+    out = {node: succ.copy() for node, succ in start.out.items()}
+    component = start.component.copy()
     work = mg.copy() if check_support else None
     while True:
         running = list(accumulate(weight))
@@ -147,17 +196,17 @@ def run_once(mg: Multigraph, seed: int, check_support: bool = False) -> McSoluti
             continue
         del out[u][v]
         members = component[u]
+        if reaches(out, u, v, within=members):
+            continue
         component.update(_component_of(strongly_connected_components(members, out)))
         for node in members:
             for nxt, j in out[node].items():
                 if component[node] is not component[nxt]:
                     weight[j] = 0
-    removed = {bundle: mg.bundles[bundle] - m
-               for bundle, m in zip(bundles, left) if m < mg.bundles[bundle]}
-    order = topological_order(mg.nodes, (b for b, m in zip(bundles, left) if m))
-    assert order is not None
+    removed = {bundle: m - k for bundle, m, k in zip(bundles, start.multiplicity, left)
+               if k < m}
     return McSolution(removed=removed, size=sum(removed.values()),
-                      witness_order=order)
+                      nodes=mg.nodes, residual=compress(bundles, left))
 
 
 def success_lower_bound(t: int) -> Fraction:
@@ -184,9 +233,10 @@ def solve(mg: Multigraph, t: int, seed: int) -> tuple[McSolution, ConfidenceRepo
     """
     if t < 1:
         raise ValueError("at least one run is required")
+    start = _run_start(mg)
     best: Optional[McSolution] = None
     for i in range(t):
-        solution = run_once(mg, _derive_seed(seed, i))
+        solution = run_once(mg, _derive_seed(seed, i), start=start)
         if best is None or solution.size < best.size:
             best = solution
     assert best is not None
@@ -276,6 +326,7 @@ def calibration_harness(mg: Multigraph, t: int, trials: int, seed: int,
     if t < 1 or trials < 1:
         raise ValueError("both t and trials must be at least 1")
     optimum, _ = brute_force_optimum(mg)
+    start = _run_start(mg)
     records = []
     cumulative_hits = [0] * t
     run_successes = 0
@@ -284,7 +335,7 @@ def calibration_harness(mg: Multigraph, t: int, trials: int, seed: int,
         first_success: Optional[int] = None
         successes = 0
         for r in range(t):
-            solution = run_once(mg, _derive_seed(seed, j, r))
+            solution = run_once(mg, _derive_seed(seed, j, r), start=start)
             if best_size is None or solution.size < best_size:
                 best_size = solution.size
             if solution.size == optimum:

@@ -1,5 +1,6 @@
 """Test-only oracle: the MFAS sampler that ``scimap.mfas`` shipped before
-its incremental rewrite, kept verbatim.
+its incremental rewrite, kept verbatim except that it returns its own
+``ReferenceSolution`` with the witness order built at once.
 
 After every single arc removal it reruns a full Tarjan over the working
 copy, sorts all on-cycle bundles and scans them linearly to map the
@@ -10,9 +11,17 @@ order as this function for every seed.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 from scimap.digraph import reaches, topological_order
-from scimap.mfas import Bundle, McSolution, Multigraph
+from scimap.mfas import Bundle, Multigraph
+
+
+@dataclass
+class ReferenceSolution:
+    removed: dict[Bundle, int]
+    size: int
+    witness_order: list[str]
 
 
 def _strongly_connected_components(mg: Multigraph) -> dict[str, int]:
@@ -75,7 +84,8 @@ def cycle_bundles(mg: Multigraph) -> list[tuple[Bundle, int]]:
                   if component[u] == component[v])
 
 
-def run_once(mg: Multigraph, seed: int, check_support: bool = False) -> McSolution:
+def run_once(mg: Multigraph, seed: int, check_support: bool = False,
+             ) -> ReferenceSolution:
     """One Monte Carlo run: break uniformly chosen on-cycle arcs until the
     graph is acyclic.  Deterministic given the seed.
 
@@ -105,5 +115,5 @@ def run_once(mg: Multigraph, seed: int, check_support: bool = False) -> McSoluti
             work.bundles[bundle] -= 1
     order = topological_order(work.nodes, work.bundles)
     assert order is not None
-    return McSolution(removed=dict(sorted(removed.items())),
-                      size=sum(removed.values()), witness_order=order)
+    return ReferenceSolution(removed=dict(sorted(removed.items())),
+                             size=sum(removed.values()), witness_order=order)

@@ -258,6 +258,16 @@ def test_mfas_and_calibration_cli(tmp_path):
     assert (tmp_path / "calibration_curve.csv").exists()
 
 
+def test_mfas_input_error_names_the_line(tmp_path, capsys):
+    graph = tmp_path / "bad.tsv"
+    graph.write_text("# bundles\na b 2\nb a x\n")
+    assert main(["mfas", "--graph", str(graph), "-t", "3", "--seed", "1",
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scimap: error: line 3: ")
+    assert not (tmp_path / "mfas_solution.csv").exists()
+
+
 def test_seed_synthesized_and_echoed(tmp_path, capsys):
     graph = tmp_path / "t.tsv"
     graph.write_text("a b 1\nb a 1\n")

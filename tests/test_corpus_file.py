@@ -91,6 +91,32 @@ def test_reference_line_must_hold_seven_element_arrays(tmp_path, capsys, bad):
     assert "line 5: reference line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("year", "1968"), ("year", True),
+                                          ("year", 1968.0), ("source", 5),
+                                          ("doi", ["10.1/x"]), ("raw", None)])
+def test_reference_fields_must_have_their_types(tmp_path, capsys, field, value):
+    path, lines = saved_lines(tmp_path)
+    entries = json.loads(lines[2])
+    entries[1][REFERENCE_FIELDS.index(field)] = value
+    lines[2] = json.dumps(entries) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    load_corpus(path)
+    with pytest.raises(ValueError, match="line 3: reference line is not"):
+        load_corpus(path, references=True)
+    assert main(["rpys", "--corpus", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "line 3: reference line" in capsys.readouterr().err
+
+
+def test_reference_fields_may_be_null(tmp_path):
+    path, lines = saved_lines(tmp_path)
+    entries = json.loads(lines[2])
+    entries[1] = [entries[1][0]] + [None] * (len(REFERENCE_FIELDS) - 1)
+    lines[2] = json.dumps(entries) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    refs = load_corpus(path, references=True).documents[0].cited_refs
+    assert refs[1] == CitedReference(raw=entries[1][0])
+
+
 def test_last_document_without_reference_line(tmp_path, capsys):
     path, lines = saved_lines(tmp_path)
     path.write_text("".join(lines[:-1]), encoding="utf-8")

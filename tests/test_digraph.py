@@ -69,6 +69,33 @@ def test_reaches_terminates_on_cycles():
     assert not reaches(adjacency, "a", "c")
 
 
+def test_reaches_within_stays_inside_the_node_set():
+    adjacency = {"a": ["b", "x"], "b": ["c"], "c": [], "x": ["c"]}
+    assert reaches(adjacency, "a", "c", within={"a", "b", "c"})
+    assert not reaches(adjacency, "a", "c", within={"a", "x", "b"})
+    assert not reaches(adjacency, "a", "a", within={"b"})
+
+
+def test_reaches_within_matches_networkx_on_random_digraphs():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(17)
+    for _ in range(300):
+        nodes = [f"n{i}" for i in range(rng.randrange(1, 20))]
+        arcs = {tuple(rng.sample(nodes, 2)) for _ in range(rng.randrange(0, 40))
+                if len(nodes) > 1}
+        adjacency = {node: [] for node in nodes}
+        for u, v in sorted(arcs):
+            adjacency[u].append(v)
+        whole = nx.DiGraph()
+        whole.add_nodes_from(nodes)
+        whole.add_edges_from(arcs)
+        within = set(rng.sample(nodes, rng.randrange(1, len(nodes) + 1)))
+        start, goal = rng.choice(sorted(within)), rng.choice(nodes)
+        expected = goal in within and nx.has_path(whole.subgraph(within), start, goal)
+        assert reaches(adjacency, start, goal, within=within) == expected
+        assert reaches(adjacency, start, goal) == nx.has_path(whole, start, goal)
+
+
 def partition(components):
     return sorted(sorted(component) for component in components)
 

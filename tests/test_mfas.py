@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
+from scimap import mfas
 from scimap.digraph import topological_order
 from scimap.mfas import (
     ConfidenceReport, Multigraph, brute_force_optimum, calibration_harness,
@@ -28,6 +30,22 @@ def random_multigraph(rng, max_nodes=5, max_extra=8):
 
 def order_of(mg):
     return topological_order(mg.nodes, mg.bundles)
+
+
+def block_multigraph(rng, blocks=3, size=6):
+    """Rings with chords in ordered blocks, forward bridges between them
+    and one isolated node: runs both thin bundles and split components."""
+    mg = Multigraph(nodes={"isolated"})
+    names = [[f"b{b}n{k}" for k in range(size)] for b in range(blocks)]
+    for members in names:
+        for u, v in zip(members, members[1:] + members[:1]):
+            mg.add(u, v, rng.randint(1, 3))
+        for _ in range(size):
+            mg.add(*rng.sample(members, 2), rng.randint(1, 3))
+    for _ in range(size):
+        first, second = sorted(rng.sample(range(blocks), 2))
+        mg.add(rng.choice(names[first]), rng.choice(names[second]))
+    return mg
 
 
 def test_triangle_is_cyclic():
@@ -56,6 +74,17 @@ def test_acyclic_graph_topological_witness():
 def test_loops_rejected():
     with pytest.raises(ValueError):
         Multigraph().add("x", "x")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a b 1\na b x\n", "line 2: invalid literal for int"),
+    ("# header\n\nb a 0\n", "line 3: multiplicity must be at least 1"),
+    ("a b\nb b\n", "line 2: loops are not allowed"),
+    ("a b 1 2\n", "line 1: expected 'u v \\[multiplicity\\]'"),
+])
+def test_multigraph_input_errors_name_the_line(text, message):
+    with pytest.raises(ValueError, match=message):
+        Multigraph.from_lines(text.splitlines())
 
 
 def test_multigraph_line_round_trip():
@@ -113,6 +142,46 @@ def test_run_once_soundness_and_support_on_random_instances():
         assert sorted(order) == sorted(residual.nodes)
 
 
+def test_runs_sharing_one_start_match_runs_on_their_own():
+    graphs = [block_multigraph(random.Random(k)) for k in (1, 2)]
+    starts = [mfas._run_start(mg) for mg in graphs]
+    pristine = copy.deepcopy(starts)
+    keys = [(g, seed) for g in range(len(graphs)) for seed in range(6)]
+    alone = {(g, seed): run_once(graphs[g], seed) for g, seed in keys}
+    for order in (keys[::-1], random.Random(3).sample(keys, len(keys))):
+        shared = {(g, seed): run_once(graphs[g], seed, start=starts[g])
+                  for g, seed in order}
+        # witnesses are read only after every run of the pass
+        for key, solution in shared.items():
+            assert solution.removed == alone[key].removed, key
+            assert solution.witness_order == alone[key].witness_order, key
+    assert starts == pristine
+
+
+def test_witness_order_is_built_only_when_read(monkeypatch):
+    built = []
+    monkeypatch.setattr(mfas, "topological_order",
+                        lambda *args: built.append(1) or topological_order(*args))
+    best, _ = solve(block_multigraph(random.Random(4)), t=5, seed=8)
+    assert built == []
+    assert sorted(best.witness_order) == sorted(best.nodes)
+    assert best.witness_order is best.witness_order
+    assert built == [1]
+
+
+def test_solve_and_calibration_call_run_once_once_per_run(monkeypatch):
+    # the benchmark counts runs by wrapping the module-level run_once
+    calls = []
+    real = mfas.run_once
+    monkeypatch.setattr(mfas, "run_once",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    solve(triangle_example(), t=7, seed=1)
+    assert len(calls) == 7
+    calls.clear()
+    calibration_harness(triangle_example(), t=4, trials=9, seed=1)
+    assert len(calls) == 4 * 9
+
+
 def test_cycle_bundles_excludes_off_cycle_arcs():
     mg = Multigraph()
     mg.add("a", "b")
@@ -167,6 +236,7 @@ def test_solve_deterministic():
     a = solve(mg, t=12, seed=31)
     b = solve(mg, t=12, seed=31)
     assert a == b
+    assert a[0].witness_order == b[0].witness_order
 
 
 # brute force oracle --------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 ``run_once`` must consume the same random draws and pick the same
 bundles as ``mfas_reference.run_once`` for every seed: equal removals,
-size and witness order, with and without ``check_support``.  The graphs
+size and witness order, with and without ``check_support``.  ``solve``
+and ``calibration_harness``, which share one start among their runs,
+must return what they return when every run is the oracle's.  The graphs
 have several strongly connected components (rings plus random arcs
 inside ordered blocks), acyclic bridges from earlier to later blocks,
 isolated nodes and multiplicities 1 to 3, so runs both decrement bundles
@@ -18,7 +20,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import mfas_reference  # noqa: E402
-from scimap.mfas import Multigraph, cycle_bundles, run_once  # noqa: E402
+from scimap import mfas  # noqa: E402
+from scimap.mfas import (  # noqa: E402
+    Multigraph, calibration_harness, cycle_bundles, run_once, solve,
+)
 
 SEEDS = range(12)
 
@@ -74,3 +79,40 @@ def test_run_once_equals_reference_on_large_components():
         mg.add(rng.choice(blocks[first]), rng.choice(blocks[second]))
     assert_same_runs(mg, range(4), check_support=False)
     assert_same_runs(mg, range(1), check_support=True)
+
+
+def reference_driven(function, *args, **kwargs):
+    """``function`` with every run it makes done by the oracle."""
+    def oracle_run(mg, seed, check_support=False, *, start=None):
+        return mfas_reference.run_once(mg, seed, check_support)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mfas, "run_once", oracle_run)
+        return function(*args, **kwargs)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(mg=block_multigraphs(), seed=st.integers(0, 2**32))
+def test_solve_equals_reference_driven_solve(mg, seed):
+    best, report = solve(mg, t=6, seed=seed)
+    want, want_report = reference_driven(solve, mg, t=6, seed=seed)
+    assert list(best.removed.items()) == list(want.removed.items())
+    assert best.size == want.size
+    assert best.witness_order == want.witness_order
+    assert report == want_report
+
+
+def test_calibration_equals_reference_driven_calibration():
+    rng = random.Random(23)
+    for trial in range(12):
+        mg = Multigraph()
+        names = [f"v{i}" for i in range(rng.randrange(3, 6))]
+        arcs = rng.randrange(4, 11)
+        while mg.total_arcs() < arcs:
+            mg.add(*rng.sample(names, 2), rng.randint(1, 2))
+        got = calibration_harness(mg, t=5, trials=20, seed=trial)
+        want = reference_driven(calibration_harness, mg, t=5, trials=20, seed=trial)
+        assert got.records == want.records
+        assert got.empirical_cumulative == want.empirical_cumulative
+        assert got.per_run_success_rate == want.per_run_success_rate
+        assert got == want
