@@ -7,7 +7,6 @@ an isomorphic graph.
 from __future__ import annotations
 
 import re
-import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -37,38 +36,115 @@ def _header_lines(meta: Optional[Mapping]) -> list[str]:
     return lines
 
 
+def _escape_text(text: str) -> str:
+    """Character data, escaped as ElementTree escapes it."""
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
+    return text
+
+
+def _escape_attribute(text: str) -> str:
+    """An attribute value, escaped as ElementTree escapes it."""
+    text = _escape_text(text)
+    if '"' in text:
+        text = text.replace('"', "&quot;")
+    if "\r" in text:
+        text = text.replace("\r", "&#13;")
+    if "\n" in text:
+        text = text.replace("\n", "&#10;")
+    if "\t" in text:
+        text = text.replace("\t", "&#09;")
+    return text
+
+
+# Anything outside the XML 1.0 Char production (W3C XML 1.0, section
+# 2.2): no escape can carry it, so a file holding it does not parse.
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _refuse_not_xml_char(graph: Graph, comment: str, path: Path) -> None:
+    """Raise naming the first string, and the character in it, that XML
+    1.0 cannot carry."""
+    places = [("the header comment", comment)]
+    for node in graph.nodes:
+        places += [(f"node {node.id!r} id", node.id),
+                   (f"node {node.id!r} label", node.label or "")]
+    places += [(f"edge {u!r}-{v!r}", u + v) for u, v, _ in graph.edges]
+    for where, text in places:
+        bad = _NOT_XML_CHAR.search(text)
+        if bad:
+            raise ValueError(f"{where} holds U+{ord(bad.group()):04X}, which "
+                             f"XML 1.0 cannot carry; {path} not written")
+
+
 def write_graphml(graph: Graph, path: str | Path,
                   clustering: Optional[Clustering] = None,
                   meta: Optional[Mapping] = None) -> Path:
-    clusters = _apply_clustering(graph, clustering)
-    root = ET.Element("graphml", xmlns=GRAPHML_NS)
-    root.append(ET.Comment(" " + " | ".join(_header_lines(meta)) + " "))
-    for key_id, domain, name, kind in _KEYS:
-        ET.SubElement(root, "key", id=key_id, **{"for": domain,
-                      "attr.name": name, "attr.type": kind})
-    container = ET.SubElement(
-        root, "graph", id="G",
-        edgedefault="directed" if graph.directed else "undirected")
-    for node in sorted(graph.nodes, key=lambda n: n.id):
-        element = ET.SubElement(container, "node", id=node.id)
-        ET.SubElement(element, "data", key="d_label").text = node.label
-        ET.SubElement(element, "data", key="d_weight").text = repr(node.weight)
-        if clusters[node.id] is not None:
-            ET.SubElement(element, "data",
-                          key="d_cluster").text = str(clusters[node.id])
-    for u, v, w in sorted(graph.edges):
-        element = ET.SubElement(container, "edge", source=u, target=v)
-        ET.SubElement(element, "data", key="d_edge_weight").text = repr(w)
-    ET.indent(root)
+    """Write GraphML as text, byte for byte what ElementTree's indented
+    serialization of the same tree gives.
+
+    The header lines go into one comment, unescaped, with each ``--``
+    broken to ``- -`` (a comment may not hold ``--``, section 2.5).  A
+    character that XML 1.0 cannot carry, in the header, a node id, a
+    label or an edge end, raises ``ValueError`` before anything is
+    written.
+    """
     path = Path(path)
+    clusters = _apply_clustering(graph, clustering)
+    comment = re.sub("-(?=-)", "- ", " | ".join(_header_lines(meta)))
+    nodes = sorted(graph.nodes, key=lambda n: n.id)
+    edges = sorted(graph.edges)
+    # Each distinct id is escaped and checked once, not once per edge end.
+    ids = {u for u, _, _ in edges}
+    ids.update(v for _, v, _ in edges)
+    ids.update(node.id for node in nodes)
+    attribute = {name: _escape_attribute(name) for name in ids}
+    if _NOT_XML_CHAR.search("".join([comment, *ids, *(n.label or "" for n in nodes)])):
+        _refuse_not_xml_char(graph, comment, path)
+    edgedefault = "directed" if graph.directed else "undirected"
+    parts = ["<?xml version='1.0' encoding='utf-8'?>\n",
+             f'<graphml xmlns="{GRAPHML_NS}">\n',
+             f"  <!-- {comment} -->\n"]
+    parts.extend(f'  <key id="{key_id}" for="{domain}" attr.name="{name}" '
+                 f'attr.type="{kind}" />\n' for key_id, domain, name, kind in _KEYS)
+    if not nodes and not edges:
+        parts.append(f'  <graph id="G" edgedefault="{edgedefault}" />\n')
+    else:
+        parts.append(f'  <graph id="G" edgedefault="{edgedefault}">\n')
+        for node in nodes:
+            label = (f'<data key="d_label">{_escape_text(node.label)}</data>'
+                     if node.label else '<data key="d_label" />')
+            cluster = clusters[node.id]
+            cluster = ("" if cluster is None else
+                       f'      <data key="d_cluster">{cluster}</data>\n')
+            parts.append(f'    <node id="{attribute[node.id]}">\n'
+                         f"      {label}\n"
+                         f'      <data key="d_weight">{node.weight!r}</data>\n'
+                         f"{cluster}    </node>\n")
+        parts.extend(f'    <edge source="{attribute[u]}" target="{attribute[v]}">\n'
+                     f'      <data key="d_edge_weight">{w!r}</data>\n'
+                     "    </edge>\n" for u, v, w in edges)
+        parts.append("  </graph>\n")
+    parts.append("</graphml>\n")
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = ET.tostring(root, encoding="unicode", xml_declaration=True)
-    path.write_text(payload + "\n", encoding="utf-8", newline="\n")
+    with path.open("w", encoding="utf-8", newline="\n") as handle:
+        handle.writelines(parts)
     return path
 
 
 def read_graphml(path: str | Path) -> Graph:
-    root = ET.parse(Path(path)).getroot()
+    # Only commands that read GraphML load ElementTree; the writer above
+    # does without it.
+    import xml.etree.ElementTree as ET
+
+    try:
+        root = ET.parse(Path(path)).getroot()
+    except ET.ParseError as exc:
+        raise ValueError(f"{path} is not well-formed GraphML: {exc}") from None
     ns = {"g": GRAPHML_NS}
     container = root.find("g:graph", ns)
     if container is None:

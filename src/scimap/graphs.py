@@ -159,14 +159,20 @@ def match_local_citations(corpus: Corpus) -> LocalCitations:
                 continue  # a record citing itself carries no local signal
             key = ("doc", target) if target else reference_key(ref)
             seen.add(key)
-            citing_docs.setdefault(key, set()).add(doc.id)
             if target:
                 direct.setdefault(doc.id, set()).add(target)
-                labels.setdefault(key, _doc_ref_label(doc_by_id[target]))
-                years.setdefault(key, doc_by_id[target].pub_year)
+            citing = citing_docs.get(key)
+            if citing is not None:
+                citing.add(doc.id)
+                continue
+            # The first mention names the key; later ones only count.
+            citing_docs[key] = {doc.id}
+            if target:
+                labels[key] = _doc_ref_label(doc_by_id[target])
+                years[key] = doc_by_id[target].pub_year
             else:
-                labels.setdefault(key, _ref_label(ref))
-                years.setdefault(key, ref.year)
+                labels[key] = _ref_label(ref)
+                years[key] = ref.year
         mentions[doc.id] = seen
 
     document_counts = {doc.id: len(citing_docs.get(("doc", doc.id), set()))

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import compress
 from statistics import NormalDist
 from typing import Iterator, NamedTuple, Optional
 
@@ -133,6 +132,44 @@ class _RunStart(NamedTuple):
     out: dict[str, dict[str, int]]     # u -> {v: index of bundle (u, v)}
     component: dict[str, set[str]]
     weight: list[int]
+    tree: list[int]                    # Fenwick tree over weight, see _fenwick
+
+
+def _fenwick(weight: list[int]) -> list[int]:
+    """A Fenwick (binary indexed) tree over ``weight``: entry i (1-based)
+    sums the weights at 0-based indices i - (i & -i) .. i - 1.
+
+    Its size is a power of two, padded with zero weights, so a descent
+    from the top step visits every partial sum.
+    """
+    size = 1
+    while size < len(weight):
+        size *= 2
+    tree = [0] * (size + 1)
+    tree[1:len(weight) + 1] = weight
+    for i in range(1, size):
+        parent = i + (i & -i)
+        if parent <= size:
+            tree[parent] += tree[i]
+    return tree
+
+
+def _fenwick_add(tree: list[int], index: int, delta: int) -> None:
+    i, size = index + 1, len(tree)
+    while i < size:
+        tree[i] += delta
+        i += i & -i
+
+
+def _fenwick_find(tree: list[int], target: int) -> int:
+    """The first index whose running weight sum exceeds ``target``."""
+    index, step = 0, len(tree) - 1
+    while step:
+        if tree[index + step] <= target:
+            index += step
+            target -= tree[index]
+        step //= 2
+    return index
 
 
 def _run_start(mg: Multigraph) -> _RunStart:
@@ -144,7 +181,7 @@ def _run_start(mg: Multigraph) -> _RunStart:
     component = _component_of(strongly_connected_components(sorted(mg.nodes), out))
     weight = [m if component[u] is component[v] else 0
               for (u, v), m in zip(bundles, multiplicity)]
-    return _RunStart(bundles, multiplicity, out, component, weight)
+    return _RunStart(bundles, multiplicity, out, component, weight, _fenwick(weight))
 
 
 def _derive_seed(*parts) -> int:
@@ -160,10 +197,11 @@ def run_once(mg: Multigraph, seed: int, check_support: bool = False, *,
     Each bundle's sampling weight is its remaining multiplicity while its
     ends share a strongly connected component, else 0.  A draw
     ``randrange(total)`` picks the first bundle, in sorted order, whose
-    running weight sum exceeds it.  Taking one arc from a bundle only
-    lowers its weight.  Emptying bundle (u, v) splits the component that
-    held it exactly when u no longer reaches v inside it; only then does
-    Tarjan rerun, on that component alone.
+    running weight sum exceeds it, found by descending a Fenwick tree of
+    the weights.  Taking one arc from a bundle only lowers its weight.
+    Emptying bundle (u, v) splits the component that held it exactly when
+    u no longer reaches v inside it; only then does Tarjan rerun, on that
+    component alone.
 
     ``start`` is ``_run_start(mg)``, built once when many runs share a
     graph; it is only read.  ``check_support`` re-verifies, independently
@@ -176,14 +214,12 @@ def run_once(mg: Multigraph, seed: int, check_support: bool = False, *,
     bundles = start.bundles
     left = start.multiplicity.copy()
     weight = start.weight.copy()
+    tree = start.tree.copy()   # tree[-1] is the total weight
     out = {node: succ.copy() for node, succ in start.out.items()}
     component = start.component.copy()
     work = mg.copy() if check_support else None
-    while True:
-        running = list(accumulate(weight))
-        if not running or not running[-1]:
-            break
-        i = bisect_right(running, rng.randrange(running[-1]))
+    while tree[-1]:
+        i = _fenwick_find(tree, rng.randrange(tree[-1]))
         u, v = bundles[i]
         if work is not None:
             assert reaches(work.successors(), v, u), f"sampled off-cycle arc {(u, v)}"
@@ -192,6 +228,7 @@ def run_once(mg: Multigraph, seed: int, check_support: bool = False, *,
                 del work.bundles[(u, v)]
         left[i] -= 1
         weight[i] -= 1
+        _fenwick_add(tree, i, -1)
         if left[i]:
             continue
         del out[u][v]
@@ -201,7 +238,8 @@ def run_once(mg: Multigraph, seed: int, check_support: bool = False, *,
         component.update(_component_of(strongly_connected_components(members, out)))
         for node in members:
             for nxt, j in out[node].items():
-                if component[node] is not component[nxt]:
+                if weight[j] and component[node] is not component[nxt]:
+                    _fenwick_add(tree, j, -weight[j])
                     weight[j] = 0
     removed = {bundle: m - k for bundle, m, k in zip(bundles, start.multiplicity, left)
                if k < m}

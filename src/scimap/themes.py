@@ -59,45 +59,10 @@ def thematic_evolution(corpus: Corpus, slice_bounds: list[tuple[int, int]],
     linked where the inclusion index reaches ``min_weight_index``.
     """
     _check_slices(slice_bounds)
-    out: list[ThematicSlice] = []
-    for start, end in slice_bounds:
-        docs = [d for d in corpus.documents
-                if d.pub_year is not None and start <= d.pub_year <= end]
-        grams = [_doc_grams(d.abstract, ngram) for d in docs if d.abstract]
-        if not grams:
-            out.append(ThematicSlice(period=(start, end), clusters=[],
-                                     flag="no-abstracts"))
-            continue
-        # Term frequency counts every occurrence; link weights stay
-        # per-document (full counting).
-        freq = Counter()
-        for gram_list in grams:
-            freq.update(gram_list)
-        kept_terms = {term for term, _ in sorted(
-            freq.items(), key=lambda item: (-item[1], item[0]))[:n_terms]}
-
-        pair_weights = pair_counts((set(g) for g in grams), kept_terms)
-        graph = Graph(
-            nodes=[GraphNode(id=t, label=t, weight=float(freq[t]))
-                   for t in sorted(kept_terms)],
-            edges=[(u, v, float(w)) for (u, v), w in sorted(pair_weights.items())],
-            directed=False)
-
-        clustering = walktrap(graph)
-        grouped: dict[int, list[str]] = {}
-        for term, cluster in clustering.assignment.items():
-            grouped.setdefault(cluster, []).append(term)
-        clusters = []
-        for terms in grouped.values():
-            total = sum(freq[t] for t in terms)
-            if total < min_cluster_freq:
-                continue
-            label = min(terms, key=lambda t: (-freq[t], t))
-            clusters.append(ThemeCluster(label=label, terms=sorted(terms),
-                                         frequency=total))
-        clusters.sort(key=lambda c: (-c.frequency, c.label))
-        out.append(ThematicSlice(period=(start, end), clusters=clusters))
-
+    # One slice at a time: each slice's grams, counts and graph are gone
+    # before the next slice starts.
+    out = [_slice_themes(corpus, start, end, n_terms, min_cluster_freq, ngram)
+           for start, end in slice_bounds]
     for current, following in zip(out, out[1:]):
         links = []
         for cluster in current.clusters:
@@ -107,6 +72,52 @@ def thematic_evolution(corpus: Corpus, slice_bounds: list[tuple[int, int]],
                     links.append((cluster.label, nxt.label, weight))
         current.links_to_next = sorted(links)
     return out
+
+
+def _slice_graph(corpus: Corpus, start: int, end: int, n_terms: int,
+                 ngram: int) -> Optional[tuple[Graph, dict[str, int]]]:
+    """The slice's co-occurrence network and the frequency of each of its
+    terms, or None when no document in the slice has an abstract."""
+    grams = [_doc_grams(d.abstract, ngram) for d in corpus.documents
+             if d.abstract and d.pub_year is not None and start <= d.pub_year <= end]
+    if not grams:
+        return None
+    # Term frequency counts every occurrence; link weights stay
+    # per-document (full counting).
+    freq = Counter()
+    for gram_list in grams:
+        freq.update(gram_list)
+    kept = dict(sorted(freq.items(), key=lambda item: (-item[1], item[0]))[:n_terms])
+    pair_weights = pair_counts((set(g) for g in grams), set(kept))
+    graph = Graph(
+        nodes=[GraphNode(id=t, label=t, weight=float(kept[t])) for t in sorted(kept)],
+        edges=[(u, v, float(w)) for (u, v), w in sorted(pair_weights.items())],
+        directed=False)
+    return graph, kept
+
+
+def _slice_themes(corpus: Corpus, start: int, end: int, n_terms: int,
+                  min_cluster_freq: int, ngram: int) -> ThematicSlice:
+    built = _slice_graph(corpus, start, end, n_terms, ngram)
+    if built is None:
+        return ThematicSlice(period=(start, end), clusters=[], flag="no-abstracts")
+    graph, freq = built
+    # Only the graph and the kept terms' frequencies are alive while
+    # walktrap runs.
+    clustering = walktrap(graph)
+    grouped: dict[int, list[str]] = {}
+    for term, cluster in clustering.assignment.items():
+        grouped.setdefault(cluster, []).append(term)
+    clusters = []
+    for terms in grouped.values():
+        total = sum(freq[t] for t in terms)
+        if total < min_cluster_freq:
+            continue
+        label = min(terms, key=lambda t: (-freq[t], t))
+        clusters.append(ThemeCluster(label=label, terms=sorted(terms),
+                                     frequency=total))
+    clusters.sort(key=lambda c: (-c.frequency, c.label))
+    return ThematicSlice(period=(start, end), clusters=clusters)
 
 
 def _check_slices(slice_bounds: list[tuple[int, int]]) -> None:

@@ -1,0 +1,45 @@
+"""Test-only oracle: the GraphML writer built on ElementTree.
+
+``scimap.graphio.write_graphml`` formats the file as text in one pass.
+This is the writer it replaced, kept verbatim so a differential test can
+require byte-identical output.
+"""
+from __future__ import annotations
+
+import xml.etree.ElementTree as ET
+from pathlib import Path
+from typing import Mapping, Optional
+
+from scimap.community import Clustering
+from scimap.graphio import GRAPHML_NS, _KEYS, _apply_clustering, _header_lines
+from scimap.graphs import Graph
+
+
+def write_graphml(graph: Graph, path: str | Path,
+                  clustering: Optional[Clustering] = None,
+                  meta: Optional[Mapping] = None) -> Path:
+    clusters = _apply_clustering(graph, clustering)
+    root = ET.Element("graphml", xmlns=GRAPHML_NS)
+    root.append(ET.Comment(" " + " | ".join(_header_lines(meta)) + " "))
+    for key_id, domain, name, kind in _KEYS:
+        ET.SubElement(root, "key", id=key_id, **{"for": domain,
+                      "attr.name": name, "attr.type": kind})
+    container = ET.SubElement(
+        root, "graph", id="G",
+        edgedefault="directed" if graph.directed else "undirected")
+    for node in sorted(graph.nodes, key=lambda n: n.id):
+        element = ET.SubElement(container, "node", id=node.id)
+        ET.SubElement(element, "data", key="d_label").text = node.label
+        ET.SubElement(element, "data", key="d_weight").text = repr(node.weight)
+        if clusters[node.id] is not None:
+            ET.SubElement(element, "data",
+                          key="d_cluster").text = str(clusters[node.id])
+    for u, v, w in sorted(graph.edges):
+        element = ET.SubElement(container, "edge", source=u, target=v)
+        ET.SubElement(element, "data", key="d_edge_weight").text = repr(w)
+    ET.indent(root)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    payload = ET.tostring(root, encoding="unicode", xml_declaration=True)
+    path.write_text(payload + "\n", encoding="utf-8", newline="\n")
+    return path

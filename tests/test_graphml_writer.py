@@ -1,0 +1,151 @@
+"""The text GraphML writer: same bytes as the ElementTree writer it
+replaced, a faithful round trip, and files that always parse.
+
+``graphio_reference.write_graphml`` is the old writer, kept verbatim.
+"""
+from __future__ import annotations
+
+import re
+import shutil
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from graphio_reference import write_graphml as reference_write_graphml
+from scimap.cli import main
+from scimap.community import Clustering
+from scimap.graphio import _header_lines, read_graphml, write_graphml
+from scimap.graphs import Graph, GraphNode
+
+DATA = Path(__file__).parent / "data"
+SAMPLE = DATA / "sample_export.txt"
+
+NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+XML_CHAR = st.one_of(
+    st.sampled_from(list("&<>\"'\r\n\t -a")),
+    st.characters(min_codepoint=0x20, blacklist_categories=("Cs",)).filter(
+        lambda c: not NOT_XML_CHAR.match(c)))
+XML_TEXT = st.text(XML_CHAR, max_size=8)
+NUMBER = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def graphs(draw, labels=XML_TEXT, weights=st.floats()):
+    ids = draw(st.lists(XML_TEXT, unique=True, max_size=7))
+    directed = draw(st.booleans())
+    nodes = [GraphNode(id=node_id, label=draw(labels), weight=draw(weights),
+                       cluster=draw(st.none() | st.integers()))
+             for node_id in ids]
+    pairs = [(u, v) for u in ids for v in ids if u != v and (directed or u < v)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(u, v, draw(weights)) for u, v in chosen]
+    return Graph(nodes=nodes, edges=edges, directed=directed)
+
+
+META = st.dictionaries(XML_TEXT, st.one_of(XML_TEXT, st.integers(), NUMBER),
+                       max_size=4).filter(
+    lambda meta: "--" not in " | ".join(_header_lines(meta)))
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("graphml")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(graph=graphs(), meta=st.none() | META, data=st.data())
+def test_text_writer_matches_elementtree_bytes(scratch, graph, meta, data):
+    clustering = None
+    if data.draw(st.booleans()):
+        assignment = {node.id: data.draw(st.integers(0, 3)) for node in graph.nodes
+                      if data.draw(st.booleans())}
+        clustering = Clustering(assignment=assignment, modularity=0.0,
+                                n_clusters=len(set(assignment.values())))
+    new = write_graphml(graph, scratch / "text.graphml", clustering, meta)
+    old = reference_write_graphml(graph, scratch / "tree.graphml", clustering, meta)
+    assert new.read_bytes() == old.read_bytes()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(graph=graphs(labels=st.text(XML_CHAR.filter(lambda c: c != "\r"), max_size=8),
+                    weights=NUMBER.filter(lambda w: w > 0)))
+def test_graphml_round_trip_is_the_same_graph(scratch, graph):
+    path = write_graphml(graph, scratch / "round_trip.graphml")
+    again = read_graphml(path)
+    assert again.directed == graph.directed
+    assert sorted((n.id, n.label, n.weight, n.cluster) for n in again.nodes) == \
+        sorted((n.id, n.label, n.weight, n.cluster) for n in graph.nodes)
+    assert sorted(again.edges) == sorted(graph.edges)
+
+
+def test_comment_breaks_double_hyphens(tmp_path):
+    graph = Graph(nodes=[GraphNode(id="a", label="a", weight=1.0)])
+    path = write_graphml(graph, tmp_path / "g.graphml", meta={"corpus": "wos---x.txt"})
+    assert "<!-- scimap " in path.read_text()
+    assert "corpus: wos- - -x.txt -->" in path.read_text()
+    assert read_graphml(path).node_ids() == ["a"]
+
+
+@pytest.mark.parametrize("graph, where", [
+    (Graph(nodes=[GraphNode(id="a", label="x\x1ay", weight=1.0)]),
+     "node 'a' label holds U+001A"),
+    (Graph(nodes=[GraphNode(id="a\x00", label="a", weight=1.0)]),
+     "node 'a\\x00' id holds U+0000"),
+    (Graph(nodes=[GraphNode(id="a", label="a", weight=1.0)],
+           edges=[("a", "b\ufffe", 1.0)], directed=True),
+     "edge 'a'-'b\\ufffe' holds U+FFFE"),
+])
+def test_characters_xml_cannot_carry_are_refused(tmp_path, graph, where):
+    with pytest.raises(ValueError, match=re.escape(where)):
+        write_graphml(graph, tmp_path / "g.graphml")
+    assert not (tmp_path / "g.graphml").exists()
+
+
+def test_header_character_xml_cannot_carry_is_refused(tmp_path):
+    with pytest.raises(ValueError, match=re.escape("the header comment holds U+0007")):
+        write_graphml(Graph(), tmp_path / "g.graphml", meta={"corpus": "bell\x07"})
+
+
+# Through the command line --------------------------------------------------
+
+def test_corpus_named_with_double_hyphen_writes_parseable_graphml(tmp_path):
+    export = tmp_path / "wos--2023.txt"
+    shutil.copy(SAMPLE, export)
+    corpus = tmp_path / "corpus.dat"
+    assert main(["ingest", str(export), "--reference-year", "2023",
+                 "-o", str(corpus)]) == 0
+    out = tmp_path / "map"
+    assert main(["cooccur", "--corpus", str(corpus), "--min-occurrence", "1",
+                 "--out", str(out)]) == 0
+    graph = out / "cooccurrence.graphml"
+    assert "wos- -2023.txt" in graph.read_text()
+    assert main(["pagerank", "--graph", str(graph), "--out", str(tmp_path / "pr")]) == 0
+
+
+def test_keyword_xml_cannot_carry_exits_1(tmp_path, capsys):
+    export = tmp_path / "control.txt"
+    export.write_text(SAMPLE.read_text().replace(
+        "DE bankruptcy prediction; neural networks;",
+        "DE bankruptcy prediction; neural\x1anetworks;"))
+    corpus = tmp_path / "corpus.dat"
+    assert main(["ingest", str(export), "--reference-year", "2023",
+                 "-o", str(corpus)]) == 0
+    out = tmp_path / "map"
+    assert main(["cooccur", "--corpus", str(corpus), "--min-occurrence", "1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scimap: error: node 'neural\\x1anetworks'")
+    assert "U+001A" in err
+    assert not (out / "cooccurrence.graphml").exists()
+
+
+def test_malformed_graphml_exits_1_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "broken.graphml"
+    bad.write_text("<?xml version='1.0' encoding='utf-8'?>\n"
+                   "<graphml><!-- a -- b --></graphml>\n")
+    assert main(["pagerank", "--graph", str(bad), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scimap: error: {bad} is not well-formed GraphML:")
+    assert "Traceback" not in err

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import copy
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -346,3 +348,22 @@ def test_calibration_deterministic():
     a = calibration_harness(triangle_example(), t=5, trials=50, seed=23)
     b = calibration_harness(triangle_example(), t=5, trials=50, seed=23)
     assert a == b
+
+
+def test_fenwick_picks_the_bundle_bisect_picks():
+    """The tree descent picks what ``bisect_right`` over the running sums
+    picks, for every draw, at every length (powers of two and not) and
+    after point updates, zeroed weights included."""
+    rng = random.Random(11)
+    for n in list(range(0, 18)) + [31, 33, 100]:
+        weight = [rng.choice([0, 0, 1, 2, 5]) for _ in range(n)]
+        tree = mfas._fenwick(weight)
+        for _ in range(4):
+            running = list(accumulate(weight))
+            assert tree[-1] == sum(weight)
+            for target in range(sum(weight)):
+                assert mfas._fenwick_find(tree, target) == bisect_right(running, target)
+            for i in rng.sample(range(n), min(n, 3)):
+                delta = -weight[i] if rng.random() < 0.5 else -min(weight[i], 1)
+                weight[i] += delta
+                mfas._fenwick_add(tree, i, delta)

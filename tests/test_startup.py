@@ -1,10 +1,13 @@
-"""Start-up cost: numpy loads only when a command clusters.
+"""Start-up cost: numpy loads only when a command clusters, and
+ElementTree only when a command reads GraphML.
 
 Each command runs in a fresh process, so an import that a command does
 not use is paid on every command.  This runs, in one new interpreter,
-``import scimap.cli`` and then non-clustering commands, checking that
-``numpy`` stays out of ``sys.modules``; a ``walktrap`` command after
-them must still import it and work.
+``import scimap.cli`` and then commands that neither cluster nor read
+GraphML (``cooccur`` writes it), checking that ``numpy`` and
+``xml.etree.ElementTree`` stay out of ``sys.modules``.  A ``pagerank
+--graph`` command after them must load ElementTree but not numpy, and a
+``walktrap`` command must still import numpy and work.
 """
 from __future__ import annotations
 
@@ -28,8 +31,12 @@ SCRIPT = textwrap.dedent("""
     def numpy_loaded():
         return "numpy" in sys.modules
 
+    def etree_loaded():
+        return "xml.etree.ElementTree" in sys.modules
+
     sample, out = sys.argv[1], Path(sys.argv[2])
     assert not numpy_loaded(), "import scimap.cli"
+    assert not etree_loaded(), "import scimap.cli"
     corpus = str(out / "corpus.dat")
     run("ingest", "--format", "plaintext", sample, "--reference-year", "2023",
         "-o", corpus)
@@ -42,6 +49,11 @@ SCRIPT = textwrap.dedent("""
     run("cooccur", "--corpus", corpus, "--min-occurrence", "1",
         "--out", str(out / "cooccur"))
     assert not numpy_loaded(), "cooccur without --cluster"
+    assert not etree_loaded(), "cooccur"
+    run("pagerank", "--graph", str(out / "cooccur" / "cooccurrence.graphml"),
+        "--out", str(out / "pagerank"))
+    assert etree_loaded(), "pagerank --graph"
+    assert not numpy_loaded(), "pagerank"
     run("walktrap", "--graph", str(out / "cooccur" / "cooccurrence.graphml"),
         "--out", str(out / "walktrap"))
     assert numpy_loaded(), "walktrap"
