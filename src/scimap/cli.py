@@ -130,19 +130,26 @@ def _require_seed(args, config: dict) -> int:
 
 # Command handlers -----------------------------------------------------------
 
+def _export_documents(args, name: str) -> list:
+    """The documents of one export.  Its bytes and raw records are freed
+    on return, before the next export is read."""
+    data = Path(name).read_bytes()
+    if args.format == "bibtex":
+        records = parse_bibtex_export(data, source_file=Path(name).name,
+                                      reference_separator=args.cr_separator)
+    else:
+        records = parse_plaintext_export(data, source_file=Path(name).name)
+    del data
+    year_cap = args.reference_year or MAX_PLAUSIBLE_YEAR
+    return [to_document(r, year_cap) for r in records]
+
+
 def cmd_ingest(args, config):
     documents = []
     provenance = []
     for name in args.inputs:
-        data = Path(name).read_bytes()
+        documents.extend(_export_documents(args, name))
         provenance.append(Path(name).name)
-        if args.format == "bibtex":
-            records = parse_bibtex_export(data, source_file=Path(name).name,
-                                          reference_separator=args.cr_separator)
-        else:
-            records = parse_plaintext_export(data, source_file=Path(name).name)
-        year_cap = args.reference_year or MAX_PLAUSIBLE_YEAR
-        documents.extend(to_document(r, year_cap) for r in records)
     retracted = set()
     if args.retracted:
         retracted = {line.strip() for line in

@@ -181,28 +181,33 @@ def save_corpus(corpus: Corpus, path: str | Path) -> Path:
 
     A document whose ``missing_fields`` is None gets it filled from its
     values here, while its references are in memory, so ``coverage``
-    never needs them after a load.
+    never needs them after a load.  All are filled before the file is
+    opened, so a data error leaves no file behind; then each line is
+    written straight to the open file.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [_dump({
-        "schema": CORPUS_SCHEMA,
-        "reference_year": corpus.reference_year,
-        "provenance": corpus.provenance,
-        "screening": [{"removed_id": e.removed_id, "reason": e.reason,
-                       "kept_id": e.kept_id, "detail": e.detail}
-                      for e in corpus.screening],
-    })]
     for doc in corpus.documents:
         if doc.missing_fields is None:
             doc.missing_fields = [tag for tag, _ in FIELD_ROLES
                                   if not field_values(doc, tag)]
-        lines.append(_dump({name: getattr(doc, name)
-                            for name in DOCUMENT_FIELDS}))
-        lines.append(_dump([[ref.raw, ref.first_author, ref.year, ref.source,
-                             ref.volume, ref.page, ref.doi]
-                            for ref in doc.cited_refs]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as handle:
+        handle.write(_dump({
+            "schema": CORPUS_SCHEMA,
+            "reference_year": corpus.reference_year,
+            "provenance": corpus.provenance,
+            "screening": [{"removed_id": e.removed_id, "reason": e.reason,
+                           "kept_id": e.kept_id, "detail": e.detail}
+                          for e in corpus.screening],
+        }))
+        handle.write("\n")
+        for doc in corpus.documents:
+            handle.write(_dump({name: getattr(doc, name) for name in DOCUMENT_FIELDS}))
+            handle.write("\n")
+            handle.write(_dump([[ref.raw, ref.first_author, ref.year, ref.source,
+                                 ref.volume, ref.page, ref.doi]
+                                for ref in doc.cited_refs]))
+            handle.write("\n")
     return path
 
 

@@ -63,7 +63,10 @@ def _escape_attribute(text: str) -> str:
 
 # Anything outside the XML 1.0 Char production (W3C XML 1.0, section
 # 2.2): no escape can carry it, so a file holding it does not parse.
-_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+# Written as the complement of Char, not as a negated class: that one
+# holds the astral range and takes six times as long to compile, on
+# every start of the command line.
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _refuse_not_xml_char(graph: Graph, comment: str, path: Path) -> None:

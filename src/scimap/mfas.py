@@ -19,11 +19,17 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from statistics import NormalDist
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .digraph import reaches, strongly_connected_components, topological_order
 
 GENERATOR_ID = "mt19937-sha256-split"
+
+# Entry bound of the split memo that the runs on one graph share (see
+# run_once).  The 3,000 calibration runs on a 9-bundle graph need about 270
+# entries; a run on a 500-bundle graph adds about 260 (0.15 MB), nearly
+# all of them never met again, so the bound caps that at about 2.5 MB.
+SPLIT_MEMO_SIZE = 1 << 12
 
 Bundle = tuple[str, str]
 
@@ -135,6 +141,21 @@ class _RunStart(NamedTuple):
     tree: list[int]                    # Fenwick tree over weight, see _fenwick
 
 
+# What emptying one bundle does to its component: None when the tail still
+# reaches the head inside it, else each node of the old component mapped
+# to its new member set, and the bundles that now cross between parts.
+_Split = Optional[tuple[dict[str, set[str]], list[int]]]
+
+
+class _Shared(NamedTuple):
+    """What the runs on one graph share: the read-only start, and the
+    split memo that every run reads and fills, keyed on the set of
+    emptied bundles as a bitmask and the bundle emptied last."""
+
+    start: _RunStart
+    splits: dict[tuple[int, int], _Split]
+
+
 def _fenwick(weight: list[int]) -> list[int]:
     """A Fenwick (binary indexed) tree over ``weight``: entry i (1-based)
     sums the weights at 0-based indices i - (i & -i) .. i - 1.
@@ -190,7 +211,7 @@ def _derive_seed(*parts) -> int:
 
 
 def run_once(mg: Multigraph, seed: int, check_support: bool = False, *,
-             start: Optional[_RunStart] = None) -> McSolution:
+             start: Union[_RunStart, _Shared, None] = None) -> McSolution:
     """One Monte Carlo run: break uniformly chosen on-cycle arcs until the
     graph is acyclic.  Deterministic given the seed.
 
@@ -201,15 +222,21 @@ def run_once(mg: Multigraph, seed: int, check_support: bool = False, *,
     the weights.  Taking one arc from a bundle only lowers its weight.
     Emptying bundle (u, v) splits the component that held it exactly when
     u no longer reaches v inside it; only then does Tarjan rerun, on that
-    component alone.
+    component alone.  Whether and how it splits depends only on which
+    bundles are empty, so each answer is looked up in the split memo
+    before it is computed, and stored while the memo holds fewer than
+    ``SPLIT_MEMO_SIZE`` entries.
 
     ``start`` is ``_run_start(mg)``, built once when many runs share a
-    graph; it is only read.  ``check_support`` re-verifies, independently
-    of the sampler, that every removed arc lay on a cycle at its removal
-    time.
+    graph; it is only read.  Passed as ``_Shared(start, splits)``, the
+    runs share the memo ``splits`` too; otherwise the run has its own.
+    ``check_support`` re-verifies, independently of the sampler, that
+    every removed arc lay on a cycle at its removal time.
     """
-    if start is None:
-        start = _run_start(mg)
+    if isinstance(start, _Shared):
+        start, splits = start
+    else:
+        start, splits = start or _run_start(mg), {}
     rng = random.Random(seed)
     bundles = start.bundles
     left = start.multiplicity.copy()
@@ -217,6 +244,7 @@ def run_once(mg: Multigraph, seed: int, check_support: bool = False, *,
     tree = start.tree.copy()   # tree[-1] is the total weight
     out = {node: succ.copy() for node, succ in start.out.items()}
     component = start.component.copy()
+    emptied = 0
     work = mg.copy() if check_support else None
     while tree[-1]:
         i = _fenwick_find(tree, rng.randrange(tree[-1]))
@@ -232,19 +260,36 @@ def run_once(mg: Multigraph, seed: int, check_support: bool = False, *,
         if left[i]:
             continue
         del out[u][v]
-        members = component[u]
-        if reaches(out, u, v, within=members):
-            continue
-        component.update(_component_of(strongly_connected_components(members, out)))
-        for node in members:
-            for nxt, j in out[node].items():
-                if weight[j] and component[node] is not component[nxt]:
-                    _fenwick_add(tree, j, -weight[j])
-                    weight[j] = 0
+        emptied |= 1 << i
+        key = (emptied, i)
+        if key in splits:
+            split = splits[key]
+        else:
+            split = _split(out, component[u], u, v)
+            if len(splits) < SPLIT_MEMO_SIZE:
+                splits[key] = split
+        if split is not None:
+            parts, crossing = split
+            component.update(parts)
+            for j in crossing:
+                _fenwick_add(tree, j, -weight[j])
+                weight[j] = 0
     removed = {bundle: m - k for bundle, m, k in zip(bundles, start.multiplicity, left)
                if k < m}
     return McSolution(removed=removed, size=sum(removed.values()),
                       nodes=mg.nodes, residual=compress(bundles, left))
+
+
+def _split(out: dict[str, dict[str, int]], members: set[str], u: str, v: str,
+           ) -> _Split:
+    """How ``members``, the component that held the just emptied bundle
+    (u, v), falls apart; ``out`` no longer holds that bundle."""
+    if reaches(out, u, v, within=members):
+        return None
+    parts = _component_of(strongly_connected_components(members, out))
+    crossing = [j for node in members for nxt, j in out[node].items()
+                if nxt in members and parts[node] is not parts[nxt]]
+    return parts, crossing
 
 
 def success_lower_bound(t: int) -> Fraction:
@@ -271,10 +316,10 @@ def solve(mg: Multigraph, t: int, seed: int) -> tuple[McSolution, ConfidenceRepo
     """
     if t < 1:
         raise ValueError("at least one run is required")
-    start = _run_start(mg)
+    shared = _Shared(_run_start(mg), {})
     best: Optional[McSolution] = None
     for i in range(t):
-        solution = run_once(mg, _derive_seed(seed, i), start=start)
+        solution = run_once(mg, _derive_seed(seed, i), start=shared)
         if best is None or solution.size < best.size:
             best = solution
     assert best is not None
@@ -364,7 +409,7 @@ def calibration_harness(mg: Multigraph, t: int, trials: int, seed: int,
     if t < 1 or trials < 1:
         raise ValueError("both t and trials must be at least 1")
     optimum, _ = brute_force_optimum(mg)
-    start = _run_start(mg)
+    shared = _Shared(_run_start(mg), {})
     records = []
     cumulative_hits = [0] * t
     run_successes = 0
@@ -373,7 +418,7 @@ def calibration_harness(mg: Multigraph, t: int, trials: int, seed: int,
         first_success: Optional[int] = None
         successes = 0
         for r in range(t):
-            solution = run_once(mg, _derive_seed(seed, j, r), start=start)
+            solution = run_once(mg, _derive_seed(seed, j, r), start=shared)
             if best_size is None or solution.size < best_size:
                 best_size = solution.size
             if solution.size == optimum:

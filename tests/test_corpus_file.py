@@ -162,6 +162,15 @@ def test_save_fills_missing_fields_so_coverage_needs_no_references(tmp_path):
     assert coverage_report(loaded) == expected
 
 
+
+def test_document_that_cannot_fill_missing_fields_leaves_no_file(tmp_path):
+    corpus = sample_corpus()
+    corpus.documents[-1].cited_refs = None   # as after a plain load
+    path = tmp_path / "corpus.dat"
+    with pytest.raises(TypeError):
+        save_corpus(corpus, path)
+    assert not path.exists()
+
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 

@@ -15,18 +15,24 @@ from hypothesis import given, settings, strategies as st
 from graphio_reference import write_graphml as reference_write_graphml
 from scimap.cli import main
 from scimap.community import Clustering
-from scimap.graphio import _header_lines, read_graphml, write_graphml
+from scimap.graphio import _NOT_XML_CHAR, _header_lines, read_graphml, write_graphml
 from scimap.graphs import Graph, GraphNode
 
 DATA = Path(__file__).parent / "data"
 SAMPLE = DATA / "sample_export.txt"
 
-NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def is_xml_char(code: int) -> bool:
+    """The XML 1.0 Char production (W3C XML 1.0, section 2.2)."""
+    return (code in (0x9, 0xA, 0xD) or 0x20 <= code <= 0xD7FF
+            or 0xE000 <= code <= 0xFFFD or 0x10000 <= code <= 0x10FFFF)
+
 
 XML_CHAR = st.one_of(
     st.sampled_from(list("&<>\"'\r\n\t -a")),
     st.characters(min_codepoint=0x20, blacklist_categories=("Cs",)).filter(
-        lambda c: not NOT_XML_CHAR.match(c)))
+        lambda c: is_xml_char(ord(c))))
 XML_TEXT = st.text(XML_CHAR, max_size=8)
 NUMBER = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -78,6 +84,13 @@ def test_graphml_round_trip_is_the_same_graph(scratch, graph):
     assert sorted((n.id, n.label, n.weight, n.cluster) for n in again.nodes) == \
         sorted((n.id, n.label, n.weight, n.cluster) for n in graph.nodes)
     assert sorted(again.edges) == sorted(graph.edges)
+
+
+def test_refused_characters_are_exactly_those_outside_xml_char():
+    match = _NOT_XML_CHAR.match
+    wrong = [code for code in range(0x110000)
+             if (match(chr(code)) is None) != is_xml_char(code)]
+    assert wrong == []
 
 
 def test_comment_breaks_double_hyphens(tmp_path):

@@ -15,6 +15,7 @@ from scimap.mfas import (
     cycle_bundles, run_once, solve, success_lower_bound, triangle_example,
     wilson_interval,
 )
+from test_golden import SCC_MULTIGRAPH
 
 
 def random_multigraph(rng, max_nodes=5, max_extra=8):
@@ -158,6 +159,69 @@ def test_runs_sharing_one_start_match_runs_on_their_own():
             assert solution.removed == alone[key].removed, key
             assert solution.witness_order == alone[key].witness_order, key
     assert starts == pristine
+
+
+def test_runs_sharing_a_split_memo_match_runs_on_their_own():
+    graphs = [block_multigraph(random.Random(k)) for k in (5, 6)]
+    shared = [mfas._Shared(mfas._run_start(mg), {}) for mg in graphs]
+    keys = [(g, seed) for g in range(len(graphs)) for seed in range(30)]
+    alone = {(g, seed): run_once(graphs[g], seed) for g, seed in keys}
+    for order in (keys, random.Random(7).sample(keys, len(keys))):
+        for g, seed in order:
+            # check_support re-verifies each removal without the memo
+            got = run_once(graphs[g], seed, check_support=seed % 3 == 0,
+                           start=shared[g])
+            assert got.removed == alone[g, seed].removed, (g, seed)
+            assert got.witness_order == alone[g, seed].witness_order, (g, seed)
+    for memo in (s.splits for s in shared):
+        assert any(split is not None for split in memo.values())
+
+
+def test_split_memo_keys_on_the_bundle_emptied_last():
+    # Two disjoint 2-cycles: runs that empty a->b and c->d in either
+    # order reach the same emptied set, and must not take each other's
+    # split of the other cycle.
+    mg = Multigraph.from_lines(["a b", "b a", "c d", "d c"])
+    shared = mfas._Shared(mfas._run_start(mg), {})
+    for seed in range(40):
+        got = run_once(mg, seed, start=shared)
+        assert got.size == 2, seed
+        assert got.removed == run_once(mg, seed).removed, seed
+    last = {}
+    for emptied, i in shared.splits:
+        last.setdefault(emptied, set()).add(i)
+    assert any(len(bundles) > 1 for bundles in last.values())
+
+
+@pytest.mark.parametrize("bound", [0, 1])
+def test_split_memo_bound_changes_no_result(monkeypatch, bound):
+    mg = block_multigraph(random.Random(4))
+    small = Multigraph.from_lines(SCC_MULTIGRAPH.splitlines())
+    want = (solve(mg, t=8, seed=2), calibration_harness(small, t=5, trials=40, seed=3))
+    monkeypatch.setattr(mfas, "SPLIT_MEMO_SIZE", bound)
+    best, report = solve(mg, t=8, seed=2)
+    assert (best.removed, best.witness_order, report) == (
+        want[0][0].removed, want[0][0].witness_order, want[0][1])
+    assert calibration_harness(small, t=5, trials=40, seed=3) == want[1]
+    shared = mfas._Shared(mfas._run_start(mg), {})
+    for seed in range(5):
+        run_once(mg, seed, start=shared)
+    assert len(shared.splits) == bound
+
+
+def test_calibration_runs_tarjan_once_per_distinct_split(monkeypatch):
+    mg = Multigraph.from_lines(SCC_MULTIGRAPH.splitlines())
+    tarjan, starts = [], []
+    real_tarjan, real_run = mfas.strongly_connected_components, mfas.run_once
+    monkeypatch.setattr(mfas, "strongly_connected_components",
+                        lambda *args: tarjan.append(1) or real_tarjan(*args))
+    monkeypatch.setattr(mfas, "run_once", lambda *args, start: starts.append(start)
+                        or real_run(*args, start=start))
+    calibration_harness(mg, t=10, trials=300, seed=5)
+    assert len(starts) == 3000 and all(start is starts[0] for start in starts)
+    splits = sum(split is not None for split in starts[0].splits.values())
+    assert len(tarjan) == 1 + splits   # the start's pass, then one per split
+    assert len(tarjan) < len(starts) / 3
 
 
 def test_witness_order_is_built_only_when_read(monkeypatch):
