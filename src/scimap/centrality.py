@@ -27,6 +27,8 @@ def pagerank(graph: Graph, damping: float = 0.85, tolerance: float = 1e-9,
     proportional to edge weight.  Scores sum to one within tolerance.
     Non-convergence raises, carrying the final residual.
     """
+    if not 0.0 <= damping <= 1.0:
+        raise ValueError(f"PageRank damping must lie in [0, 1], got {damping!r}")
     ids = sorted(graph.node_ids())
     if not ids:
         raise ValueError("PageRank needs a non-empty graph")

@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import ENGINE_VERSION
 from .amortize import amortize, amortized_h_index, h_index, resolve_amortized_ties
-from .centrality import betweenness, pagerank
+from .centrality import PageRankDivergence, betweenness, pagerank
 from .community import walktrap
 from .corpus import coverage_report, dedupe_and_screen, load_corpus, save_corpus
 from .graphio import read_graph, write_graph
@@ -48,34 +48,68 @@ class DataError(Exception):
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        if args.config:
+            # Config entries enter as flags ahead of the command line's
+            # own, so argparse converts and checks them as it does flags,
+            # and a flag given on the line wins.
+            args = parser.parse_args(
+                argv[:1] + _config_flags(parser, args) + argv[1:])
         config = _resolve_config(args)
         args.handler(args, config)
-    except (DataError, ExportParseError, ValueError, OSError) as exc:
+    except SystemExit as exc:  # argparse: usage errors, --help, --version
+        return int(exc.code or 0)
+    except (DataError, ExportParseError, PageRankDivergence, ValueError,
+            OSError) as exc:
         print(f"scimap: error: {exc}", file=sys.stderr)
         return 1
     return 0
 
 
-def _resolve_config(args: argparse.Namespace) -> dict:
-    """Flags > config file > environment (output dir) > defaults."""
-    file_config = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            file_config = json.loads(Path(config_path).read_text("utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read config: {exc}")
-        if not isinstance(file_config, dict):
-            raise DataError("config file must hold a JSON object")
+def _commands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """Subcommand name -> its parser."""
+    return next(action.choices for action in parser._actions
+                if action.dest == "command")
+
+
+def _config_flags(parser: argparse.ArgumentParser,
+                  args: argparse.Namespace) -> list[str]:
+    """The ``--config`` file's entries for this command's options, as
+    flags.  A key is an option's long flag without its leading dashes,
+    with ``-`` or ``_`` between words; keys the command lacks are
+    ignored, so one file can serve every command."""
+    try:
+        file_config = json.loads(Path(args.config).read_text("utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DataError(f"cannot read config: {exc}")
+    if not isinstance(file_config, dict):
+        raise DataError("config file must hold a JSON object")
+    command = _commands(parser)[args.command]
+    options = {action.dest: action for action in command._actions
+               if action.option_strings and action.dest not in ("help", "config")}
+    flags = []
     for key, value in file_config.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None and hasattr(args, attr):
-            setattr(args, attr, value)
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            continue
+        flag = max(action.option_strings, key=len)
+        if action.nargs == 0:  # a switch such as --cluster
+            if not isinstance(value, bool):
+                command.error(f"config key {key!r}: {flag} takes true or false")
+            if value:
+                flags.append(flag)
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            flags.append(f"{flag}={value}")
+        else:
+            command.error(f"config key {key!r}: {flag} takes a string or a number")
+    return flags
+
+
+def _resolve_config(args: argparse.Namespace) -> dict:
+    """The analysis parameters the artifact headers hash; the output
+    directory falls back to ``SCIMAP_OUT``, then the working directory."""
     if getattr(args, "out", None) is None:
         args.out = os.environ.get("SCIMAP_OUT", ".")
     # The hash covers analysis parameters; filesystem locations are
@@ -344,7 +378,8 @@ def cmd_cooccur(args, config):
 
 def cmd_cocite(args, config):
     corpus = _load(args, references=True)
-    graph = cocitation_graph(corpus, min_citations=args.min_citations)
+    graph = cocitation_graph(match_local_citations(corpus),
+                             min_citations=args.min_citations)
     _write_graph_artifacts(args, config, corpus, graph, "cocitation")
 
 
@@ -388,8 +423,8 @@ def cmd_walktrap(args, config):
 
 def cmd_historiograph(args, config):
     corpus = _load(args, references=True)
-    local = match_local_citations(corpus)
-    graph, flags = historiograph(corpus, n=args.top_n, local=local)
+    graph, flags = historiograph(corpus, match_local_citations(corpus),
+                                 n=args.top_n)
     path = _outdir(args) / f"historiograph.{args.flavor}"
     write_graph(graph, path, flavor=args.flavor,
                 meta=_meta(config, corpus, flags=len(flags)))
@@ -473,19 +508,28 @@ def cmd_themes(args, config):
 
 def cmd_rpys(args, config):
     corpus = _load(args, references=True)
-    rows, undated = rpys(corpus)
+    rows, undated = rpys(match_local_citations(corpus))
     write_table([(r.year, r.n_references, r.citations) for r in rows],
                 ["year", "n_references", "citations"],
                 _outdir(args) / "rpys.csv",
                 _meta(config, corpus, undated_mentions=undated))
 
 
+def _term_lists(path: str) -> dict[str, list[str]]:
+    """A JSON object mapping each name to a list of terms."""
+    data = json.loads(Path(path).read_text("utf-8"))
+    if not isinstance(data, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    for key, terms in data.items():
+        if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
+            raise DataError(f"{path}: {key!r} must map to a list of strings")
+    return data
+
+
 def cmd_methods(args, config):
     corpus = _load(args)
-    lexicon = json.loads(Path(args.lexicon).read_text("utf-8"))
-    niches = json.loads(Path(args.niches).read_text("utf-8"))
-    if not isinstance(lexicon, dict) or not isinstance(niches, dict):
-        raise DataError("lexicon and niches files must hold JSON objects")
+    lexicon = _term_lists(args.lexicon)
+    niches = _term_lists(args.niches)
     markers = {niche: {t.strip().lower() for t in terms}
                for niche, terms in niches.items()}
 

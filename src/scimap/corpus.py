@@ -147,7 +147,7 @@ def coverage_report(corpus: Corpus) -> CoverageReport:
         rows.append(CoverageRow(tag=tag, description=description,
                                 missing_count=missing, missing_pct=pct,
                                 label=coverage_label(pct)))
-    return CoverageReport(rows=rows, corpus_size=n)
+    return CoverageReport(rows=rows)
 
 
 # Canonical corpus file ----------------------------------------------------

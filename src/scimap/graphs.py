@@ -33,7 +33,6 @@ class Graph:
     nodes: list[GraphNode] = field(default_factory=list)
     edges: list[tuple[str, str, float]] = field(default_factory=list)
     directed: bool = False
-    metadata: dict = field(default_factory=dict)
 
     def node_ids(self) -> list[str]:
         return [node.id for node in self.nodes]
@@ -55,13 +54,11 @@ class Graph:
 
 
 def _undirected_graph(node_weights: dict[str, float],
-                      pair_weights: dict[tuple[str, str], float],
-                      metadata: Optional[dict] = None) -> Graph:
+                      pair_weights: dict[tuple[str, str], float]) -> Graph:
     nodes = [GraphNode(id=nid, label=nid, weight=node_weights[nid])
              for nid in sorted(node_weights)]
     edges = [(u, v, pair_weights[(u, v)]) for u, v in sorted(pair_weights)]
-    graph = Graph(nodes=nodes, edges=edges, directed=False,
-                  metadata=metadata or {})
+    graph = Graph(nodes=nodes, edges=edges, directed=False)
     graph.validate()
     return graph
 
@@ -196,23 +193,16 @@ def cooccurrence_graph(corpus: Corpus, term_field: str = "DE",
     doc_terms = [field_values(doc, term_field) for doc in corpus.documents]
     occurrence = Counter(term for terms in doc_terms for term in terms)
     kept = {t for t, c in occurrence.items() if c >= min_occurrence}
-    graph = _undirected_graph({t: float(occurrence[t]) for t in kept},
-                              pair_counts(doc_terms, kept),
-                              {"kind": "cooccurrence", "field": term_field,
-                               "min_occurrence": min_occurrence,
-                               "counting": "full"})
-    graph.metadata["total_link_strength"] = sum(w for _, _, w in graph.edges)
-    return graph
+    return _undirected_graph({t: float(occurrence[t]) for t in kept},
+                             pair_counts(doc_terms, kept))
 
 
-def cocitation_graph(corpus: Corpus, min_citations: int = 20,
-                     local: Optional[LocalCitations] = None) -> Graph:
+def cocitation_graph(local: LocalCitations, min_citations: int = 20) -> Graph:
     """Reference co-citation network (full counting).
 
     Nodes are cited references mentioned by at least ``min_citations``
     corpus documents; an edge weight counts the documents citing both.
     """
-    local = local or match_local_citations(corpus)
     kept = {key for key, count in local.reference_counts.items()
             if count >= min_citations}
     # Labels may collide between distinct keys; disambiguate
@@ -234,11 +224,7 @@ def cocitation_graph(corpus: Corpus, min_citations: int = 20,
              for refs in local.mentions.values())
     node_weights = {node_ids[key]: float(local.reference_counts[key])
                     for key in kept}
-    return _undirected_graph(node_weights,
-                             pair_counts(cited, set(node_weights)),
-                             {"kind": "cocitation",
-                              "min_citations": min_citations,
-                              "counting": "full"})
+    return _undirected_graph(node_weights, pair_counts(cited, set(node_weights)))
 
 
 def collaboration_graph(corpus: Corpus, level: str = "author",
@@ -264,15 +250,12 @@ def collaboration_graph(corpus: Corpus, level: str = "author",
     pair_weights = pair_counts(doc_entities, kept)
     linked = {u for u, _ in pair_weights} | {v for _, v in pair_weights}
     return _undirected_graph({e: float(doc_counts[e]) for e in sorted(linked)},
-                             pair_weights,
-                             {"kind": "collaboration", "level": level,
-                              "top_n": top_n, "counting": "full"})
+                             pair_weights)
 
 
 # Historiograph -------------------------------------------------------------------
 
-def historiograph(corpus: Corpus, n: int = 30,
-                  local: Optional[LocalCitations] = None,
+def historiograph(corpus: Corpus, local: LocalCitations, n: int = 30,
                   ) -> tuple[Graph, list[str]]:
     """Direct-citation graph over the ``n`` most locally cited documents.
 
@@ -281,7 +264,6 @@ def historiograph(corpus: Corpus, n: int = 30,
     citation keeps its citing orientation unless that would close a cycle;
     either way it is flagged, never guessed.
     """
-    local = local or match_local_citations(corpus)
     ranked = sorted(corpus.documents,
                     key=lambda d: (-local.document_counts[d.id], d.id))
     top = ranked[:n]
@@ -317,8 +299,7 @@ def historiograph(corpus: Corpus, n: int = 30,
     nodes = [GraphNode(id=doc.id, label=_doc_ref_label(doc),
                        weight=float(local.document_counts[doc.id]))
              for doc in top]
-    graph = Graph(nodes=nodes, edges=kept_arcs, directed=True,
-                  metadata={"kind": "historiograph", "n": n})
+    graph = Graph(nodes=nodes, edges=kept_arcs, directed=True)
     graph.validate()
     return graph, flags
 
@@ -393,14 +374,12 @@ class RpysRow:
     citations: int
 
 
-def rpys(corpus: Corpus, local: Optional[LocalCitations] = None,
-         ) -> tuple[list[RpysRow], int]:
+def rpys(local: LocalCitations) -> tuple[list[RpysRow], int]:
     """Distinct references and citing mentions per reference year.
 
     Returns one row per year spanning the full min..max cited-year range
     plus the count of undated reference mentions (excluded from rows).
     """
-    local = local or match_local_citations(corpus)
     refs_per_year: dict[int, set[tuple]] = {}
     mentions_per_year: Counter = Counter()
     undated = 0

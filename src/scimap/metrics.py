@@ -19,7 +19,6 @@ from .tables import round_half_up
 @dataclass
 class AnnualSeries:
     points: list[tuple[int, float]]
-    unit: str = ""
     undated: int = 0
 
 
@@ -113,7 +112,7 @@ def annual_production(corpus: Corpus) -> AnnualSeries:
         else:
             per_year[doc.pub_year] += 1
     points = [(year, float(per_year[year])) for year in sorted(per_year)]
-    return AnnualSeries(points=points, unit="documents", undated=undated)
+    return AnnualSeries(points=points, undated=undated)
 
 
 def mean_citation_per_elapsed_years(corpus: Corpus) -> list[tuple[int, Fraction]]:
@@ -247,9 +246,9 @@ def _nearest_rank(sorted_values: list[int], quantile: float) -> int:
     return sorted_values[rank - 1]
 
 
-def trending_terms(corpus: Corpus, min_freq: int = 5, max_per_year: int = 4,
-                   term_field: str = "DE") -> list[TermStat]:
-    """Terms with quartile placement over their occurrence years.
+def trending_terms(corpus: Corpus, min_freq: int = 5,
+                   max_per_year: int = 4) -> list[TermStat]:
+    """Author keywords with quartile placement over their occurrence years.
 
     A term qualifies at ``min_freq`` dated occurrences; its occurrence
     years give Q1/median/Q3 by the nearest-rank method.  Each calendar
@@ -260,7 +259,7 @@ def trending_terms(corpus: Corpus, min_freq: int = 5, max_per_year: int = 4,
     for doc in corpus.documents:
         if doc.pub_year is None:
             continue
-        for term in field_values(doc, term_field):
+        for term in field_values(doc, "DE"):
             years_by_term.setdefault(term, []).append(doc.pub_year)
 
     candidates = []
@@ -296,7 +295,6 @@ class CountryCollaboration:
 
 
 def collaboration_indices(corpus: Corpus,
-                          resolver: Optional[Callable[[str], Optional[str]]] = None,
                           ) -> tuple[list[CountryCollaboration], list[str]]:
     """Single- vs multi-country publication counts per country.
 
@@ -305,14 +303,13 @@ def collaboration_indices(corpus: Corpus,
     corresponding author's country.  Documents without a resolvable
     country are excluded and their ids returned for flagging.
     """
-    resolve = resolver or country_of
     scp = Counter()
     mcp = Counter()
     excluded = []
     for doc in corpus.documents:
         countries = []
         for aff in doc.affiliations:
-            country = resolve(aff)
+            country = country_of(aff)
             if country and country not in countries:
                 countries.append(country)
         if not countries:
@@ -321,7 +318,7 @@ def collaboration_indices(corpus: Corpus,
         if len(countries) == 1:
             scp[countries[0]] += 1
             continue
-        lead = resolve(doc.corresponding) if doc.corresponding else None
+        lead = country_of(doc.corresponding) if doc.corresponding else None
         mcp[lead if lead in countries else countries[0]] += 1
 
     out = []
@@ -380,7 +377,8 @@ def method_occurrence(corpus: Corpus,
                 if doc_terms & terms:
                     raw[(niche, method)] = raw.get((niche, method), 0) + 1
 
-    result = MethodOccurrence(niches=sorted(niches), methods=sorted(lexicon))
+    result = MethodOccurrence(niches=sorted(niches), methods=sorted(lexicon),
+                              column_totals=dict.fromkeys(sorted(lexicon), 0))
     for niche in result.niches:
         for method in result.methods:
             count = raw.get((niche, method), 0)
@@ -389,5 +387,5 @@ def method_occurrence(corpus: Corpus,
                 count = 0
             result.counts[(niche, method)] = count
             result.row_totals[niche] = result.row_totals.get(niche, 0) + count
-            result.column_totals[method] = result.column_totals.get(method, 0) + count
+            result.column_totals[method] += count
     return result

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from statistics import NormalDist
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional
 
 from .digraph import reaches, strongly_connected_components, topological_order
 
@@ -137,8 +137,7 @@ class _RunStart(NamedTuple):
     multiplicity: list[int]
     out: dict[str, dict[str, int]]     # u -> {v: index of bundle (u, v)}
     component: dict[str, set[str]]
-    weight: list[int]
-    tree: list[int]                    # Fenwick tree over weight, see _fenwick
+    tree: list[int]                    # Fenwick tree of the weights, see run_once
 
 
 # What emptying one bundle does to its component: None when the tail still
@@ -202,7 +201,7 @@ def _run_start(mg: Multigraph) -> _RunStart:
     component = _component_of(strongly_connected_components(sorted(mg.nodes), out))
     weight = [m if component[u] is component[v] else 0
               for (u, v), m in zip(bundles, multiplicity)]
-    return _RunStart(bundles, multiplicity, out, component, weight, _fenwick(weight))
+    return _RunStart(bundles, multiplicity, out, component, _fenwick(weight))
 
 
 def _derive_seed(*parts) -> int:
@@ -211,36 +210,34 @@ def _derive_seed(*parts) -> int:
 
 
 def run_once(mg: Multigraph, seed: int, check_support: bool = False, *,
-             start: Union[_RunStart, _Shared, None] = None) -> McSolution:
+             start: Optional[_Shared] = None) -> McSolution:
     """One Monte Carlo run: break uniformly chosen on-cycle arcs until the
     graph is acyclic.  Deterministic given the seed.
 
     Each bundle's sampling weight is its remaining multiplicity while its
-    ends share a strongly connected component, else 0.  A draw
-    ``randrange(total)`` picks the first bundle, in sorted order, whose
-    running weight sum exceeds it, found by descending a Fenwick tree of
-    the weights.  Taking one arc from a bundle only lowers its weight.
-    Emptying bundle (u, v) splits the component that held it exactly when
-    u no longer reaches v inside it; only then does Tarjan rerun, on that
-    component alone.  Whether and how it splits depends only on which
-    bundles are empty, so each answer is looked up in the split memo
-    before it is computed, and stored while the memo holds fewer than
-    ``SPLIT_MEMO_SIZE`` entries.
+    ends share a strongly connected component, else 0; only a Fenwick
+    tree holds the weights.  A draw ``randrange(total)`` picks the first
+    bundle, in sorted order, whose running weight sum exceeds it, found by
+    descending the tree.  Taking one arc from a bundle only lowers its
+    weight.  Emptying bundle (u, v) splits the component that held it
+    exactly when u no longer reaches v inside it; only then does Tarjan
+    rerun, on that component alone, and each bundle now crossing between
+    parts drops its weight, which is still its remaining multiplicity
+    since components only split.  Whether and how a component splits
+    depends only on which bundles are empty, so each answer is looked up
+    in the split memo before it is computed, and stored while the memo
+    holds fewer than ``SPLIT_MEMO_SIZE`` entries.
 
-    ``start`` is ``_run_start(mg)``, built once when many runs share a
-    graph; it is only read.  Passed as ``_Shared(start, splits)``, the
-    runs share the memo ``splits`` too; otherwise the run has its own.
+    ``start`` is ``_Shared(_run_start(mg), splits)``, built once when many
+    runs share a graph: the runs only read its start and share the memo
+    ``splits``.  Without it the run builds both for itself.
     ``check_support`` re-verifies, independently of the sampler, that
     every removed arc lay on a cycle at its removal time.
     """
-    if isinstance(start, _Shared):
-        start, splits = start
-    else:
-        start, splits = start or _run_start(mg), {}
+    start, splits = start or _Shared(_run_start(mg), {})
     rng = random.Random(seed)
     bundles = start.bundles
     left = start.multiplicity.copy()
-    weight = start.weight.copy()
     tree = start.tree.copy()   # tree[-1] is the total weight
     out = {node: succ.copy() for node, succ in start.out.items()}
     component = start.component.copy()
@@ -255,7 +252,6 @@ def run_once(mg: Multigraph, seed: int, check_support: bool = False, *,
             if not work.bundles[(u, v)]:
                 del work.bundles[(u, v)]
         left[i] -= 1
-        weight[i] -= 1
         _fenwick_add(tree, i, -1)
         if left[i]:
             continue
@@ -272,8 +268,7 @@ def run_once(mg: Multigraph, seed: int, check_support: bool = False, *,
             parts, crossing = split
             component.update(parts)
             for j in crossing:
-                _fenwick_add(tree, j, -weight[j])
-                weight[j] = 0
+                _fenwick_add(tree, j, -left[j])
     removed = {bundle: m - k for bundle, m, k in zip(bundles, start.multiplicity, left)
                if k < m}
     return McSolution(removed=removed, size=sum(removed.values()),

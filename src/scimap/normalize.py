@@ -222,8 +222,7 @@ def _split_terms(values: list[str]) -> list[str]:
     return list(seen)
 
 
-def to_document(record: RawRecord, reference_year: int,
-                doc_id: Optional[str] = None) -> Document:
+def to_document(record: RawRecord, reference_year: int) -> Document:
     """Map a raw record onto the sixteen field roles of a ``Document``.
 
     Missing tags yield empty or optional fields (reported later by the
@@ -232,7 +231,7 @@ def to_document(record: RawRecord, reference_year: int,
     value that is not a non-negative integer is a hard error.
     """
     entries = record.entries
-    doc = Document(id=doc_id or record.first("UT")
+    doc = Document(id=record.first("UT")
                    or f"{record.source_file or 'record'}:{record.record_index}")
     doc.quality_flags.extend(record.flags)
 

@@ -143,7 +143,6 @@ class CoverageRow:
 @dataclass
 class CoverageReport:
     rows: list[CoverageRow]
-    corpus_size: int
 
 
 def coverage_label(pct: float) -> str:

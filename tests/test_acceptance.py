@@ -187,7 +187,7 @@ def test_criterion_11_rpys_conservation():
                         rng.sample(pool, rng.randrange(1, 7))]))
     corpus = build_corpus(docs)
     local = match_local_citations(corpus)
-    rows, undated = rpys(corpus, local)
+    rows, undated = rpys(local)
     dated_keys = {k for k, y in local.reference_years.items() if y is not None}
     mentions = [k for keys in local.mentions.values() for k in keys]
     ok = sum(r.n_references for r in rows) == len(dated_keys)

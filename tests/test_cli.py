@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from scimap.cli import main
+from scimap.cli import _commands, build_parser, main
 from scimap.corpus import load_corpus
 from scimap.graphio import read_graph, write_graph
 from scimap.graphs import Graph, GraphNode
@@ -291,6 +291,136 @@ def test_config_file_and_env_precedence(corpus_file, tmp_path, monkeypatch):
                  str(config), "--out", str(cfg_dir)]) == 0
     _, rows = read_csv(cfg_dir / "terms.csv")
     assert len(rows) == 2  # header + the single configured row
+
+
+def test_config_value_overrides_a_non_none_default(corpus_file, tmp_path):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"min-occurrence": 100, "cluster": True}))
+    argv = ["cooccur", "--corpus", str(corpus_file), "--config", str(config)]
+    assert main(argv + ["--out", str(tmp_path / "cfg")]) == 0
+    meta, rows = read_csv(tmp_path / "cfg" / "cooccurrence_nodes.csv")
+    assert rows == ["id,label,weight,cluster"]
+    assert any(line.startswith("# modularity:") for line in meta)
+    # a flag on the command line wins over the file
+    assert main(argv + ["--min-occurrence", "2", "--out", str(tmp_path / "flag")]) == 0
+    _, rows = read_csv(tmp_path / "flag" / "cooccurrence_nodes.csv")
+    assert len(rows) > 1
+
+
+def test_config_sets_mfas_runs_and_ignores_keys_the_command_lacks(tmp_path, capsys):
+    graph = tmp_path / "triangle.tsv"
+    graph.write_text("john ellen 3\nellen tim 1\ntim john 2\n")
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"runs": 5, "min_occurrence": 3, "lexicon": "x"}))
+    assert main(["mfas", "--graph", str(graph), "--seed", "7", "--config",
+                 str(config), "--out", str(tmp_path)]) == 0
+    assert "after 5 runs" in capsys.readouterr().out
+
+
+def test_config_value_is_converted_like_its_flag(corpus_file, tmp_path):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"top_n": "3"}))
+    assert main(["terms", "--corpus", str(corpus_file), "--config", str(config),
+                 "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "terms.csv")
+    assert len(rows) == 4  # header + the three configured rows
+
+
+@pytest.mark.parametrize("entry, flag", [
+    ({"top-n": "three"}, "--top-n"),
+    ({"top_n": 2.5}, "--top-n"),
+    ({"top_n": True}, "--top-n"),
+    ({"field": "XX"}, "--field"),
+    ({"field": ["DE"]}, "--field"),
+])
+def test_bad_config_value_exits_2_naming_the_option(corpus_file, tmp_path, capsys,
+                                                   entry, flag):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps(entry))
+    assert main(["terms", "--corpus", str(corpus_file), "--config", str(config),
+                 "--out", str(tmp_path)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "terms.csv").exists()
+
+
+def test_bad_config_switch_exits_2(corpus_file, tmp_path, capsys):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"cluster": "yes"}))
+    assert main(["cooccur", "--corpus", str(corpus_file), "--config",
+                 str(config), "--out", str(tmp_path)]) == 2
+    assert "--cluster" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damping, message", [
+    ("1.5", "damping must lie in [0, 1]"),
+    # damping 1 on a path never settles: the middle node's score swings
+    ("1", "PageRank did not converge"),
+])
+def test_pagerank_failures_exit_1(tmp_path, capsys, damping, message):
+    graph_path = tmp_path / "path.graphml"
+    write_graph(Graph(nodes=[GraphNode(id=i, label=i) for i in "abc"],
+                      edges=[("a", "b", 1.0), ("b", "c", 1.0)]), graph_path)
+    out = tmp_path / "out"
+    assert main(["pagerank", "--graph", str(graph_path), "--damping", damping,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scimap: error: ") and message in err
+    assert not (out / "pagerank.csv").exists()
+
+
+def test_methods_with_no_niche_hits_writes_zero_totals(corpus_file, tmp_path):
+    lexicon = tmp_path / "lexicon.json"
+    lexicon.write_text(json.dumps({"ML": ["machine learning"], "RF": []}))
+    niches = tmp_path / "niches.json"
+    niches.write_text(json.dumps({"nowhere": ["no such keyword"]}))
+    assert main(["methods", "--corpus", str(corpus_file), "--lexicon",
+                 str(lexicon), "--niches", str(niches), "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "methods.csv")
+    assert rows == ["niche,ML,RF,total", "total,0,0,0"]
+
+
+@pytest.mark.parametrize("which, content, key", [
+    ("lexicon", {"ML": "machine learning"}, "'ML'"),
+    ("lexicon", {"ML": [1]}, "'ML'"),
+    ("niches", {"fintech": "fintech"}, "'fintech'"),
+    ("niches", ["fintech"], "JSON object"),
+])
+def test_methods_rejects_terms_that_are_not_a_list_of_strings(
+        corpus_file, tmp_path, capsys, which, content, key):
+    files = {"lexicon": {"ML": ["machine learning"]}, "niches": {"fintech": ["fintech"]}}
+    files[which] = content
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    assert main(["methods", "--corpus", str(corpus_file),
+                 "--lexicon", str(tmp_path / "lexicon.json"),
+                 "--niches", str(tmp_path / "niches.json"),
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{which}.json" in err and key in err
+    assert not (tmp_path / "methods.csv").exists()
+
+
+# The arguments each command needs besides its missing input file.
+MISSING_INPUT_ARGS = {
+    "ingest": ["{missing}", "-o", "{out}/corpus.dat"],
+    "amortize": ["--table", "{missing}", "--out", "{out}"],
+    "themes": ["--corpus", "{missing}", "--slices", "2000-2010", "--out", "{out}"],
+    "methods": ["--corpus", "{missing}", "--lexicon", "{missing}",
+                "--niches", "{missing}", "--out", "{out}"],
+    **{command: ["--graph", "{missing}", "--out", "{out}"]
+       for command in ("pagerank", "betweenness", "walktrap", "mfas",
+                       "mfas-calibrate")},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_commands(build_parser())))
+def test_missing_input_file_exits_cleanly(tmp_path, capsys, command):
+    args = MISSING_INPUT_ARGS.get(command,
+                                  ["--corpus", "{missing}", "--out", "{out}"])
+    argv = [command] + [arg.format(missing=tmp_path / "missing", out=tmp_path / "out")
+                        for arg in args]
+    assert main(argv) in (1, 2)
+    assert "error: " in capsys.readouterr().err
 
 
 def test_repeat_invocations_byte_identical(corpus_file, tmp_path):

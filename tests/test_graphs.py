@@ -87,7 +87,6 @@ def test_cooccurrence_threshold_and_strength_properties():
     for u, v, w in graph.edges:
         assert u < v  # stored once, ordered endpoints
         assert w <= min(occurrence[u], occurrence[v])
-    assert graph.metadata["total_link_strength"] == sum(w for _, _, w in graph.edges)
 
 
 # Co-citation ------------------------------------------------------------------
@@ -98,7 +97,8 @@ def test_cocitation_pair_weight():
     docs = [make_document(f"d{i}", title=f"d{i}", pub_year=2000,
                           cited_refs=[make_ref(r) for r in refs])
             for i in range(3)]
-    graph = cocitation_graph(build_corpus(docs), min_citations=1)
+    graph = cocitation_graph(match_local_citations(build_corpus(docs)),
+                             min_citations=1)
     assert len(graph.nodes) == 2
     assert [w for _, _, w in graph.edges] == [3.0]
 
@@ -110,7 +110,8 @@ def test_cocitation_threshold_boundary():
                           cited_refs=[make_ref(ref_a)] +
                           ([make_ref(ref_b)] if i < 19 else []))
             for i in range(20)]
-    graph = cocitation_graph(build_corpus(docs), min_citations=20)
+    graph = cocitation_graph(match_local_citations(build_corpus(docs)),
+                             min_citations=20)
     assert [node.label.startswith("ALTMAN") for node in graph.nodes] == [True]
 
 
@@ -121,7 +122,8 @@ def test_cocitation_label_suffix_skips_labels_in_use():
     docs = [make_document(f"d{i}", title=f"d{i}", pub_year=2020,
                           cited_refs=[make_ref(r) for r in refs])
             for i in range(2)]
-    graph = cocitation_graph(build_corpus(docs), min_citations=1)
+    graph = cocitation_graph(match_local_citations(build_corpus(docs)),
+                             min_citations=1)
     assert sorted(graph.node_ids()) == ["FOO A, 2001, JOURNAL",
                                         "FOO A, 2001, JOURNAL (2)",
                                         "FOO A, 2001, JOURNAL (3)"]
@@ -135,7 +137,8 @@ def test_cocitation_edge_bounded_by_citation_counts():
                           cited_refs=[make_ref(r) for r in
                                       rng.sample(pool, rng.randrange(1, 5))])
             for i in range(30)]
-    graph = cocitation_graph(build_corpus(docs), min_citations=2)
+    graph = cocitation_graph(match_local_citations(build_corpus(docs)),
+                             min_citations=2)
     counts = {node.id: node.weight for node in graph.nodes}
     for u, v, w in graph.edges:
         assert w <= min(counts[u], counts[v])
@@ -197,7 +200,8 @@ def chain_corpus():
 
 
 def test_historiograph_chain():
-    graph, flags = historiograph(chain_corpus(), n=30)
+    corpus = chain_corpus()
+    graph, flags = historiograph(corpus, match_local_citations(corpus), n=30)
     assert graph.directed
     assert sorted(graph.edges) == [("b2005", "a1994", 1.0),
                                    ("c2017", "b2005", 1.0)]
@@ -207,7 +211,7 @@ def test_historiograph_chain():
 
 def test_historiograph_keeps_isolated_and_most_cited():
     corpus = kumar_style_corpus(10)
-    graph, _ = historiograph(corpus, n=5)
+    graph, _ = historiograph(corpus, match_local_citations(corpus), n=5)
     assert "kumar2007" in graph.node_ids()  # the maximal local-citation doc
     # citing docs cite nothing inside the top set besides kumar: isolated kept
     assert len(graph.nodes) == 5
@@ -223,7 +227,8 @@ def test_historiograph_same_year_flagged_and_acyclic():
                       pub_year=2010,
                       cited_refs=[make_ref("XU A, 2010, VENUE X LONG")]),
     ]
-    graph, flags = historiograph(build_corpus(docs, reference_year=2023), n=10)
+    corpus = build_corpus(docs, reference_year=2023)
+    graph, flags = historiograph(corpus, match_local_citations(corpus), n=10)
     assert graph_order(graph) is not None
     assert len(graph.edges) == 1
     assert any("same-year" in flag for flag in flags)
@@ -275,7 +280,7 @@ def test_three_field_flow_conservation():
 def test_rpys_single_old_reference():
     docs = [make_document("d", title="d", pub_year=2020,
                           cited_refs=[make_ref("BAYES T, 1764, PHILOS TRANS")])]
-    rows, undated = rpys(build_corpus(docs))
+    rows, undated = rpys(match_local_citations(build_corpus(docs)))
     assert (rows[0].year, rows[0].n_references, rows[0].citations) == (1764, 1, 1)
     assert undated == 0
 
@@ -291,7 +296,7 @@ def test_rpys_conservation_and_undated_bucket():
             cited_refs=[make_ref(r) for r in rng.sample(pool, rng.randrange(1, 6))]))
     corpus = build_corpus(docs)
     local = match_local_citations(corpus)
-    rows, undated = rpys(corpus, local)
+    rows, undated = rpys(local)
     dated_keys = {k for k, y in local.reference_years.items() if y is not None}
     assert sum(r.n_references for r in rows) == len(dated_keys)
     total_dated_mentions = sum(
@@ -322,6 +327,6 @@ def test_historiograph_undated_mutual_citations_stay_acyclic():
     docs[1].cited_refs[0].doi = "10.9/p"
     docs[0].doi = "10.9/p"
     docs[1].doi = "10.9/q"
-    graph, flags = historiograph(corpus, n=10)
+    graph, flags = historiograph(corpus, match_local_citations(corpus), n=10)
     assert graph_order(graph) is not None
     assert any("cycle-closing" in flag for flag in flags)

@@ -85,7 +85,7 @@ def test_large_corpus_pipeline_invariants():
         assert stat.q1_year <= stat.median_year <= stat.q3_year
 
     local = match_local_citations(corpus)
-    rows, undated = rpys(corpus, local)
+    rows, undated = rpys(local)
     dated = {k for k, y in local.reference_years.items() if y is not None}
     assert sum(r.n_references for r in rows) == len(dated)
 
@@ -94,7 +94,7 @@ def test_large_corpus_pipeline_invariants():
     for u, v, w in co.edges:
         assert w <= min(occurrence[u], occurrence[v])
 
-    cocite = cocitation_graph(corpus, min_citations=5, local=local)
+    cocite = cocitation_graph(local, min_citations=5)
     clustering = walktrap(cocite)
     assert set(clustering.assignment) == set(cocite.node_ids())
     assert abs(clustering.modularity
@@ -105,7 +105,7 @@ def test_large_corpus_pipeline_invariants():
         scores = pagerank(collab)
         assert abs(sum(scores.values()) - 1.0) < 1e-9
 
-    graph, _ = historiograph(corpus, n=30, local=local)
+    graph, _ = historiograph(corpus, local, n=30)
     assert len(graph.nodes) == 30
     assert graph_order(graph) is not None
 
@@ -115,6 +115,6 @@ def test_large_corpus_deterministic():
     second = synthetic_corpus()
     assert [d.id for d in first.documents] == [d.id for d in second.documents]
     assert term_frequencies(first, "DE") == term_frequencies(second, "DE")
-    a, _ = historiograph(first, n=20)
-    b, _ = historiograph(second, n=20)
+    a, _ = historiograph(first, match_local_citations(first), n=20)
+    b, _ = historiograph(second, match_local_citations(second), n=20)
     assert a.edges == b.edges

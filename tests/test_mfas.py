@@ -149,13 +149,14 @@ def test_runs_sharing_one_start_match_runs_on_their_own():
     graphs = [block_multigraph(random.Random(k)) for k in (1, 2)]
     starts = [mfas._run_start(mg) for mg in graphs]
     pristine = copy.deepcopy(starts)
+    shared = [mfas._Shared(start, {}) for start in starts]
     keys = [(g, seed) for g in range(len(graphs)) for seed in range(6)]
     alone = {(g, seed): run_once(graphs[g], seed) for g, seed in keys}
     for order in (keys[::-1], random.Random(3).sample(keys, len(keys))):
-        shared = {(g, seed): run_once(graphs[g], seed, start=starts[g])
-                  for g, seed in order}
+        runs = {(g, seed): run_once(graphs[g], seed, start=shared[g])
+                for g, seed in order}
         # witnesses are read only after every run of the pass
-        for key, solution in shared.items():
+        for key, solution in runs.items():
             assert solution.removed == alone[key].removed, key
             assert solution.witness_order == alone[key].witness_order, key
     assert starts == pristine
