@@ -7,9 +7,8 @@ is exact rational arithmetic; decimals appear only at presentation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 Metric = Union[int, float, Fraction]
 
@@ -22,8 +21,7 @@ def citable_years(year: int, reference_year: int) -> int:
     return reference_year - year + 1
 
 
-@dataclass
-class AmortizationRow:
+class AmortizationRow(NamedTuple):
     year: int
     metric: Fraction
     citable_years: int
@@ -76,15 +74,20 @@ def h_index(citation_counts: Sequence[int]) -> int:
     return h
 
 
-@dataclass
 class AmortizedItem:
-    id: str
-    h: int
-    first_year: int
-    citable_years: int
-    normalized_ps: Fraction
-    amortized: Fraction
-    tie_flag: Optional[str] = None
+    __slots__ = ("id", "h", "first_year", "citable_years", "normalized_ps",
+                 "amortized", "tie_flag")
+
+    def __init__(self, id: str, h: int, first_year: int, citable_years: int,
+                 normalized_ps: Fraction, amortized: Fraction,
+                 tie_flag: Optional[str] = None) -> None:
+        self.id = id
+        self.h = h
+        self.first_year = first_year
+        self.citable_years = citable_years
+        self.normalized_ps = normalized_ps
+        self.amortized = amortized
+        self.tie_flag = tie_flag
 
 
 def amortized_h_index(items: Sequence[tuple[str, int, int]],
@@ -123,7 +126,9 @@ def resolve_amortized_ties(items: Sequence[AmortizedItem],
     favor of the earlier first year and flagged.  Returns the re-ranked
     items plus a ledger of applied decrements per id.
     """
-    working = [AmortizedItem(**vars(item)) for item in items]
+    working = [AmortizedItem(item.id, item.h, item.first_year, item.citable_years,
+                             item.normalized_ps, item.amortized, item.tie_flag)
+               for item in items]
     decrements: dict[str, int] = {}
     while True:
         groups: dict[Fraction, list[AmortizedItem]] = {}

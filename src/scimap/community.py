@@ -30,8 +30,7 @@ list up to it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .graphs import Graph
 
@@ -41,8 +40,7 @@ if TYPE_CHECKING:
 _ROW_BLOCK = 64  # rows per batched cost or minimum evaluation
 
 
-@dataclass
-class Clustering:
+class Clustering(NamedTuple):
     assignment: dict[str, int]
     modularity: float
     n_clusters: int
@@ -163,7 +161,10 @@ def walktrap(graph: Graph, walk_length: int = 4) -> Clustering:
             best_partner[block_rows] = tied.argmin(axis=1)
             best_cost[block_rows] = low
 
-    pairs = np.unique(np.minimum(heads, tails) * n + np.maximum(heads, tails))
+    # Distinct pairs, sorted; np.unique would give the same array but
+    # imports numpy.ma on every call.
+    keys = np.sort(np.minimum(heads, tails) * n + np.maximum(heads, tails))
+    pairs = keys[np.diff(keys, prepend=-1) != 0]
     lo, hi = np.divmod(pairs, n)
     lo, hi = lo[lo != hi], hi[lo != hi]  # self-loops count in degrees only
     bounds = np.searchsorted(lo, np.arange(n + 1))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import fields
 from itertools import product
 from pathlib import Path
 from typing import Iterable, Optional
@@ -20,6 +19,7 @@ from .records import (
     FIELD_ROLES, ScreeningEntry, coverage_label,
 )
 from .tables import round_half_up
+from .textterms import WHITESPACE_RUN
 
 CORPUS_SCHEMA = "scimap-corpus/2"
 
@@ -27,7 +27,7 @@ CORPUS_SCHEMA = "scimap-corpus/2"
 def normalized_title(title: str) -> str:
     text = fold_ascii(title).lower()
     text = re.sub(r"[^a-z0-9]+", " ", text)
-    return re.sub(r"\s+", " ", text).strip()
+    return WHITESPACE_RUN.sub(" ", text).strip()
 
 
 def dedupe_and_screen(documents: Iterable[Document],
@@ -165,10 +165,10 @@ REFERENCE_FIELDS = ("raw", "first_author", "year", "source", "volume",
 _TEXT = (str, type(None))
 _REFERENCE_TYPES = frozenset(product((str,), _TEXT, (int, type(None)),
                                      _TEXT, _TEXT, _TEXT, _TEXT))
-# Keys of a document line, in dataclass order; the loader passes them
-# straight back to the Document constructor.
-DOCUMENT_FIELDS = tuple(f.name for f in fields(Document)
-                        if f.name != "cited_refs")
+# Keys of a document line, in Document's field order; the loader passes
+# them straight back to the Document constructor.
+DOCUMENT_FIELDS = tuple(name for name in Document.__slots__
+                        if name != "cited_refs")
 
 
 def _dump(value) -> str:
@@ -181,12 +181,16 @@ def save_corpus(corpus: Corpus, path: str | Path) -> Path:
 
     A document whose ``missing_fields`` is None gets it filled from its
     values here, while its references are in memory, so ``coverage``
-    never needs them after a load.  All are filled before the file is
-    opened, so a data error leaves no file behind; then each line is
-    written straight to the open file.
+    never needs them after a load.  Every document is checked to hold its
+    references, and all are filled, before the file is opened, so a data
+    error leaves no file behind; then each line is written straight to
+    the open file.
     """
     path = Path(path)
     for doc in corpus.documents:
+        if doc.cited_refs is None:
+            raise TypeError(f"document {doc.id!r} was loaded without its "
+                            f"references and cannot be saved")
         if doc.missing_fields is None:
             doc.missing_fields = [tag for tag, _ in FIELD_ROLES
                                   if not field_values(doc, tag)]
@@ -196,17 +200,15 @@ def save_corpus(corpus: Corpus, path: str | Path) -> Path:
             "schema": CORPUS_SCHEMA,
             "reference_year": corpus.reference_year,
             "provenance": corpus.provenance,
-            "screening": [{"removed_id": e.removed_id, "reason": e.reason,
-                           "kept_id": e.kept_id, "detail": e.detail}
-                          for e in corpus.screening],
+            "screening": [entry._asdict() for entry in corpus.screening],
         }))
         handle.write("\n")
         for doc in corpus.documents:
             handle.write(_dump({name: getattr(doc, name) for name in DOCUMENT_FIELDS}))
             handle.write("\n")
-            handle.write(_dump([[ref.raw, ref.first_author, ref.year, ref.source,
-                                 ref.volume, ref.page, ref.doi]
-                                for ref in doc.cited_refs]))
+            # A CitedReference is a tuple in REFERENCE_FIELDS order, so
+            # it dumps as the positional array.
+            handle.write(_dump(doc.cited_refs))
             handle.write("\n")
     return path
 
@@ -221,7 +223,7 @@ def _references(line: str) -> Optional[list[CitedReference]]:
             type(entry) is list and tuple(map(type, entry)) in _REFERENCE_TYPES
             for entry in entries):
         return None
-    return [CitedReference(*entry) for entry in entries]
+    return list(map(CitedReference._make, entries))
 
 
 def load_corpus(path: str | Path, references: bool = False) -> Corpus:

@@ -8,9 +8,8 @@ each edge once with the endpoint ids ordered.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .digraph import reaches
 from .normalize import LEVEL_TAGS, field_values, reference_key, surname_of
@@ -20,19 +19,22 @@ from .records import CitedReference, Corpus, Document
 SOURCE_PREFIX_MIN = 6
 
 
-@dataclass
-class GraphNode:
+class GraphNode(NamedTuple):
     id: str
     label: str
     weight: float = 0.0
     cluster: Optional[int] = None
 
 
-@dataclass
 class Graph:
-    nodes: list[GraphNode] = field(default_factory=list)
-    edges: list[tuple[str, str, float]] = field(default_factory=list)
-    directed: bool = False
+    __slots__ = ("nodes", "edges", "directed")
+
+    def __init__(self, nodes: Optional[list[GraphNode]] = None,
+                 edges: Optional[list[tuple[str, str, float]]] = None,
+                 directed: bool = False) -> None:
+        self.nodes = [] if nodes is None else nodes
+        self.edges = [] if edges is None else edges
+        self.directed = directed
 
     def node_ids(self) -> list[str]:
         return [node.id for node in self.nodes]
@@ -74,8 +76,7 @@ def pair_counts(item_sets: Iterable[set[str]], kept: set[str]) -> Counter:
 
 # Local citation matching ------------------------------------------------------
 
-@dataclass
-class LocalCitations:
+class LocalCitations(NamedTuple):
     """Result of matching cited references against the corpus itself."""
 
     # distinct corpus documents citing each corpus document
@@ -306,8 +307,7 @@ def historiograph(corpus: Corpus, local: LocalCitations, n: int = 30,
 
 # Three-field flows -----------------------------------------------------------------
 
-@dataclass
-class ThreeFieldFlow:
+class ThreeFieldFlow(NamedTuple):
     left: list[tuple[str, int]]
     middle: list[tuple[str, int]]
     right: list[tuple[str, int]]
@@ -367,8 +367,7 @@ def three_field_flow(corpus: Corpus, left: str, middle: str, right: str,
 
 # Reference publication year spectroscopy --------------------------------------------
 
-@dataclass
-class RpysRow:
+class RpysRow(NamedTuple):
     year: int
     n_references: int
     citations: int

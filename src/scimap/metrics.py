@@ -6,9 +6,8 @@ mutates shared state.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .amortize import citable_years
 from .normalize import country_of, field_values, reference_key
@@ -16,14 +15,12 @@ from .records import Corpus, Document
 from .tables import round_half_up
 
 
-@dataclass
-class AnnualSeries:
+class AnnualSeries(NamedTuple):
     points: list[tuple[int, float]]
     undated: int = 0
 
 
-@dataclass
-class SummaryStats:
+class SummaryStats(NamedTuple):
     first_year: int
     last_year: int
     sources: int
@@ -132,12 +129,10 @@ def mean_citation_per_elapsed_years(corpus: Corpus) -> list[tuple[int, Fraction]
 
 # Source and author laws ------------------------------------------------------
 
-@dataclass
-class BradfordZone:
+class BradfordZone(NamedTuple):
     zone_index: int
     sources: list[tuple[str, int]]
     cumulative: list[int]
-    cumulative_articles: int
     source_share_pct: float
     article_share_pct: float
 
@@ -177,7 +172,6 @@ def bradford_zones(source_counts: Sequence[tuple[str, int]]) -> list[BradfordZon
             zone_index=index,
             sources=zones[index],
             cumulative=cumulatives[index],
-            cumulative_articles=cumulatives[index][-1] if cumulatives[index] else 0,
             source_share_pct=round_half_up(
                 100.0 * len(zones[index]) / total_sources, 2),
             article_share_pct=round_half_up(
@@ -191,8 +185,7 @@ def source_article_counts(corpus: Corpus) -> list[tuple[str, int]]:
     return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
 
 
-@dataclass
-class LotkaFit:
+class LotkaFit(NamedTuple):
     observed: dict[int, int]
     predicted: dict[int, float]
     baseline_authors: int
@@ -217,8 +210,7 @@ def author_document_counts(corpus: Corpus) -> list[tuple[str, int]]:
 
 # Term statistics -------------------------------------------------------------
 
-@dataclass
-class TermStat:
+class TermStat(NamedTuple):
     term: str
     frequency: int
     q1_year: Optional[int] = None
@@ -286,8 +278,7 @@ def trending_terms(corpus: Corpus, min_freq: int = 5,
 
 # Collaboration ---------------------------------------------------------------
 
-@dataclass
-class CountryCollaboration:
+class CountryCollaboration(NamedTuple):
     country: str
     scp: int
     mcp: int
@@ -340,14 +331,13 @@ def mcp_ratio_pct(scp: int, mcp: int) -> float:
 
 # Lexicon-driven method tally -------------------------------------------------
 
-@dataclass
-class MethodOccurrence:
+class MethodOccurrence(NamedTuple):
     niches: list[str]
     methods: list[str]
-    counts: dict[tuple[str, str], int] = field(default_factory=dict)
-    row_totals: dict[str, int] = field(default_factory=dict)
-    column_totals: dict[str, int] = field(default_factory=dict)
-    suppressed: list[tuple[str, str, int]] = field(default_factory=list)
+    counts: dict[tuple[str, str], int]
+    row_totals: dict[str, int]
+    column_totals: dict[str, int]
+    suppressed: list[tuple[str, str, int]]
 
 
 def method_occurrence(corpus: Corpus,
@@ -378,7 +368,9 @@ def method_occurrence(corpus: Corpus,
                     raw[(niche, method)] = raw.get((niche, method), 0) + 1
 
     result = MethodOccurrence(niches=sorted(niches), methods=sorted(lexicon),
-                              column_totals=dict.fromkeys(sorted(lexicon), 0))
+                              counts={}, row_totals={},
+                              column_totals=dict.fromkeys(sorted(lexicon), 0),
+                              suppressed=[])
     for niche in result.niches:
         for method in result.methods:
             count = raw.get((niche, method), 0)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
@@ -34,12 +33,15 @@ SPLIT_MEMO_SIZE = 1 << 12
 Bundle = tuple[str, str]
 
 
-@dataclass
 class Multigraph:
     """Directed multigraph: parallel arcs allowed, no loops, no weights."""
 
-    nodes: set[str] = field(default_factory=set)
-    bundles: dict[Bundle, int] = field(default_factory=dict)
+    __slots__ = ("nodes", "bundles")
+
+    def __init__(self, nodes: Optional[set[str]] = None,
+                 bundles: Optional[dict[Bundle, int]] = None) -> None:
+        self.nodes = set() if nodes is None else nodes
+        self.bundles = {} if bundles is None else bundles
 
     def add(self, u: str, v: str, multiplicity: int = 1) -> None:
         if u == v:
@@ -108,20 +110,27 @@ def cycle_bundles(mg: Multigraph) -> list[tuple[Bundle, int]]:
                   if component[u] is component[v])
 
 
-@dataclass
 class McSolution:
     """The arcs one run removed.
 
     ``witness_order``, the topological order of the arcs the run left, is
     built on first read: a caller that compares sizes never pays for it.
+    Two solutions are equal when they removed the same arcs.
     """
 
-    removed: dict[Bundle, int]
-    size: int
-    nodes: set[str] = field(repr=False, compare=False)
-    # The bundles the run left arcs in, as a one-shot iterator over its
-    # own remaining multiplicities; only witness_order reads it.
-    residual: Iterator[Bundle] = field(repr=False, compare=False)
+    def __init__(self, removed: dict[Bundle, int], size: int, nodes: set[str],
+                 residual: Iterator[Bundle]) -> None:
+        self.removed = removed
+        self.size = size
+        self.nodes = nodes
+        # The bundles the run left arcs in, as a one-shot iterator over its
+        # own remaining multiplicities; only witness_order reads it.
+        self.residual = residual
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not McSolution:
+            return NotImplemented
+        return (self.removed, self.size) == (other.removed, other.size)
 
     @cached_property
     def witness_order(self) -> list[str]:
@@ -294,8 +303,7 @@ def success_lower_bound(t: int) -> Fraction:
     return Fraction(2**t - 1, 2**t)
 
 
-@dataclass
-class ConfidenceReport:
+class ConfidenceReport(NamedTuple):
     runs: int
     best_size: int
     reference_bound: Fraction
@@ -367,16 +375,14 @@ def wilson_interval(successes: int, n: int, confidence: float = 0.99,
     return max(0.0, center - margin), min(1.0, center + margin)
 
 
-@dataclass
-class TrialRecord:
+class TrialRecord(NamedTuple):
     trial: int
     best_size: int
     first_success_run: Optional[int]  # 1-based run index, None if never
     successes: int
 
 
-@dataclass
-class CalibrationResult:
+class CalibrationResult(NamedTuple):
     optimum: int
     trials: int
     runs_per_trial: int

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 from .records import (
     Document, CitedReference, RawRecord, FIELD_ROLES, MIN_PLAUSIBLE_YEAR,
 )
-from .textterms import bigrams_of
+from .textterms import WHITESPACE_RUN, bigrams_of
 
 _DOI_RE = re.compile(r"^10\.[^/\s]+/\S+$")
 _YEAR_SEG = re.compile(r"^(1[4-9]\d{2}|20\d{2}|21\d{2})$")
@@ -49,7 +49,7 @@ def normalize_author_name(raw: str) -> str:
     if not raw or not raw.strip():
         raise ValueError("blank author name")
     text = fold_ascii(raw).replace(".", " ").strip()
-    text = re.sub(r"\s+", " ", text)
+    text = WHITESPACE_RUN.sub(" ", text)
     if "," in text:
         surname, _, given = text.partition(",")
     else:
@@ -107,24 +107,19 @@ def normalize_doi(raw: str) -> Optional[str]:
     return text if _DOI_RE.match(text) else None
 
 
+@functools.lru_cache(maxsize=REFERENCE_CACHE_SIZE)
 def parse_cited_reference(raw: str) -> CitedReference:
     """Classify the comma-separated segments of a cited-reference string.
 
     Segments are assigned positionally and by shape: leading name, 4-digit
     year, venue, V-token, P-token, DOI token.  Whatever cannot be
-    classified stays in ``raw`` only; the function never fails.  Each call
-    returns a new object (callers may edit it); only the classified
-    fields are memoized.
+    classified stays in ``raw`` only; the function never fails.  A
+    ``CitedReference`` cannot be edited, so each distinct string is
+    parsed once and its reference shared by every document citing it.
     """
-    return CitedReference(raw, *_reference_fields(raw))
-
-
-@functools.lru_cache(maxsize=REFERENCE_CACHE_SIZE)
-def _reference_fields(raw: str) -> tuple:
-    """(first_author, year, source, volume, page, doi) of ``raw``."""
     first_author = year = source = volume = page = doi = None
     if not raw.strip():
-        return first_author, year, source, volume, page, doi
+        return CitedReference(raw)
     segments = [seg.strip() for seg in raw.split(",")]
     claimed = [False] * len(segments)
 
@@ -145,15 +140,15 @@ def _reference_fields(raw: str) -> tuple:
             claimed[i] = True
 
     if segments and not claimed[0] and segments[0]:
-        first_author = re.sub(r"\s+", " ", fold_ascii(segments[0]).replace(".", " ")).strip().upper()
+        first_author = WHITESPACE_RUN.sub(" ", fold_ascii(segments[0]).replace(".", " ")).strip().upper()
         claimed[0] = True
     # The venue is the first unclaimed letter-initial segment after the
     # author; segments of other shapes (e.g. a malformed year) stay in raw.
     for i, seg in enumerate(segments):
         if not claimed[i] and seg and i > 0 and seg[0].isalpha():
-            source = re.sub(r"\s+", " ", fold_ascii(seg)).strip().upper()
+            source = WHITESPACE_RUN.sub(" ", fold_ascii(seg)).strip().upper()
             break
-    return first_author, year, source, volume, page, doi
+    return CitedReference(raw, first_author, year, source, volume, page, doi)
 
 
 def reference_key(ref: CitedReference) -> tuple:
@@ -170,7 +165,7 @@ def normalize_affiliation(raw: str) -> str:
     prepends, fold to ASCII uppercase, collapse whitespace."""
     text = re.sub(r"^\[[^\]]*\]\s*", "", raw)
     text = fold_ascii(text).upper()
-    text = re.sub(r"\s+", " ", text).strip().rstrip(".")
+    text = WHITESPACE_RUN.sub(" ", text).strip().rstrip(".")
     return text
 
 
@@ -216,7 +211,7 @@ def _split_terms(values: list[str]) -> list[str]:
     seen: dict[str, None] = {}
     for value in values:
         for term in value.split(";"):
-            term = re.sub(r"\s+", " ", term).strip().lower()
+            term = WHITESPACE_RUN.sub(" ", term).strip().lower()
             if term:
                 seen.setdefault(term, None)
     return list(seen)
@@ -238,8 +233,8 @@ def to_document(record: RawRecord, reference_year: int) -> Document:
     for raw_name in entries.get("AU", []):
         if raw_name.strip():
             doc.authors.append(normalize_author_name(raw_name))
-    doc.title = re.sub(r"\s+", " ", " ".join(entries.get("TI", []))).strip()
-    doc.source = re.sub(r"\s+", " ", " ".join(entries.get("SO", []))).strip().upper()
+    doc.title = WHITESPACE_RUN.sub(" ", " ".join(entries.get("TI", []))).strip()
+    doc.source = WHITESPACE_RUN.sub(" ", " ".join(entries.get("SO", []))).strip().upper()
 
     py_raw = record.first("PY")
     if py_raw is not None:
@@ -280,7 +275,7 @@ def to_document(record: RawRecord, reference_year: int) -> Document:
     doc.author_keywords = _split_terms(entries.get("DE", []))
     doc.keywords_plus = _split_terms(entries.get("ID", []))
 
-    abstract = re.sub(r"\s+", " ", " ".join(entries.get("AB", []))).strip()
+    abstract = WHITESPACE_RUN.sub(" ", " ".join(entries.get("AB", []))).strip()
     doc.abstract = abstract or None
 
     doc.affiliations = [normalize_affiliation(line)

@@ -10,6 +10,7 @@ import re
 from typing import Optional
 
 from .records import RawRecord
+from .textterms import WHITESPACE_RUN
 
 # Tags that belong to the file envelope, not to any record.
 _FILE_TAGS = {"FN", "VR", "EF"}
@@ -342,4 +343,4 @@ def _balanced(text: str) -> bool:
 
 
 def _collapse_ws(text: str) -> str:
-    return re.sub(r"\s+", " ", text).strip()
+    return WHITESPACE_RUN.sub(" ", text).strip()

@@ -7,8 +7,8 @@ immutable collection every analysis reads from.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from operator import attrgetter
+from typing import NamedTuple, Optional
 
 # The sixteen field roles tracked for coverage reporting, in canonical order.
 FIELD_ROLES: tuple[tuple[str, str], ...] = (
@@ -35,15 +35,17 @@ MIN_PLAUSIBLE_YEAR = 1450
 MAX_PLAUSIBLE_YEAR = 2100
 
 
-@dataclass
 class RawRecord:
     """One exported item as an ordered tag -> value-lines multimap."""
 
-    entries: dict[str, list[str]] = field(default_factory=dict)
-    source_file: str = ""
-    record_index: int = 0
-    # Non-fatal parse oddities (e.g. duplicate BibTeX field, last value won).
-    flags: list[str] = field(default_factory=list)
+    __slots__ = ("entries", "source_file", "record_index", "flags")
+
+    def __init__(self, source_file: str = "", record_index: int = 0) -> None:
+        self.entries: dict[str, list[str]] = {}
+        self.source_file = source_file
+        self.record_index = record_index
+        # Non-fatal parse oddities (e.g. duplicate BibTeX field, last value won).
+        self.flags: list[str] = []
 
     def add(self, tag: str, value: str) -> None:
         self.entries.setdefault(tag, []).append(value)
@@ -53,8 +55,7 @@ class RawRecord:
         return values[0] if values else None
 
 
-@dataclass
-class CitedReference:
+class CitedReference(NamedTuple):
     """One parsed entry of a document's reference list.
 
     ``raw`` is always preserved byte-exact; the remaining fields are filled
@@ -70,41 +71,73 @@ class CitedReference:
     doi: Optional[str] = None
 
 
-@dataclass
 class Document:
-    """A normalized bibliographic record (Web of Science field roles)."""
+    """A normalized bibliographic record (Web of Science field roles).
 
-    id: str
-    authors: list[str] = field(default_factory=list)
-    title: str = ""
-    source: str = ""
-    pub_year: Optional[int] = None
-    total_citations: int = 0
-    # None after a corpus load that did not ask for references.
-    cited_refs: Optional[list[CitedReference]] = field(default_factory=list)
-    ref_count: Optional[int] = None
-    author_keywords: list[str] = field(default_factory=list)
-    keywords_plus: list[str] = field(default_factory=list)
-    abstract: Optional[str] = None
-    affiliations: list[str] = field(default_factory=list)
-    corresponding: Optional[str] = None
-    doi: Optional[str] = None
-    doc_type: str = ""
-    language: str = ""
-    categories: list[str] = field(default_factory=list)
-    # Non-fatal data oddities noticed during normalization (e.g. NR vs CR
-    # disagreement, unparseable year).  Never raised, always carried.
-    quality_flags: list[str] = field(default_factory=list)
-    # Unknown export tags preserved verbatim for forward compatibility.
-    extra: dict[str, list[str]] = field(default_factory=dict)
-    # Table-4 tags absent from the raw record, filled by to_document and by
-    # save_corpus; when None (documents built in code and not yet saved)
-    # coverage falls back to value emptiness.
-    missing_fields: Optional[list[str]] = None
+    A list or dict field passed as None (or left out) starts empty.
+    """
+
+    # Field order: the corpus file writes a document's keys in this order.
+    __slots__ = ("id", "authors", "title", "source", "pub_year",
+                 "total_citations", "cited_refs", "ref_count",
+                 "author_keywords", "keywords_plus", "abstract",
+                 "affiliations", "corresponding", "doi", "doc_type",
+                 "language", "categories", "quality_flags", "extra",
+                 "missing_fields")
+
+    def __init__(self, id: str, authors: Optional[list[str]] = None,
+                 title: str = "", source: str = "",
+                 pub_year: Optional[int] = None, total_citations: int = 0,
+                 cited_refs: Optional[list[CitedReference]] = None,
+                 ref_count: Optional[int] = None,
+                 author_keywords: Optional[list[str]] = None,
+                 keywords_plus: Optional[list[str]] = None,
+                 abstract: Optional[str] = None,
+                 affiliations: Optional[list[str]] = None,
+                 corresponding: Optional[str] = None,
+                 doi: Optional[str] = None, doc_type: str = "",
+                 language: str = "", categories: Optional[list[str]] = None,
+                 quality_flags: Optional[list[str]] = None,
+                 extra: Optional[dict[str, list[str]]] = None,
+                 missing_fields: Optional[list[str]] = None) -> None:
+        self.id = id
+        self.authors = [] if authors is None else authors
+        self.title = title
+        self.source = source
+        self.pub_year = pub_year
+        self.total_citations = total_citations
+        # load_corpus sets None when it did not read the references.
+        self.cited_refs = [] if cited_refs is None else cited_refs
+        self.ref_count = ref_count
+        self.author_keywords = [] if author_keywords is None else author_keywords
+        self.keywords_plus = [] if keywords_plus is None else keywords_plus
+        self.abstract = abstract
+        self.affiliations = [] if affiliations is None else affiliations
+        self.corresponding = corresponding
+        self.doi = doi
+        self.doc_type = doc_type
+        self.language = language
+        self.categories = [] if categories is None else categories
+        # Non-fatal data oddities noticed during normalization (e.g. NR vs CR
+        # disagreement, unparseable year).  Never raised, always carried.
+        self.quality_flags = [] if quality_flags is None else quality_flags
+        # Unknown export tags preserved verbatim for forward compatibility.
+        self.extra = {} if extra is None else extra
+        # Table-4 tags absent from the raw record, filled by to_document and
+        # by save_corpus; when None (documents built in code and not yet
+        # saved) coverage falls back to value emptiness.
+        self.missing_fields = missing_fields
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Document:
+            return NotImplemented
+        return _document_values(self) == _document_values(other)
 
 
-@dataclass
-class ScreeningEntry:
+_document_values = attrgetter(*Document.__slots__)
+
+
+class ScreeningEntry(NamedTuple):
     """One removal performed while building a corpus."""
 
     removed_id: str
@@ -113,7 +146,6 @@ class ScreeningEntry:
     detail: str = ""
 
 
-@dataclass
 class Corpus:
     """Deduplicated document collection with screening ledger and provenance.
 
@@ -122,17 +154,29 @@ class Corpus:
     explicitly for reproducible runs.
     """
 
-    documents: list[Document]
-    reference_year: int
-    provenance: list[str] = field(default_factory=list)
-    screening: list[ScreeningEntry] = field(default_factory=list)
+    __slots__ = ("documents", "reference_year", "provenance", "screening")
+
+    def __init__(self, documents: list[Document], reference_year: int,
+                 provenance: Optional[list[str]] = None,
+                 screening: Optional[list[ScreeningEntry]] = None) -> None:
+        self.documents = documents
+        self.reference_year = reference_year
+        self.provenance = [] if provenance is None else provenance
+        self.screening = [] if screening is None else screening
 
     def __len__(self) -> int:
         return len(self.documents)
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Corpus:
+            return NotImplemented
+        return _corpus_values(self) == _corpus_values(other)
 
-@dataclass
-class CoverageRow:
+
+_corpus_values = attrgetter(*Corpus.__slots__)
+
+
+class CoverageRow(NamedTuple):
     tag: str
     description: str
     missing_count: int
@@ -140,8 +184,7 @@ class CoverageRow:
     label: str
 
 
-@dataclass
-class CoverageReport:
+class CoverageReport(NamedTuple):
     rows: list[CoverageRow]
 
 

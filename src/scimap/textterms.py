@@ -10,6 +10,8 @@ from functools import lru_cache
 from importlib import resources
 
 _TOKEN_RE = re.compile(r"[a-z0-9][a-z0-9\-']*")
+# A run of whitespace; ingest collapses each run in a field to one space.
+WHITESPACE_RUN = re.compile(r"\s+")
 
 
 @lru_cache(maxsize=1)

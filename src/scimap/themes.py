@@ -7,8 +7,8 @@ survivors are linked across consecutive slices by inclusion index.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Optional
+from heapq import nsmallest
+from typing import NamedTuple, Optional
 
 from .community import walktrap
 from .graphs import Graph, GraphNode, pair_counts
@@ -16,19 +16,22 @@ from .records import Corpus
 from .textterms import bigrams_of, stopwords, tokenize
 
 
-@dataclass
-class ThemeCluster:
+class ThemeCluster(NamedTuple):
     label: str
     terms: list[str]
     frequency: int
 
 
-@dataclass
 class ThematicSlice:
-    period: tuple[int, int]
-    clusters: list[ThemeCluster]
-    links_to_next: list[tuple[str, str, float]] = field(default_factory=list)
-    flag: Optional[str] = None
+    __slots__ = ("period", "clusters", "links_to_next", "flag")
+
+    def __init__(self, period: tuple[int, int], clusters: list[ThemeCluster],
+                 flag: Optional[str] = None) -> None:
+        self.period = period
+        self.clusters = clusters
+        # Set by thematic_evolution once the next slice is known.
+        self.links_to_next: list[tuple[str, str, float]] = []
+        self.flag = flag
 
 
 def inclusion_index(a: set[str], b: set[str]) -> float:
@@ -59,6 +62,8 @@ def thematic_evolution(corpus: Corpus, slice_bounds: list[tuple[int, int]],
     linked where the inclusion index reaches ``min_weight_index``.
     """
     _check_slices(slice_bounds)
+    if n_terms < 1:
+        raise ValueError(f"n_terms must be at least 1, got {n_terms}")
     # One slice at a time: each slice's grams, counts and graph are gone
     # before the next slice starts.
     out = [_slice_themes(corpus, start, end, n_terms, min_cluster_freq, ngram)
@@ -87,7 +92,7 @@ def _slice_graph(corpus: Corpus, start: int, end: int, n_terms: int,
     freq = Counter()
     for gram_list in grams:
         freq.update(gram_list)
-    kept = dict(sorted(freq.items(), key=lambda item: (-item[1], item[0]))[:n_terms])
+    kept = dict(nsmallest(n_terms, freq.items(), key=lambda item: (-item[1], item[0])))
     pair_weights = pair_counts((set(g) for g in grams), set(kept))
     graph = Graph(
         nodes=[GraphNode(id=t, label=t, weight=float(kept[t])) for t in sorted(kept)],

@@ -2,7 +2,9 @@
 before it memoized them, kept verbatim.
 
 ``fold_ascii`` always takes the NFKD path, and ``parse_cited_reference``
-and ``surname_of`` recompute on every call.  ``tests/test_normalize_memo.py``
+and ``surname_of`` recompute on every call.  ``parse_cited_reference``
+fills a mutable copy of the reference, since ``CitedReference`` itself
+cannot be edited.  ``tests/test_normalize_memo.py``
 requires the shipped functions to return the same values as these for
 every input.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from types import SimpleNamespace
 
 from scimap.normalize import normalize_doi
 from scimap.records import CitedReference
@@ -50,9 +53,10 @@ def parse_cited_reference(raw: str) -> CitedReference:
     year, venue, V-token, P-token, DOI token.  Whatever cannot be
     classified stays in ``raw`` only; the function never fails.
     """
-    ref = CitedReference(raw=raw)
+    # Filled in place as segments are classified, then frozen at the end.
+    ref = SimpleNamespace(**CitedReference(raw=raw)._asdict())
     if not raw.strip():
-        return ref
+        return CitedReference(**vars(ref))
     segments = [seg.strip() for seg in raw.split(",")]
     claimed = [False] * len(segments)
 
@@ -82,4 +86,4 @@ def parse_cited_reference(raw: str) -> CitedReference:
         if not claimed[i] and seg and i > 0 and seg[0].isalpha():
             ref.source = re.sub(r"\s+", " ", fold_ascii(seg)).strip().upper()
             break
-    return ref
+    return CitedReference(**vars(ref))

@@ -2,7 +2,6 @@
 request only, and malformed files rejected with a line number."""
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -10,7 +9,8 @@ import pytest
 from conftest import build_corpus, make_document, make_ref
 from scimap.cli import main
 from scimap.corpus import (
-    CORPUS_SCHEMA, REFERENCE_FIELDS, coverage_report, load_corpus, save_corpus,
+    CORPUS_SCHEMA, DOCUMENT_FIELDS, REFERENCE_FIELDS, coverage_report,
+    load_corpus, save_corpus,
 )
 from scimap.normalize import REFERENCE_TAGS, _FIELD_VALUES, field_values
 from scimap.records import (
@@ -36,9 +36,16 @@ def saved_lines(tmp_path):
     return path, path.read_text("utf-8").splitlines(keepends=True)
 
 
-def test_reference_fields_follow_the_dataclass():
-    assert REFERENCE_FIELDS == tuple(f.name for f in
-                                     dataclasses.fields(CitedReference))
+def test_reference_fields_follow_the_record():
+    assert REFERENCE_FIELDS == CitedReference._fields
+
+
+def test_document_fields_keep_their_file_order():
+    assert DOCUMENT_FIELDS == (
+        "id", "authors", "title", "source", "pub_year", "total_citations",
+        "ref_count", "author_keywords", "keywords_plus", "abstract",
+        "affiliations", "corresponding", "doi", "doc_type", "language",
+        "categories", "quality_flags", "extra", "missing_fields")
 
 
 def test_two_lines_per_document(tmp_path):
@@ -129,7 +136,8 @@ def test_last_document_without_reference_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad", ['{"id": "b", "unknown": 1}', '["b"]',
-                                 '{"id": "b", "missing_fields": null}'])
+                                 '{"id": "b", "missing_fields": null}',
+                                 '{"missing_fields": []}'])
 def test_malformed_document_line_names_its_line(tmp_path, bad):
     path, lines = saved_lines(tmp_path)
     lines[3] = bad + "\n"
@@ -171,6 +179,14 @@ def test_document_that_cannot_fill_missing_fields_leaves_no_file(tmp_path):
         save_corpus(corpus, path)
     assert not path.exists()
 
+def test_corpus_loaded_without_references_is_not_saved(tmp_path):
+    path, _ = saved_lines(tmp_path)
+    again = tmp_path / "again.dat"
+    with pytest.raises(TypeError, match="loaded without its references"):
+        save_corpus(load_corpus(path), again)
+    assert not again.exists()
+
+
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
@@ -201,6 +217,13 @@ CORPUS = st.builds(
                                  kept_id=TEXT, detail=TEXT), max_size=2))
 
 
+def _without_references(doc: Document) -> Document:
+    """A copy of ``doc`` as a load without references gives it."""
+    copy = Document(**{name: getattr(doc, name) for name in DOCUMENT_FIELDS})
+    copy.cited_refs = None
+    return copy
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(CORPUS)
 def test_round_trip_with_and_without_references(tmp_path_factory, corpus):
@@ -208,8 +231,9 @@ def test_round_trip_with_and_without_references(tmp_path_factory, corpus):
     save_corpus(corpus, path)
     assert load_corpus(path, references=True) == corpus
     without = load_corpus(path)
-    assert without == dataclasses.replace(corpus, documents=[
-        dataclasses.replace(doc, cited_refs=None) for doc in corpus.documents])
+    assert without == Corpus(
+        [_without_references(doc) for doc in corpus.documents],
+        corpus.reference_year, corpus.provenance, corpus.screening)
     again = path.with_name("again.dat")
     save_corpus(load_corpus(path, references=True), again)
     assert again.read_bytes() == path.read_bytes()

@@ -323,8 +323,8 @@ def test_historiograph_undated_mutual_citations_stay_acyclic():
     corpus = build_corpus(docs, reference_year=2023)
     # undated references carry no year: match via author+source only fails,
     # so force direct citations through DOIs instead
-    docs[0].cited_refs[0].doi = "10.9/q"
-    docs[1].cited_refs[0].doi = "10.9/p"
+    docs[0].cited_refs[0] = docs[0].cited_refs[0]._replace(doi="10.9/q")
+    docs[1].cited_refs[0] = docs[1].cited_refs[0]._replace(doi="10.9/p")
     docs[0].doi = "10.9/p"
     docs[1].doi = "10.9/q"
     graph, flags = historiograph(corpus, match_local_citations(corpus), n=10)

@@ -60,7 +60,7 @@ def test_bradford_core_zone_matches_reference_table():
     zone1 = zones[0]
     assert [s for s, _ in zone1.sources] == [s for s, _ in CORE_SOURCES]
     assert zone1.cumulative == EXPECTED_CUMULATIVE
-    assert zone1.cumulative_articles == 629
+    assert zone1.cumulative[-1] == 629
     assert zone1.article_share_pct == 33.28
     assert zone1.source_share_pct == 3.14
 
@@ -85,7 +85,7 @@ def test_bradford_zone_conservation_property():
         assert sorted(zoned) == sorted(s for s, _ in sources)
         assert sum(c for z in zones for _, c in z.sources) == \
             sum(c for _, c in sources)
-        assert zones[2].cumulative_articles == sum(c for _, c in sources)
+        assert zones[2].cumulative[-1] == sum(c for _, c in sources)
 
 
 # Descriptive summary ---------------------------------------------------------

@@ -4,29 +4,30 @@
 reference string and ``surname_of`` caches its key; ``fold_ascii``
 returns ASCII text as it is.  Each must return what
 ``normalize_reference`` (the code before the memos) returns, on the
-first call and on every repeat, and each reference must be a fresh
-object so that editing one cannot leak into the next document.
+first call and on every repeat.  The cached reference is shared by every
+document citing it, so editing one must be refused.
 """
 from __future__ import annotations
 
-from dataclasses import astuple
 from pathlib import Path
 
 import pytest
 
 import normalize_reference
 from scimap.normalize import (
-    REFERENCE_CACHE_SIZE, SURNAME_CACHE_SIZE, _reference_fields, fold_ascii,
-    parse_cited_reference, surname_of,
+    REFERENCE_CACHE_SIZE, SURNAME_CACHE_SIZE, fold_ascii, parse_cited_reference,
+    surname_of,
 )
 from scimap.parsing import parse_bibtex_export, parse_plaintext_export
+from scimap.records import CitedReference
 
 DATA = Path(__file__).parent / "data"
 
 
 def _fields(ref):
     """Field values with their types, so 1968 and "1968" differ."""
-    return [(type(value), value) for value in astuple(ref)]
+    assert type(ref) is CitedReference
+    return [(type(value), value) for value in ref]
 
 
 def assert_same_reference(raw: str) -> None:
@@ -60,24 +61,22 @@ def test_every_sample_name_matches_the_oracle():
         assert surname_of(name) == normalize_reference.surname_of(name)
 
 
-def test_each_call_returns_a_fresh_reference():
+def test_a_reference_cannot_be_edited():
     raw = "ALTMAN EI, 1968, J FINANC, V23, P589, DOI 10.2307/2978933"
     first = parse_cited_reference(raw)
-    second = parse_cited_reference(raw)
-    assert first is not second
-    assert first == second
-    first.doi = "10.9/edited"
-    first.first_author = "EDITED"
-    first.year = 1900
-    third = parse_cited_reference(raw)
-    assert third.doi == "10.2307/2978933"
-    assert third.first_author == "ALTMAN EI"
-    assert third.year == 1968
-    assert second.doi == "10.2307/2978933"
+    assert parse_cited_reference(raw) == first
+    for name, value in (("doi", "10.9/edited"), ("first_author", "EDITED"),
+                        ("year", 1900)):
+        with pytest.raises(AttributeError):
+            setattr(first, name, value)
+    again = parse_cited_reference(raw)
+    assert again.doi == "10.2307/2978933"
+    assert again.first_author == "ALTMAN EI"
+    assert again.year == 1968
 
 
 def test_caches_are_bounded():
-    assert _reference_fields.cache_info().maxsize == REFERENCE_CACHE_SIZE
+    assert parse_cited_reference.cache_info().maxsize == REFERENCE_CACHE_SIZE
     assert surname_of.cache_info().maxsize == SURNAME_CACHE_SIZE
     assert 0 < REFERENCE_CACHE_SIZE and 0 < SURNAME_CACHE_SIZE
 

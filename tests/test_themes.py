@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import build_corpus, make_document
-from scimap.themes import inclusion_index, thematic_evolution
+from scimap.themes import _slice_graph, inclusion_index, thematic_evolution
 
 
 def test_inclusion_index_values():
@@ -98,3 +98,25 @@ def test_slice_bounds_validated():
         thematic_evolution(corpus, [(2005, 2000)])
     with pytest.raises(ValueError):
         thematic_evolution(corpus, [(1990, 2000), (1995, 2005)])
+
+
+def test_top_terms_rank_by_frequency_then_term():
+    texts = (["alpha beta"] * 3 + ["omega zeta"] * 2 + ["gamma delta"] * 2
+             + ["kappa lambda"])
+    corpus = build_corpus([abstract_doc(i, 2000, text)
+                           for i, text in enumerate(texts)])
+    freq = {"alpha beta": 3, "omega zeta": 2, "gamma delta": 2,
+            "kappa lambda": 1}
+    ranked = sorted(freq.items(), key=lambda item: (-item[1], item[0]))
+    for n_terms in range(1, 6):
+        graph, kept = _slice_graph(corpus, 2000, 2000, n_terms, ngram=2)
+        assert list(kept.items()) == ranked[:n_terms]
+        assert graph.node_ids() == sorted(kept)
+    assert list(_slice_graph(corpus, 2000, 2000, 2, ngram=2)[1]) == [
+        "alpha beta", "gamma delta"]
+
+
+def test_term_count_must_be_positive():
+    corpus = build_corpus([abstract_doc(0, 2000, "alpha beta")])
+    with pytest.raises(ValueError, match="n_terms"):
+        thematic_evolution(corpus, [(1990, 2000)], n_terms=0)
