@@ -116,20 +116,18 @@ def amortized_h_index(items: Sequence[tuple[str, int, int]],
     return out
 
 
-def resolve_amortized_ties(items: Sequence[AmortizedItem],
-                           ) -> tuple[list[AmortizedItem], dict[str, int]]:
+def resolve_amortized_ties(items: Sequence[AmortizedItem]) -> list[AmortizedItem]:
     """Break amortized-value ties by decrementing the raw h of tied items.
 
     Every item in a tied group loses one h point per round and its
     amortized value is recomputed, until all values are unique or a tied
     item sits at h = 0; an unresolvable tie at the floor is broken in
     favor of the earlier first year and flagged.  Returns the re-ranked
-    items plus a ledger of applied decrements per id.
+    items; their ``h`` is the raw h less the decrements applied.
     """
     working = [AmortizedItem(item.id, item.h, item.first_year, item.citable_years,
                              item.normalized_ps, item.amortized, item.tie_flag)
                for item in items]
-    decrements: dict[str, int] = {}
     while True:
         groups: dict[Fraction, list[AmortizedItem]] = {}
         for item in working:
@@ -147,9 +145,8 @@ def resolve_amortized_ties(items: Sequence[AmortizedItem],
                 if item.h > 0:
                     item.h -= 1
                     item.amortized = item.normalized_ps * item.h
-                    decrements[item.id] = decrements.get(item.id, 0) + 1
                     progressed = True
         if not progressed:
             break
     working.sort(key=lambda item: (-item.amortized, item.first_year, item.id))
-    return working, decrements
+    return working

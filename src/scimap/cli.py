@@ -297,7 +297,7 @@ def cmd_hindex(args, config):
         raise DataError("amortized h-index needs dated documents")
     items = amortized_h_index(dated, corpus.reference_year)
     if args.resolve_ties:
-        items, decrements = resolve_amortized_ties(items)
+        items = resolve_amortized_ties(items)
     rows = [(item.id, item.h, item.first_year, item.citable_years,
              fmt(float(item.normalized_ps), 4), fmt(float(item.amortized), 4),
              item.tie_flag or "") for item in items]
@@ -529,15 +529,8 @@ def _term_lists(path: str) -> dict[str, list[str]]:
 def cmd_methods(args, config):
     corpus = _load(args)
     lexicon = _term_lists(args.lexicon)
-    niches = _term_lists(args.niches)
-    markers = {niche: {t.strip().lower() for t in terms}
-               for niche, terms in niches.items()}
-
-    def niche_of(doc):
-        terms = set(doc.author_keywords)
-        return {niche for niche, marks in markers.items() if terms & marks}
-
-    result = method_occurrence(corpus, niche_of, lexicon, min_occ=args.min_occ)
+    result = method_occurrence(corpus, _term_lists(args.niches), lexicon,
+                               min_occ=args.min_occ)
     header = ["niche"] + result.methods + ["total"]
     rows = []
     for niche in result.niches:
@@ -601,6 +594,17 @@ def cmd_mfas_calibrate(args, config):
 
 
 # Parser ----------------------------------------------------------------------
+
+def _count(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -668,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--field", choices=["DE", "ID", "title-bigrams",
                                        "abstract-bigrams"], default="DE")
-    p.add_argument("--top-n", type=int, default=None)
+    p.add_argument("--top-n", type=_count, default=None)
     p.set_defaults(handler=cmd_terms)
 
     p = sub.add_parser("trending", help="trending terms with quartile years")
@@ -697,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--level", choices=["author", "institution", "country"],
                    default="institution")
-    p.add_argument("--top-n", type=int, default=None)
+    p.add_argument("--top-n", type=_count, default=None)
     p.add_argument("--flavor", choices=["graphml", "dot"], default="graphml")
     p.add_argument("--cluster", action="store_true")
     p.set_defaults(handler=cmd_collab)
@@ -721,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("historiograph", help="direct-citation historiograph")
     common(p)
-    p.add_argument("--top-n", type=int, default=30)
+    p.add_argument("--top-n", type=_count, default=30)
     p.add_argument("--flavor", choices=["graphml", "dot"], default="graphml")
     p.set_defaults(handler=cmd_historiograph)
 
@@ -730,9 +734,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", default="CO")
     p.add_argument("--middle", default="DE")
     p.add_argument("--right", default="C1")
-    p.add_argument("--k-left", type=int, default=10)
-    p.add_argument("--k-mid", type=int, default=10)
-    p.add_argument("--k-right", type=int, default=10)
+    p.add_argument("--k-left", type=_count, default=10)
+    p.add_argument("--k-mid", type=_count, default=10)
+    p.add_argument("--k-right", type=_count, default=10)
     p.set_defaults(handler=cmd_sankey)
 
     p = sub.add_parser("themes", help="thematic evolution over time slices")

@@ -21,7 +21,7 @@ from .records import (
 from .tables import round_half_up
 from .textterms import WHITESPACE_RUN
 
-CORPUS_SCHEMA = "scimap-corpus/2"
+CORPUS_SCHEMA = "scimap-corpus/3"
 
 
 def normalized_title(title: str) -> str:
@@ -38,7 +38,8 @@ def dedupe_and_screen(documents: Iterable[Document],
 
     Duplicate matching is DOI-first, then (normalized title, year).  Every
     removal lands in the screening ledger with its reason; applying the
-    function to an already-screened corpus removes nothing.
+    function to an already-screened corpus removes nothing.  A document
+    built in code without ``missing_fields`` gets it from its values.
     """
     retracted_keys = set()
     for key in retracted:
@@ -54,6 +55,9 @@ def dedupe_and_screen(documents: Iterable[Document],
     by_id: dict[str, Document] = {}
 
     for doc in documents:
+        if doc.missing_fields is None:
+            doc.missing_fields = [tag for tag, _ in FIELD_ROLES
+                                  if not field_values(doc, tag)]
         if doc.id in retracted_keys or (doc.doi and doc.doi in retracted_keys):
             screening.append(ScreeningEntry(removed_id=doc.id, reason="retracted"))
             continue
@@ -110,9 +114,8 @@ def _merge_into(target: Document, dup: Document) -> None:
     for attr in ("title", "source", "doc_type", "language"):
         if not getattr(target, attr) and getattr(dup, attr):
             setattr(target, attr, getattr(dup, attr))
-    if target.missing_fields is not None and dup.missing_fields is not None:
-        target.missing_fields = [t for t in target.missing_fields
-                                 if t in set(dup.missing_fields)]
+    target.missing_fields = [t for t in target.missing_fields
+                             if t in dup.missing_fields]
     target.quality_flags.extend(f for f in dup.quality_flags
                                 if f not in target.quality_flags)
 
@@ -129,12 +132,6 @@ def _union(first: list[str], second: list[str]) -> list[str]:
 
 # Coverage ----------------------------------------------------------------
 
-def _field_missing(doc: Document, tag: str) -> bool:
-    if doc.missing_fields is not None:
-        return tag in doc.missing_fields
-    return not field_values(doc, tag)
-
-
 def coverage_report(corpus: Corpus) -> CoverageReport:
     """Per-field missing counts with the quality label scale applied."""
     if not corpus.documents:
@@ -142,7 +139,7 @@ def coverage_report(corpus: Corpus) -> CoverageReport:
     n = len(corpus.documents)
     rows = []
     for tag, description in FIELD_ROLES:
-        missing = sum(1 for doc in corpus.documents if _field_missing(doc, tag))
+        missing = sum(1 for doc in corpus.documents if tag in doc.missing_fields)
         pct = round_half_up(100.0 * missing / n, 2)
         rows.append(CoverageRow(tag=tag, description=description,
                                 missing_count=missing, missing_pct=pct,
@@ -165,6 +162,8 @@ REFERENCE_FIELDS = ("raw", "first_author", "year", "source", "volume",
 _TEXT = (str, type(None))
 _REFERENCE_TYPES = frozenset(product((str,), _TEXT, (int, type(None)),
                                      _TEXT, _TEXT, _TEXT, _TEXT))
+# Keys of a screening entry in the header, all holding strings.
+_SCREENING_KEYS = frozenset(ScreeningEntry._fields)
 # Keys of a document line, in Document's field order; the loader passes
 # them straight back to the Document constructor.
 DOCUMENT_FIELDS = tuple(name for name in Document.__slots__
@@ -179,21 +178,15 @@ def save_corpus(corpus: Corpus, path: str | Path) -> Path:
     """Write the versioned corpus file: one JSON header line, then two
     lines per document (fields, cited references) in stable field order.
 
-    A document whose ``missing_fields`` is None gets it filled from its
-    values here, while its references are in memory, so ``coverage``
-    never needs them after a load.  Every document is checked to hold its
-    references, and all are filled, before the file is opened, so a data
-    error leaves no file behind; then each line is written straight to
-    the open file.
+    Every document is checked to hold its references before the file is
+    opened, so a data error leaves no file behind; then each line is
+    written straight to the open file.
     """
     path = Path(path)
     for doc in corpus.documents:
         if doc.cited_refs is None:
             raise TypeError(f"document {doc.id!r} was loaded without its "
                             f"references and cannot be saved")
-        if doc.missing_fields is None:
-            doc.missing_fields = [tag for tag, _ in FIELD_ROLES
-                                  if not field_values(doc, tag)]
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
         handle.write(_dump({
@@ -226,6 +219,31 @@ def _references(line: str) -> Optional[list[CitedReference]]:
     return list(map(CitedReference._make, entries))
 
 
+def _header_fields(header: dict, path: Path,
+                   ) -> tuple[int, list[str], list[ScreeningEntry]]:
+    """The reference year, provenance and screening ledger of a corpus
+    header, each checked to have the type ``save_corpus`` writes."""
+    reference_year = header.get("reference_year")
+    if type(reference_year) is not int:
+        raise ValueError(f"{path}: header reference_year must be an "
+                         f"integer, got {reference_year!r}")
+    provenance = header.get("provenance")
+    if type(provenance) is not list or not all(
+            type(name) is str for name in provenance):
+        raise ValueError(f"{path}: header provenance must be a list of "
+                         f"strings, got {provenance!r}")
+    screening = header.get("screening")
+    if type(screening) is not list or not all(
+            type(entry) is dict and entry.keys() == _SCREENING_KEYS
+            and all(type(value) is str for value in entry.values())
+            for entry in screening):
+        raise ValueError(f"{path}: header screening must be a list of "
+                         f"objects with the string fields "
+                         f"{', '.join(ScreeningEntry._fields)}")
+    return (reference_year, provenance,
+            [ScreeningEntry(**entry) for entry in screening])
+
+
 def load_corpus(path: str | Path, references: bool = False) -> Corpus:
     """Read a corpus file.
 
@@ -245,6 +263,7 @@ def load_corpus(path: str | Path, references: bool = False) -> Corpus:
             raise ValueError(f"unsupported corpus schema {schema!r} in {path} "
                              f"(expected {CORPUS_SCHEMA}): re-ingest with "
                              f"this version")
+        reference_year, provenance, screening = _header_fields(header, path)
         lineno = 2
         while line := handle.readline():
             try:
@@ -266,8 +285,5 @@ def load_corpus(path: str | Path, references: bool = False) -> Corpus:
                                  f"integer or null, the rest strings or null)")
             documents.append(doc)
             lineno += 2
-    screening = [ScreeningEntry(**entry) for entry in header.get("screening", [])]
-    return Corpus(documents=documents,
-                  reference_year=int(header["reference_year"]),
-                  provenance=list(header.get("provenance", [])),
-                  screening=screening)
+    return Corpus(documents=documents, reference_year=reference_year,
+                  provenance=provenance, screening=screening)

@@ -7,11 +7,11 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .amortize import citable_years
 from .normalize import country_of, field_values, reference_key
-from .records import Corpus, Document
+from .records import Corpus
 from .tables import round_half_up
 
 
@@ -38,13 +38,8 @@ class SummaryStats(NamedTuple):
     international_coauthorship_pct: float
 
 
-def descriptive_summary(corpus: Corpus,
-                        exclude_final_year: bool = False) -> SummaryStats:
-    """Headline statistics of a corpus (timespan, production, collaboration).
-
-    ``exclude_final_year`` recomputes the growth rate with the last dated
-    year dropped, for corpora whose final year is still in progress.
-    """
+def descriptive_summary(corpus: Corpus) -> SummaryStats:
+    """Headline statistics of a corpus (timespan, production, collaboration)."""
     dated = [doc for doc in corpus.documents if doc.pub_year is not None]
     if not dated:
         raise ValueError("descriptive summary needs at least one dated document")
@@ -63,8 +58,7 @@ def descriptive_summary(corpus: Corpus,
         last_year=last_year,
         sources=len({doc.source for doc in corpus.documents if doc.source}),
         documents=n,
-        annual_growth_rate_pct=annual_growth_rate(
-            corpus, exclude_final_year=exclude_final_year),
+        annual_growth_rate_pct=annual_growth_rate(corpus),
         document_average_age=sum(
             corpus.reference_year - y for y in years) / len(years),
         average_citations=sum(d.total_citations for d in corpus.documents) / n,
@@ -80,18 +74,14 @@ def descriptive_summary(corpus: Corpus,
     )
 
 
-def annual_growth_rate(corpus: Corpus,
-                       exclude_final_year: bool = False) -> Optional[float]:
+def annual_growth_rate(corpus: Corpus) -> Optional[float]:
     """Compound annual growth between the first and last dated year, in
     percent: (N_last / N_first) ** (1 / (Y_last - Y_first)) - 1."""
     per_year = Counter(doc.pub_year for doc in corpus.documents
                        if doc.pub_year is not None)
     if not per_year:
         raise ValueError("growth rate needs dated documents")
-    years = sorted(per_year)
-    if exclude_final_year and len(years) > 1:
-        years = years[:-1]
-    first, last = years[0], years[-1]
+    first, last = min(per_year), max(per_year)
     if last == first:
         return None
     ratio = per_year[last] / per_year[first]
@@ -341,33 +331,36 @@ class MethodOccurrence(NamedTuple):
 
 
 def method_occurrence(corpus: Corpus,
-                      niche_of: Callable[[Document], set[str]],
+                      niches: dict[str, list[str]],
                       lexicon: dict[str, list[str]],
                       min_occ: int = 3) -> MethodOccurrence:
     """Tally lexicon-matched method mentions per topic niche.
 
-    A document counts toward (niche, method) when any of its author
-    keywords matches a synonym of the method.  Cells below ``min_occ``
+    A document belongs to a niche when any of its author keywords matches
+    a marker term of the niche, and counts toward (niche, method) when
+    any of them matches a synonym of the method.  Cells below ``min_occ``
     are reported as 0 and listed as suppressed; totals cover retained
     cells only.
     """
     if not lexicon:
         raise ValueError("method occurrence needs a non-empty lexicon")
+    markers = {niche: {m.strip().lower() for m in terms}
+               for niche, terms in niches.items()}
     synonyms = {method: {s.strip().lower() for s in terms}
                 for method, terms in lexicon.items()}
     raw: dict[tuple[str, str], int] = {}
-    niches: list[str] = []
+    found: set[str] = set()
     for doc in corpus.documents:
         doc_terms = set(doc.author_keywords)
-        doc_niches = niche_of(doc)
-        for niche in doc_niches:
-            if niche not in niches:
-                niches.append(niche)
+        for niche, marks in markers.items():
+            if not doc_terms & marks:
+                continue
+            found.add(niche)
             for method, terms in synonyms.items():
                 if doc_terms & terms:
                     raw[(niche, method)] = raw.get((niche, method), 0) + 1
 
-    result = MethodOccurrence(niches=sorted(niches), methods=sorted(lexicon),
+    result = MethodOccurrence(niches=sorted(found), methods=sorted(lexicon),
                               counts={}, row_totals={},
                               column_totals=dict.fromkeys(sorted(lexicon), 0),
                               suppressed=[])

@@ -297,10 +297,6 @@ def to_document(record: RawRecord, reference_year: int) -> Document:
     doc.categories = [seg.strip() for value in entries.get("WC", [])
                       for seg in value.split(";") if seg.strip()]
 
-    known = {"AU", "TI", "SO", "PY", "TC", "CR", "NR", "DE", "ID", "AB",
-             "C1", "RP", "DI", "DT", "LA", "WC", "UT", "PT"}
-    doc.extra = {tag: list(values) for tag, values in entries.items()
-                 if tag not in known}
     doc.missing_fields = [tag for tag, _ in FIELD_ROLES
                           if not any(v.strip() for v in entries.get(tag, []))]
     return doc

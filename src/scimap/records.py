@@ -74,7 +74,8 @@ class CitedReference(NamedTuple):
 class Document:
     """A normalized bibliographic record (Web of Science field roles).
 
-    A list or dict field passed as None (or left out) starts empty.
+    A list field passed as None (or left out) starts empty, except
+    ``missing_fields``.
     """
 
     # Field order: the corpus file writes a document's keys in this order.
@@ -82,7 +83,7 @@ class Document:
                  "total_citations", "cited_refs", "ref_count",
                  "author_keywords", "keywords_plus", "abstract",
                  "affiliations", "corresponding", "doi", "doc_type",
-                 "language", "categories", "quality_flags", "extra",
+                 "language", "categories", "quality_flags",
                  "missing_fields")
 
     def __init__(self, id: str, authors: Optional[list[str]] = None,
@@ -98,7 +99,6 @@ class Document:
                  doi: Optional[str] = None, doc_type: str = "",
                  language: str = "", categories: Optional[list[str]] = None,
                  quality_flags: Optional[list[str]] = None,
-                 extra: Optional[dict[str, list[str]]] = None,
                  missing_fields: Optional[list[str]] = None) -> None:
         self.id = id
         self.authors = [] if authors is None else authors
@@ -121,11 +121,9 @@ class Document:
         # Non-fatal data oddities noticed during normalization (e.g. NR vs CR
         # disagreement, unparseable year).  Never raised, always carried.
         self.quality_flags = [] if quality_flags is None else quality_flags
-        # Unknown export tags preserved verbatim for forward compatibility.
-        self.extra = {} if extra is None else extra
-        # Table-4 tags absent from the raw record, filled by to_document and
-        # by save_corpus; when None (documents built in code and not yet
-        # saved) coverage falls back to value emptiness.
+        # Table-4 tags absent from the raw record, filled by to_document;
+        # dedupe_and_screen fills it from the values of a document built in
+        # code without it, so every document of a corpus holds a list.
         self.missing_fields = missing_fields
 
     def __eq__(self, other: object) -> bool:

@@ -8,12 +8,15 @@ from __future__ import annotations
 
 from collections import Counter
 from heapq import nsmallest
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .community import walktrap
-from .graphs import Graph, GraphNode, pair_counts
+from .graphs import _undirected_graph, pair_counts
 from .records import Corpus
 from .textterms import bigrams_of, stopwords, tokenize
+
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 
 class ThemeCluster(NamedTuple):
@@ -93,11 +96,8 @@ def _slice_graph(corpus: Corpus, start: int, end: int, n_terms: int,
     for gram_list in grams:
         freq.update(gram_list)
     kept = dict(nsmallest(n_terms, freq.items(), key=lambda item: (-item[1], item[0])))
-    pair_weights = pair_counts((set(g) for g in grams), set(kept))
-    graph = Graph(
-        nodes=[GraphNode(id=t, label=t, weight=float(kept[t])) for t in sorted(kept)],
-        edges=[(u, v, float(w)) for (u, v), w in sorted(pair_weights.items())],
-        directed=False)
+    graph = _undirected_graph({t: float(n) for t, n in kept.items()},
+                              pair_counts((set(g) for g in grams), set(kept)))
     return graph, kept
 
 

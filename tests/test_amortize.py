@@ -128,9 +128,11 @@ def test_tie_then_resolution():
     items = [("A", 10, 1999), ("B", 5, 2000)]  # reference 2000: cy 2 vs 1
     ranked = amortized_h_index(items, reference_year=2000)
     assert ranked[0].amortized == ranked[1].amortized == 5
-    resolved, decrements = resolve_amortized_ties(ranked)
-    assert decrements == {"A": 1, "B": 1}
+    resolved = resolve_amortized_ties(ranked)
     by_id = {item.id: item for item in resolved}
+    # one decrement each; the input items keep their raw h
+    assert [(item.id, item.h) for item in ranked] == [("A", 10), ("B", 5)]
+    assert (by_id["A"].h, by_id["B"].h) == (9, 4)
     assert by_id["A"].amortized == Fraction(9, 2)
     assert by_id["B"].amortized == 4
     assert [item.id for item in resolved] == ["A", "B"]
@@ -139,18 +141,17 @@ def test_tie_then_resolution():
 def test_no_ties_passthrough():
     items = [("A", 12, 2018), ("B", 5, 2021)]
     ranked = amortized_h_index(items, reference_year=2023)
-    resolved, decrements = resolve_amortized_ties(ranked)
-    assert decrements == {}
+    resolved = resolve_amortized_ties(ranked)
     assert [(i.id, i.amortized) for i in resolved] == \
         [(i.id, i.amortized) for i in ranked]
+    assert [(i.id, i.h) for i in resolved] == [("A", 12), ("B", 5)]
 
 
 def test_degenerate_zero_tie_broken_by_first_year():
     items = [("late", 0, 2000), ("early", 0, 1999)]
     ranked = amortized_h_index(items, reference_year=2000)
-    resolved, decrements = resolve_amortized_ties(ranked)
-    assert decrements == {}
-    assert [item.id for item in resolved] == ["early", "late"]
+    resolved = resolve_amortized_ties(ranked)
+    assert [(item.id, item.h) for item in resolved] == [("early", 0), ("late", 0)]
     assert all(item.tie_flag for item in resolved)
 
 
@@ -160,7 +161,7 @@ def test_resolution_terminates_on_cascading_ties():
         items = [(f"i{k}", rng.randrange(0, 12), rng.randrange(2015, 2024))
                  for k in range(6)]
         ranked = amortized_h_index(items, reference_year=2023)
-        resolved, _ = resolve_amortized_ties(ranked)
+        resolved = resolve_amortized_ties(ranked)
         values = [item.amortized for item in resolved]
         unresolved = [v for v in values if values.count(v) > 1]
         for value in unresolved:  # only the h = 0 floor may still collide

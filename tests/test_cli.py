@@ -332,6 +332,7 @@ def test_config_value_is_converted_like_its_flag(corpus_file, tmp_path):
     ({"top_n": True}, "--top-n"),
     ({"field": "XX"}, "--field"),
     ({"field": ["DE"]}, "--field"),
+    ({"top_n": -1}, "--top-n"),
 ])
 def test_bad_config_value_exits_2_naming_the_option(corpus_file, tmp_path, capsys,
                                                    entry, flag):
@@ -341,6 +342,20 @@ def test_bad_config_value_exits_2_naming_the_option(corpus_file, tmp_path, capsy
                  "--out", str(tmp_path)]) == 2
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "terms.csv").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("terms", "--top-n"), ("collab", "--top-n"), ("historiograph", "--top-n"),
+    ("sankey", "--k-left"), ("sankey", "--k-mid"), ("sankey", "--k-right"),
+])
+def test_count_below_one_exits_2_naming_the_flag(corpus_file, tmp_path, capsys,
+                                                 command, flag):
+    out = tmp_path / "out"
+    for value in ("0", "-2"):
+        assert main([command, "--corpus", str(corpus_file), flag, value,
+                     "--out", str(out)]) == 2
+        assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_config_switch_exits_2(corpus_file, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Corpus file schema 2: two lines per document, references decoded on
+"""Corpus file schema 3: two lines per document, references decoded on
 request only, and malformed files rejected with a line number."""
 from __future__ import annotations
 
@@ -45,12 +45,12 @@ def test_document_fields_keep_their_file_order():
         "id", "authors", "title", "source", "pub_year", "total_citations",
         "ref_count", "author_keywords", "keywords_plus", "abstract",
         "affiliations", "corresponding", "doi", "doc_type", "language",
-        "categories", "quality_flags", "extra", "missing_fields")
+        "categories", "quality_flags", "missing_fields")
 
 
 def test_two_lines_per_document(tmp_path):
     path, lines = saved_lines(tmp_path)
-    assert json.loads(lines[0])["schema"] == CORPUS_SCHEMA == "scimap-corpus/2"
+    assert json.loads(lines[0])["schema"] == CORPUS_SCHEMA == "scimap-corpus/3"
     assert len(lines) == 1 + 2 * 2
     assert "cited_refs" not in json.loads(lines[1])
     assert json.loads(lines[2])[1] == ["OHLSON JA, 1980, J ACCOUNTING RES",
@@ -146,20 +146,48 @@ def test_malformed_document_line_names_its_line(tmp_path, bad):
         load_corpus(path)
 
 
-def test_version_1_file_asks_for_reingest(tmp_path, capsys):
+@pytest.mark.parametrize("schema", ["scimap-corpus/1", "scimap-corpus/2"])
+def test_version_1_file_asks_for_reingest(tmp_path, capsys, schema):
     path = tmp_path / "old.dat"
-    path.write_text(json.dumps({"schema": "scimap-corpus/1",
+    path.write_text(json.dumps({"schema": schema,
                                 "reference_year": 2023}) + "\n"
                     + json.dumps({"id": "a", "cited_refs": []}) + "\n")
     assert main(["coverage", "--corpus", str(path),
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert "scimap-corpus/1" in err and "re-ingest with this version" in err
+    assert schema in err and "re-ingest with this version" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("reference_year", None), ("reference_year", "abc"),
+    ("reference_year", 2023.0), ("reference_year", True),
+    ("provenance", "sample.txt"), ("provenance", [1]), ("provenance", None),
+    ("screening", [{"removed_id": "x", "reason": "retracted", "kept_id": "",
+                    "detail": "", "extra": ""}]),
+    ("screening", [{"removed_id": "x", "reason": "retracted"}]),
+    ("screening", [{"removed_id": "x", "reason": 1, "kept_id": "",
+                    "detail": ""}]),
+    ("screening", ["x"]), ("screening", {}),
+])
+def test_malformed_header_names_the_file(tmp_path, capsys, key, value):
+    path, lines = saved_lines(tmp_path)
+    header = json.loads(lines[0])
+    if value is None:
+        del header[key]
+    else:
+        header[key] = value
+    lines[0] = json.dumps(header) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert main(["coverage", "--corpus", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: header {key}" in err
 
 
 def test_save_fills_missing_fields_so_coverage_needs_no_references(tmp_path):
     corpus = sample_corpus()
-    assert all(doc.missing_fields is None for doc in corpus.documents)
+    # dedupe_and_screen filled both from their values, references included
+    assert ["CR" in doc.missing_fields for doc in corpus.documents] == [False, True]
     expected = coverage_report(corpus)
     path = tmp_path / "corpus.dat"
     save_corpus(corpus, path)
@@ -207,8 +235,7 @@ DOCUMENT = st.builds(
     author_keywords=TEXTS, keywords_plus=TEXTS, abstract=OPTIONAL_TEXT,
     affiliations=TEXTS, corresponding=OPTIONAL_TEXT, doi=OPTIONAL_TEXT,
     doc_type=TEXT, language=TEXT, categories=TEXTS, quality_flags=TEXTS,
-    extra=st.dictionaries(TEXT, TEXTS, max_size=2),
-    missing_fields=st.none() | st.lists(
+    missing_fields=st.lists(
         st.sampled_from([tag for tag, _ in FIELD_ROLES]), unique=True))
 CORPUS = st.builds(
     Corpus, documents=st.lists(DOCUMENT, max_size=4),

@@ -113,17 +113,6 @@ def test_growth_rate_closed_form():
     assert abs(stats.annual_growth_rate_pct - 100.0) < 1e-9
 
 
-def test_growth_rate_partial_year_flag():
-    docs = [make_document(f"f{i}", title=f"f{i}", pub_year=2000) for i in range(2)]
-    docs += [make_document(f"m{i}", title=f"m{i}", pub_year=2002) for i in range(8)]
-    docs += [make_document("tail", title="tail", pub_year=2003)]
-    corpus = build_corpus(docs)
-    full = annual_growth_rate(corpus)
-    trimmed = annual_growth_rate(corpus, exclude_final_year=True)
-    assert trimmed != full
-    assert abs(trimmed - 100.0) < 1e-9
-
-
 def test_summary_requires_dated_documents():
     corpus = build_corpus([make_document("a", title="a", pub_year=2000)])
     corpus.documents[0].pub_year = None
@@ -344,13 +333,8 @@ def test_collaboration_totals_bounded_by_corpus_size():
 
 # Method occurrence ------------------------------------------------------------------
 
-NICHES = {"perf": {"bankruptcy prediction", "firm performance"},
-          "fintech": {"fintech", "blockchain"}}
-
-
-def niche_of(doc):
-    terms = set(doc.author_keywords)
-    return {name for name, markers in NICHES.items() if terms & markers}
+NICHES = {"perf": ["bankruptcy prediction", "firm performance"],
+          "fintech": ["fintech", "blockchain"]}
 
 
 def test_method_occurrence_threshold_boundary():
@@ -359,7 +343,7 @@ def test_method_occurrence_threshold_boundary():
                                     "artificial neural network"])
             for i in range(3)]
     lexicon = {"ANN": ["artificial neural network", "neural network"]}
-    result = method_occurrence(build_corpus(docs), niche_of, lexicon, min_occ=3)
+    result = method_occurrence(build_corpus(docs), NICHES, lexicon, min_occ=3)
     assert result.counts[("perf", "ANN")] == 3  # at threshold: retained
     assert result.row_totals["perf"] == 3
     assert result.column_totals["ANN"] == 3
@@ -370,7 +354,7 @@ def test_method_occurrence_suppression_below_threshold():
                           keywords=["fintech", "topic modeling"])
             for i in range(2)]
     lexicon = {"TM": ["topic modeling"]}
-    result = method_occurrence(build_corpus(docs), niche_of, lexicon, min_occ=3)
+    result = method_occurrence(build_corpus(docs), NICHES, lexicon, min_occ=3)
     assert result.counts[("fintech", "TM")] == 0
     assert ("fintech", "TM", 2) in result.suppressed
 
@@ -379,7 +363,7 @@ def test_method_occurrence_empty_synonym_column():
     docs = [make_document("d", title="d", pub_year=2020,
                           keywords=["bankruptcy prediction"])]
     lexicon = {"GHOST": []}
-    result = method_occurrence(build_corpus(docs), niche_of, lexicon)
+    result = method_occurrence(build_corpus(docs), NICHES, lexicon)
     assert result.column_totals["GHOST"] == 0
 
 
