@@ -37,7 +37,7 @@ from .metrics import (
 from .normalize import LEVEL_TAGS, REFERENCE_TAGS, field_values, to_document
 from .parsing import ExportParseError, parse_bibtex_export, parse_plaintext_export
 from .records import Corpus, MAX_PLAUSIBLE_YEAR
-from .tables import config_hash, fmt, write_table
+from .tables import config_hash, fmt, ranked, write_table
 from .themes import thematic_evolution
 from .mfas import Multigraph, calibration_harness, solve
 
@@ -109,9 +109,11 @@ def _config_flags(parser: argparse.ArgumentParser,
 
 def _resolve_config(args: argparse.Namespace) -> dict:
     """The analysis parameters the artifact headers hash; the output
-    directory falls back to ``SCIMAP_OUT``, then the working directory."""
+    directory falls back to ``SCIMAP_OUT``, then the working directory.
+    Writers create it as they write."""
     if getattr(args, "out", None) is None:
         args.out = os.environ.get("SCIMAP_OUT", ".")
+    args.out = Path(args.out)
     # The hash covers analysis parameters; filesystem locations are
     # incidental (input identity is carried by provenance/basename meta).
     path_keys = {"handler", "config", "out", "corpus", "output", "inputs",
@@ -136,12 +138,6 @@ def _meta(config: dict, corpus: Optional[Corpus] = None, **extra) -> dict:
         meta["reference-year"] = corpus.reference_year
     meta.update(extra)
     return meta
-
-
-def _outdir(args) -> Path:
-    path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _load(args, references: bool = False) -> Corpus:
@@ -208,7 +204,7 @@ def cmd_coverage(args, config):
     rows = [(r.tag, r.description, r.missing_count, fmt(r.missing_pct), r.label)
             for r in report.rows]
     write_table(rows, ["key", "description", "missing_count", "missing_pct",
-                       "label"], _outdir(args) / "coverage.csv",
+                       "label"], args.out / "coverage.csv",
                 _meta(config, corpus))
 
 
@@ -234,15 +230,15 @@ def cmd_stats(args, config):
         ("international_coauthorship_pct", fmt(stats.international_coauthorship_pct)),
     ]
     production = annual_production(corpus)
-    write_table(rows, ["metric", "value"], _outdir(args) / "stats.csv",
+    write_table(rows, ["metric", "value"], args.out / "stats.csv",
                 _meta(config, corpus))
     write_table([(y, int(v)) for y, v in production.points],
-                ["year", "documents"], _outdir(args) / "annual_production.csv",
+                ["year", "documents"], args.out / "annual_production.csv",
                 _meta(config, corpus, undated=production.undated))
     citations = mean_citation_per_elapsed_years(corpus)
     write_table([(y, fmt(float(v))) for y, v in citations],
                 ["year", "mean_citation_per_elapsed_years"],
-                _outdir(args) / "citation_per_elapsed_years.csv",
+                args.out / "citation_per_elapsed_years.csv",
                 _meta(config, corpus))
 
 
@@ -255,13 +251,13 @@ def cmd_bradford(args, config):
         for (source, count), cumulative in zip(zone.sources, zone.cumulative):
             source_rows.append((zone.zone_index, source, count, cumulative))
     write_table(source_rows, ["zone", "source", "articles", "cumulative"],
-                _outdir(args) / "bradford_sources.csv", _meta(config, corpus))
+                args.out / "bradford_sources.csv", _meta(config, corpus))
     zone_rows = [(z.zone_index, len(z.sources),
                   sum(c for _, c in z.sources), fmt(z.source_share_pct),
                   fmt(z.article_share_pct)) for z in zones]
     write_table(zone_rows, ["zone", "sources", "articles", "source_share_pct",
                             "article_share_pct"],
-                _outdir(args) / "bradford_zones.csv", _meta(config, corpus))
+                args.out / "bradford_zones.csv", _meta(config, corpus))
 
 
 def cmd_lotka(args, config):
@@ -270,7 +266,7 @@ def cmd_lotka(args, config):
     rows = [(n, fit.observed[n], fmt(fit.predicted[n]))
             for n in sorted(fit.observed)]
     write_table(rows, ["documents", "observed_authors", "predicted_authors"],
-                _outdir(args) / "lotka.csv",
+                args.out / "lotka.csv",
                 _meta(config, corpus, baseline=fit.baseline_authors))
 
 
@@ -287,9 +283,8 @@ def cmd_hindex(args, config):
         plain.append((entity, h_index([d.total_citations for d in docs]),
                       min(years) if years else None))
     if not args.amortized:
-        rows = sorted(((e, h) for e, h, _ in plain), key=lambda r: (-r[1], r[0]))
-        write_table(rows, ["entity", "h_index"],
-                    _outdir(args) / f"hindex_{args.level}.csv",
+        write_table(ranked((e, h) for e, h, _ in plain), ["entity", "h_index"],
+                    args.out / f"hindex_{args.level}.csv",
                     _meta(config, corpus))
         return
     dated = [(e, h, y) for e, h, y in plain if y is not None]
@@ -303,7 +298,7 @@ def cmd_hindex(args, config):
              item.tie_flag or "") for item in items]
     write_table(rows, ["entity", "h_index", "first_year", "citable_years",
                        "normalized_ps", "amortized", "flag"],
-                _outdir(args) / f"hindex_{args.level}_amortized.csv",
+                args.out / f"hindex_{args.level}_amortized.csv",
                 _meta(config, corpus))
 
 
@@ -327,7 +322,7 @@ def cmd_amortize(args, config):
     write_table(out_rows, ["year", "metric", "citable_years",
                            "pondering_scalar", "normalized_ps", "amortized",
                            "display"],
-                _outdir(args) / "amortized.csv",
+                args.out / "amortized.csv",
                 _meta(config, **{"reference-year": reference_year}))
 
 
@@ -335,7 +330,7 @@ def cmd_terms(args, config):
     corpus = _load(args)
     stats = term_frequencies(corpus, args.field, top_n=args.top_n)
     write_table([(s.term, s.frequency) for s in stats], ["term", "frequency"],
-                _outdir(args) / "terms.csv", _meta(config, corpus))
+                args.out / "terms.csv", _meta(config, corpus))
 
 
 def cmd_trending(args, config):
@@ -345,28 +340,32 @@ def cmd_trending(args, config):
     rows = [(s.term, s.frequency, s.q1_year, s.median_year, s.q3_year)
             for s in stats]
     write_table(rows, ["term", "frequency", "q1_year", "median_year", "q3_year"],
-                _outdir(args) / "trending.csv", _meta(config, corpus))
+                args.out / "trending.csv", _meta(config, corpus))
+
+
+def _nodes_by_weight(graph) -> list:
+    nodes = {node.id: node for node in graph.nodes}
+    return [nodes[node_id] for node_id, _ in
+            ranked((node.id, node.weight) for node in graph.nodes)]
 
 
 def _write_graph_artifacts(args, config, corpus, graph, stem):
-    clustering = walktrap(graph) if args.cluster else None
     extra = {}
-    if clustering is not None:
+    if args.cluster:
+        clustering = walktrap(graph)
+        graph.nodes = [node._replace(cluster=clustering.assignment.get(node.id))
+                       for node in graph.nodes]
         extra["modularity"] = repr(clustering.modularity)
         extra["clusters"] = clustering.n_clusters
-    path = _outdir(args) / f"{stem}.{args.flavor}"
-    write_graph(graph, path, flavor=args.flavor, clustering=clustering,
-                meta=_meta(config, corpus, **extra))
-    rows = []
-    for node in sorted(graph.nodes, key=lambda n: (-n.weight, n.id)):
-        cluster = clustering.assignment.get(node.id, "") if clustering else ""
-        rows.append((node.id, node.label, node.weight, cluster))
-    write_table(rows, ["id", "label", "weight", "cluster"],
-                _outdir(args) / f"{stem}_nodes.csv",
-                _meta(config, corpus, **extra))
+    meta = _meta(config, corpus, **extra)
+    write_graph(graph, args.out / f"{stem}.{args.flavor}", flavor=args.flavor,
+                meta=meta)
+    write_table([(node.id, node.label, node.weight, node.cluster)
+                 for node in _nodes_by_weight(graph)],
+                ["id", "label", "weight", "cluster"],
+                args.out / f"{stem}_nodes.csv", meta)
     write_table(sorted(graph.edges), ["source", "target", "weight"],
-                _outdir(args) / f"{stem}_edges.csv",
-                _meta(config, corpus, **extra))
+                args.out / f"{stem}_edges.csv", meta)
 
 
 def cmd_cooccur(args, config):
@@ -390,25 +389,23 @@ def cmd_collab(args, config):
     rows, excluded = collaboration_indices(corpus)
     write_table([(r.country, r.scp, r.mcp, fmt(r.mcp_pct, 1)) for r in rows],
                 ["country", "scp", "mcp", "mcp_pct"],
-                _outdir(args) / "collaboration_indices.csv",
+                args.out / "collaboration_indices.csv",
                 _meta(config, corpus, excluded=len(excluded)))
 
 
 def cmd_pagerank(args, config):
     graph = read_graph(args.graph)
     scores = pagerank(graph, damping=args.damping)
-    rows = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    write_table([(n, repr(s)) for n, s in rows], ["node", "pagerank"],
-                _outdir(args) / "pagerank.csv",
+    write_table([(n, repr(s)) for n, s in ranked(scores.items())],
+                ["node", "pagerank"], args.out / "pagerank.csv",
                 _meta(config, damping=args.damping))
 
 
 def cmd_betweenness(args, config):
     graph = read_graph(args.graph)
     scores = betweenness(graph)
-    rows = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    write_table([(n, repr(s)) for n, s in rows], ["node", "betweenness"],
-                _outdir(args) / "betweenness.csv",
+    write_table([(n, repr(s)) for n, s in ranked(scores.items())],
+                ["node", "betweenness"], args.out / "betweenness.csv",
                 _meta(config, paths="hop-count shortest paths; edge weights ignored"))
 
 
@@ -416,7 +413,7 @@ def cmd_walktrap(args, config):
     graph = read_graph(args.graph)
     clustering = walktrap(graph, walk_length=args.walk_length)
     rows = sorted(clustering.assignment.items())
-    write_table(rows, ["node", "cluster"], _outdir(args) / "clusters.csv",
+    write_table(rows, ["node", "cluster"], args.out / "clusters.csv",
                 _meta(config, modularity=repr(clustering.modularity),
                       clusters=clustering.n_clusters))
 
@@ -425,12 +422,12 @@ def cmd_historiograph(args, config):
     corpus = _load(args, references=True)
     graph, flags = historiograph(corpus, match_local_citations(corpus),
                                  n=args.top_n)
-    path = _outdir(args) / f"historiograph.{args.flavor}"
+    path = args.out / f"historiograph.{args.flavor}"
     write_graph(graph, path, flavor=args.flavor,
                 meta=_meta(config, corpus, flags=len(flags)))
     by_id = {doc.id: doc for doc in corpus.documents}
     rows = []
-    for node in sorted(graph.nodes, key=lambda n: (-n.weight, n.id)):
+    for node in _nodes_by_weight(graph):
         doc = by_id[node.id]
         # yearly average over citable years (in-progress year counts as one)
         yearly = "" if doc.pub_year is None else fmt(
@@ -439,11 +436,11 @@ def cmd_historiograph(args, config):
                      doc.total_citations, yearly))
     write_table(rows, ["id", "label", "local_citations", "global_citations",
                        "avg_yearly_local_citations"],
-                _outdir(args) / "historiograph_documents.csv",
+                args.out / "historiograph_documents.csv",
                 _meta(config, corpus, flags=len(flags)))
     if flags:
         write_table([(flag,) for flag in flags], ["flag"],
-                    _outdir(args) / "historiograph_flags.csv",
+                    args.out / "historiograph_flags.csv",
                     _meta(config, corpus))
 
 
@@ -459,12 +456,12 @@ def cmd_sankey(args, config):
         for item, count in items:
             item_rows.append((side, item, count))
     write_table(item_rows, ["pillar", "item", "documents"],
-                _outdir(args) / "sankey_items.csv",
+                args.out / "sankey_items.csv",
                 _meta(config, corpus, fields="-".join(flow.fields)))
     flow_rows = [("left-middle", a, b, w) for a, b, w in flow.flows_left]
     flow_rows += [("middle-right", a, b, w) for a, b, w in flow.flows_right]
     write_table(flow_rows, ["span", "from", "to", "weight"],
-                _outdir(args) / "sankey_flows.csv",
+                args.out / "sankey_flows.csv",
                 _meta(config, corpus, fields="-".join(flow.fields)))
 
 
@@ -500,10 +497,10 @@ def cmd_themes(args, config):
             link_rows.append((start, end, a, b, fmt(w, 4)))
     write_table(cluster_rows, ["slice_start", "slice_end", "theme",
                                "frequency", "terms"],
-                _outdir(args) / "themes.csv", _meta(config, corpus))
+                args.out / "themes.csv", _meta(config, corpus))
     write_table(link_rows, ["slice_start", "slice_end", "from_theme",
                             "to_theme", "inclusion_index"],
-                _outdir(args) / "themes_links.csv", _meta(config, corpus))
+                args.out / "themes_links.csv", _meta(config, corpus))
 
 
 def cmd_rpys(args, config):
@@ -511,7 +508,7 @@ def cmd_rpys(args, config):
     rows, undated = rpys(match_local_citations(corpus))
     write_table([(r.year, r.n_references, r.citations) for r in rows],
                 ["year", "n_references", "citations"],
-                _outdir(args) / "rpys.csv",
+                args.out / "rpys.csv",
                 _meta(config, corpus, undated_mentions=undated))
 
 
@@ -538,7 +535,7 @@ def cmd_methods(args, config):
                     + [result.row_totals[niche]])
     rows.append(["total"] + [result.column_totals[m] for m in result.methods]
                 + [sum(result.column_totals.values())])
-    write_table(rows, header, _outdir(args) / "methods.csv",
+    write_table(rows, header, args.out / "methods.csv",
                 _meta(config, corpus, suppressed=len(result.suppressed),
                       min_occ=args.min_occ))
 
@@ -561,7 +558,7 @@ def cmd_mfas(args, config):
                                  f"/{report.reference_bound.denominator}",
                  witness_order=" ".join(best.witness_order))
     write_table([(u, v, count) for (u, v), count in sorted(best.removed.items())],
-                ["from", "to", "removed"], _outdir(args) / "mfas_solution.csv",
+                ["from", "to", "removed"], args.out / "mfas_solution.csv",
                 meta)
     print(f"feedback arc set of size {best.size} after {report.runs} runs "
           f"(success bound {float(report.reference_bound):.10f})")
@@ -582,12 +579,12 @@ def cmd_mfas_calibrate(args, config):
                   "" if r.first_success_run is None else r.first_success_run,
                   r.successes) for r in result.records],
                 ["trial", "best_size", "first_success_run", "successes"],
-                _outdir(args) / "calibration_trials.csv", meta)
+                args.out / "calibration_trials.csv", meta)
     curve_rows = [(r + 1, repr(result.empirical_cumulative[r]),
                    repr(float(result.theoretical_cumulative[r])))
                   for r in range(result.runs_per_trial)]
     write_table(curve_rows, ["run", "empirical_success", "reference_bound"],
-                _outdir(args) / "calibration_curve.csv", meta)
+                args.out / "calibration_curve.csv", meta)
     print(f"optimum {result.optimum}; per-run success rate "
           f"{result.per_run_success_rate:.4f} "
           f"(Wilson {result.wilson_low:.4f}..{result.wilson_high:.4f})")

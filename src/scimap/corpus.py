@@ -178,15 +178,19 @@ def save_corpus(corpus: Corpus, path: str | Path) -> Path:
     """Write the versioned corpus file: one JSON header line, then two
     lines per document (fields, cited references) in stable field order.
 
-    Every document is checked to hold its references before the file is
-    opened, so a data error leaves no file behind; then each line is
-    written straight to the open file.
+    Every document is checked to hold its references and its
+    ``missing_fields`` list, which ``load_corpus`` requires, before the
+    file is opened, so a data error leaves no file behind; then each
+    line is written straight to the open file.
     """
     path = Path(path)
     for doc in corpus.documents:
         if doc.cited_refs is None:
             raise TypeError(f"document {doc.id!r} was loaded without its "
                             f"references and cannot be saved")
+        if type(doc.missing_fields) is not list:
+            raise TypeError(f"document {doc.id!r} has no missing_fields list "
+                            f"(dedupe_and_screen fills it) and cannot be saved")
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
         handle.write(_dump({

@@ -11,7 +11,6 @@ from pathlib import Path
 from typing import Mapping, Optional
 
 from . import ENGINE_VERSION
-from .community import Clustering
 from .graphs import Graph, GraphNode
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
@@ -22,12 +21,6 @@ _KEYS = (
     ("d_cluster", "node", "cluster", "long"),
     ("d_edge_weight", "edge", "weight", "double"),
 )
-
-
-def _apply_clustering(graph: Graph, clustering: Optional[Clustering]) -> dict[str, Optional[int]]:
-    if clustering is None:
-        return {node.id: node.cluster for node in graph.nodes}
-    return {node.id: clustering.assignment.get(node.id) for node in graph.nodes}
 
 
 def _header_lines(meta: Optional[Mapping]) -> list[str]:
@@ -85,7 +78,6 @@ def _refuse_not_xml_char(graph: Graph, comment: str, path: Path) -> None:
 
 
 def write_graphml(graph: Graph, path: str | Path,
-                  clustering: Optional[Clustering] = None,
                   meta: Optional[Mapping] = None) -> Path:
     """Write GraphML as text, byte for byte what ElementTree's indented
     serialization of the same tree gives.
@@ -97,7 +89,6 @@ def write_graphml(graph: Graph, path: str | Path,
     written.
     """
     path = Path(path)
-    clusters = _apply_clustering(graph, clustering)
     comment = re.sub("-(?=-)", "- ", " | ".join(_header_lines(meta)))
     nodes = sorted(graph.nodes, key=lambda n: n.id)
     edges = sorted(graph.edges)
@@ -121,9 +112,8 @@ def write_graphml(graph: Graph, path: str | Path,
         for node in nodes:
             label = (f'<data key="d_label">{_escape_text(node.label)}</data>'
                      if node.label else '<data key="d_label" />')
-            cluster = clusters[node.id]
-            cluster = ("" if cluster is None else
-                       f'      <data key="d_cluster">{cluster}</data>\n')
+            cluster = ("" if node.cluster is None else
+                       f'      <data key="d_cluster">{node.cluster}</data>\n')
             parts.append(f'    <node id="{attribute[node.id]}">\n'
                          f"      {label}\n"
                          f'      <data key="d_weight">{node.weight!r}</data>\n'
@@ -178,17 +168,15 @@ def _dot_quote(text: str) -> str:
 
 
 def write_dot(graph: Graph, path: str | Path,
-              clustering: Optional[Clustering] = None,
               meta: Optional[Mapping] = None) -> Path:
-    clusters = _apply_clustering(graph, clustering)
     kind = "digraph" if graph.directed else "graph"
     arrow = "->" if graph.directed else "--"
     lines = [f"{kind} G {{"]
     lines.extend(f"  // {line}" for line in _header_lines(meta))
     for node in sorted(graph.nodes, key=lambda n: n.id):
         attrs = [f"label={_dot_quote(node.label)}", f"weight={node.weight!r}"]
-        if clusters[node.id] is not None:
-            attrs.append(f"cluster={clusters[node.id]}")
+        if node.cluster is not None:
+            attrs.append(f"cluster={node.cluster}")
         lines.append(f"  {_dot_quote(node.id)} [{', '.join(attrs)}];")
     for u, v, w in sorted(graph.edges):
         lines.append(f"  {_dot_quote(u)} {arrow} {_dot_quote(v)} [weight={w!r}];")
@@ -247,12 +235,11 @@ def _parse_dot_attrs(text: str) -> dict[str, str]:
 
 
 def write_graph(graph: Graph, path: str | Path, flavor: str = "graphml",
-                clustering: Optional[Clustering] = None,
                 meta: Optional[Mapping] = None) -> Path:
     if flavor == "graphml":
-        return write_graphml(graph, path, clustering, meta)
+        return write_graphml(graph, path, meta)
     if flavor == "dot":
-        return write_dot(graph, path, clustering, meta)
+        return write_dot(graph, path, meta)
     raise ValueError(f"unknown graph flavor {flavor!r} (graphml or dot)")
 
 

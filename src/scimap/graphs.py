@@ -8,12 +8,13 @@ each edge once with the endpoint ids ordered.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, NamedTuple, Optional
 
 from .digraph import reaches
 from .normalize import LEVEL_TAGS, field_values, reference_key, surname_of
 from .records import CitedReference, Corpus, Document
+from .tables import ranked
 
 # Minimum shared prefix for a cited-source string to match a corpus source.
 SOURCE_PREFIX_MIN = 6
@@ -79,17 +80,13 @@ def pair_counts(item_sets: Iterable[set[str]], kept: set[str]) -> Counter:
 class LocalCitations(NamedTuple):
     """Result of matching cited references against the corpus itself."""
 
-    # distinct corpus documents citing each corpus document
-    document_counts: dict[str, int]
-    # distinct corpus documents citing each reference (corpus or not);
-    # a reference matched to a corpus document is keyed ("doc", id)
-    reference_counts: dict[tuple, int]
+    # citing document id -> set of reference keys it mentions; a
+    # reference matched to a corpus document is keyed ("doc", id)
+    mentions: dict[str, set[tuple]]
+    # distinct corpus documents citing each reference (corpus or not)
+    reference_counts: Counter
     reference_labels: dict[tuple, str]
     reference_years: dict[tuple, Optional[int]]
-    # citing document id -> set of reference keys it mentions
-    mentions: dict[str, set[tuple]]
-    # citing document id -> set of cited corpus document ids
-    direct_citations: dict[str, set[str]]
 
 
 def _source_prefix_match(a: Optional[str], b: Optional[str]) -> bool:
@@ -142,11 +139,9 @@ def match_local_citations(corpus: Corpus) -> LocalCitations:
                     return doc.id
         return None
 
-    citing_docs: dict[tuple, set[str]] = {}
     labels: dict[tuple, str] = {}
     years: dict[tuple, Optional[int]] = {}
     mentions: dict[str, set[tuple]] = {}
-    direct: dict[str, set[str]] = {}
     doc_by_id = {doc.id: doc for doc in corpus.documents}
 
     for doc in corpus.documents:
@@ -157,14 +152,9 @@ def match_local_citations(corpus: Corpus) -> LocalCitations:
                 continue  # a record citing itself carries no local signal
             key = ("doc", target) if target else reference_key(ref)
             seen.add(key)
-            if target:
-                direct.setdefault(doc.id, set()).add(target)
-            citing = citing_docs.get(key)
-            if citing is not None:
-                citing.add(doc.id)
+            if key in labels:
                 continue
             # The first mention names the key; later ones only count.
-            citing_docs[key] = {doc.id}
             if target:
                 labels[key] = _doc_ref_label(doc_by_id[target])
                 years[key] = doc_by_id[target].pub_year
@@ -173,13 +163,11 @@ def match_local_citations(corpus: Corpus) -> LocalCitations:
                 years[key] = ref.year
         mentions[doc.id] = seen
 
-    document_counts = {doc.id: len(citing_docs.get(("doc", doc.id), set()))
-                       for doc in corpus.documents}
-    reference_counts = {key: len(docs) for key, docs in citing_docs.items()}
-    return LocalCitations(document_counts=document_counts,
-                          reference_counts=reference_counts,
-                          reference_labels=labels, reference_years=years,
-                          mentions=mentions, direct_citations=direct)
+    reference_counts = Counter()
+    for keys in mentions.values():
+        reference_counts.update(keys)
+    return LocalCitations(mentions=mentions, reference_counts=reference_counts,
+                          reference_labels=labels, reference_years=years)
 
 
 # Graph builders ----------------------------------------------------------------
@@ -245,8 +233,7 @@ def collaboration_graph(corpus: Corpus, level: str = "author",
                          for entity in entities)
     kept = set(doc_counts)
     if top_n is not None:
-        ranked = sorted(doc_counts.items(), key=lambda item: (-item[1], item[0]))
-        kept = {entity for entity, _ in ranked[:top_n]}
+        kept = {entity for entity, _ in ranked(doc_counts.items(), top_n)}
 
     pair_weights = pair_counts(doc_entities, kept)
     linked = {u for u, _ in pair_weights} | {v for _, v in pair_weights}
@@ -265,17 +252,17 @@ def historiograph(corpus: Corpus, local: LocalCitations, n: int = 30,
     citation keeps its citing orientation unless that would close a cycle;
     either way it is flagged, never guessed.
     """
-    ranked = sorted(corpus.documents,
-                    key=lambda d: (-local.document_counts[d.id], d.id))
-    top = ranked[:n]
+    counts = local.reference_counts
+    doc_by_id = {doc.id: doc for doc in corpus.documents}
+    local_counts = ((doc.id, counts[("doc", doc.id)]) for doc in corpus.documents)
+    top = [doc_by_id[doc_id] for doc_id, _ in ranked(local_counts, n)]
     top_ids = {doc.id for doc in top}
     year = {doc.id: doc.pub_year for doc in corpus.documents}
 
-    arcs = []
-    for doc in top:
-        for target in sorted(local.direct_citations.get(doc.id, set())):
-            if target in top_ids and target != doc.id:
-                arcs.append((doc.id, target))
+    # Matching already leaves self-citations out of the mentions.
+    arcs = [(doc.id, key[1]) for doc in top
+            for key in local.mentions.get(doc.id, ())
+            if key[0] == "doc" and key[1] in top_ids]
 
     flags: list[str] = []
     adjacency: dict[str, set[str]] = {doc.id: set() for doc in top}
@@ -298,7 +285,7 @@ def historiograph(corpus: Corpus, local: LocalCitations, n: int = 30,
         kept_arcs.append((citing, cited, 1.0))
 
     nodes = [GraphNode(id=doc.id, label=_doc_ref_label(doc),
-                       weight=float(local.document_counts[doc.id]))
+                       weight=float(counts[("doc", doc.id)]))
              for doc in top]
     graph = Graph(nodes=nodes, edges=kept_arcs, directed=True)
     graph.validate()
@@ -321,10 +308,12 @@ def three_field_flow(corpus: Corpus, left: str, middle: str, right: str,
                      ) -> ThreeFieldFlow:
     """Document flows between the top items of three fields.
 
-    Pillar items are the top-k by document count; a flow weight counts
-    the documents exhibiting both of its endpoints.
+    Pillar items are the top-k by document count, each pillar with its
+    own k, also when two pillars show the same field; a flow weight
+    counts the documents exhibiting both of its endpoints.
     """
-    local = match_local_citations(corpus) if "CR" in (left, middle, right) else None
+    fields = (left, middle, right)
+    local = match_local_citations(corpus) if "CR" in fields else None
 
     def items_of(doc: Document, side: str) -> set[str]:
         # CR pillars show local-citation labels, which only matching knows.
@@ -333,36 +322,28 @@ def three_field_flow(corpus: Corpus, left: str, middle: str, right: str,
                     for key in local.mentions.get(doc.id, set())}
         return field_values(doc, side)
 
-    per_doc = []
-    counts = {side: Counter() for side in (left, middle, right)}
-    for doc in corpus.documents:
-        items = {side: items_of(doc, side) for side in (left, middle, right)}
-        per_doc.append(items)
-        for side in (left, middle, right):
-            counts[side].update(items[side])
-
-    def top(side: str, k: int) -> list[tuple[str, int]]:
-        ranked = sorted(counts[side].items(), key=lambda it: (-it[1], it[0]))
-        return ranked[:k]
-
-    pillars = {side: dict(top(side, k))
-               for side, k in ((left, k_left), (middle, k_mid), (right, k_right))}
+    per_doc = [tuple(items_of(doc, side) for side in fields)
+               for doc in corpus.documents]
+    pillars = []
+    for position, k in enumerate((k_left, k_mid, k_right)):
+        counts = Counter()
+        for items in per_doc:
+            counts.update(items[position])
+        pillars.append(ranked(counts.items(), k))
+    kept_left, kept_mid, kept_right = ({item for item, _ in pillar}
+                                       for pillar in pillars)
     flows_left = Counter()
     flows_right = Counter()
-    for items in per_doc:
-        for a in items[left] & set(pillars[left]):
-            for b in items[middle] & set(pillars[middle]):
-                flows_left[(a, b)] += 1
-        for b in items[middle] & set(pillars[middle]):
-            for c in items[right] & set(pillars[right]):
-                flows_right[(b, c)] += 1
+    for a, b, c in per_doc:
+        b = b & kept_mid
+        flows_left.update(product(a & kept_left, b))
+        flows_right.update(product(b, c & kept_right))
 
     return ThreeFieldFlow(
-        left=top(left, k_left), middle=top(middle, k_mid),
-        right=top(right, k_right),
+        left=pillars[0], middle=pillars[1], right=pillars[2],
         flows_left=sorted((a, b, w) for (a, b), w in flows_left.items()),
         flows_right=sorted((b, c, w) for (b, c), w in flows_right.items()),
-        fields=(left, middle, right))
+        fields=fields)
 
 
 # Reference publication year spectroscopy --------------------------------------------

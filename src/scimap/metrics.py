@@ -12,7 +12,7 @@ from typing import NamedTuple, Optional, Sequence
 from .amortize import citable_years
 from .normalize import country_of, field_values, reference_key
 from .records import Corpus
-from .tables import round_half_up
+from .tables import ranked, round_half_up
 
 
 class AnnualSeries(NamedTuple):
@@ -136,16 +136,16 @@ def bradford_zones(source_counts: Sequence[tuple[str, int]]) -> list[BradfordZon
     """
     if len(source_counts) < 3:
         raise ValueError("Bradford zoning needs at least 3 sources")
-    ranked = sorted(source_counts, key=lambda item: (-item[1], item[0]))
-    total_articles = sum(count for _, count in ranked)
-    total_sources = len(ranked)
+    order = ranked(source_counts)
+    total_articles = sum(count for _, count in order)
+    total_sources = len(order)
     t1 = -(-total_articles // 3)        # ceil(total / 3)
     t2 = -(-2 * total_articles // 3)    # ceil(2 * total / 3)
 
     zones: dict[int, list[tuple[str, int]]] = {1: [], 2: [], 3: []}
     cumulatives: dict[int, list[int]] = {1: [], 2: [], 3: []}
     running = 0
-    for rank, (source, count) in enumerate(ranked):
+    for rank, (source, count) in enumerate(order):
         running += count
         index = 1 if running <= t1 else 2 if running <= t2 else 3
         if rank == 0:
@@ -171,8 +171,8 @@ def bradford_zones(source_counts: Sequence[tuple[str, int]]) -> list[BradfordZon
 
 
 def source_article_counts(corpus: Corpus) -> list[tuple[str, int]]:
-    counts = Counter(doc.source for doc in corpus.documents if doc.source)
-    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    return ranked(Counter(doc.source for doc in corpus.documents
+                          if doc.source).items())
 
 
 class LotkaFit(NamedTuple):
@@ -194,8 +194,8 @@ def lotka_fit(author_doc_counts: Sequence[tuple[str, int]]) -> LotkaFit:
 
 
 def author_document_counts(corpus: Corpus) -> list[tuple[str, int]]:
-    counts = Counter(a for doc in corpus.documents for a in set(doc.authors))
-    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    return ranked(Counter(a for doc in corpus.documents
+                          for a in set(doc.authors)).items())
 
 
 # Term statistics -------------------------------------------------------------
@@ -217,10 +217,8 @@ def term_frequencies(corpus: Corpus, term_field: str = "DE",
     counts = Counter()
     for doc in corpus.documents:
         counts.update(field_values(doc, term_field))
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    if top_n is not None:
-        ranked = ranked[:top_n]
-    return [TermStat(term=term, frequency=count) for term, count in ranked]
+    return [TermStat(term=term, frequency=count)
+            for term, count in ranked(counts.items(), top_n)]
 
 
 def _nearest_rank(sorted_values: list[int], quantile: float) -> int:
@@ -303,8 +301,7 @@ def collaboration_indices(corpus: Corpus,
         mcp[lead if lead in countries else countries[0]] += 1
 
     out = []
-    for country in sorted(set(scp) | set(mcp),
-                          key=lambda c: (-(scp[c] + mcp[c]), c)):
+    for country, _ in ranked((scp + mcp).items()):
         s, m = scp[country], mcp[country]
         out.append(CountryCollaboration(
             country=country, scp=s, mcp=m,

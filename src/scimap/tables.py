@@ -11,8 +11,9 @@ import hashlib
 import io
 import json
 from decimal import Decimal, ROUND_HALF_UP
+from heapq import nsmallest
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from . import ENGINE_VERSION
 
@@ -32,6 +33,16 @@ def fmt(value: Any, places: int = 2) -> str:
     if value is None:
         return ""
     return str(value)
+
+
+def ranked(pairs: Iterable[tuple[Any, Any]], k: Optional[int] = None) -> list:
+    """(name, value) pairs by descending value, ties by ascending name:
+    all of them, or the first ``k``.  A ``k`` below 1 raises ValueError."""
+    if k is None:
+        return sorted(pairs, key=lambda item: (-item[1], item[0]))
+    if k < 1:
+        raise ValueError(f"top-k must be at least 1, got {k}")
+    return nsmallest(k, pairs, key=lambda item: (-item[1], item[0]))
 
 
 def config_hash(config: Mapping[str, Any]) -> str:

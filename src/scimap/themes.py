@@ -7,12 +7,12 @@ survivors are linked across consecutive slices by inclusion index.
 from __future__ import annotations
 
 from collections import Counter
-from heapq import nsmallest
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .community import walktrap
 from .graphs import _undirected_graph, pair_counts
 from .records import Corpus
+from .tables import ranked
 from .textterms import bigrams_of, stopwords, tokenize
 
 if TYPE_CHECKING:
@@ -95,7 +95,7 @@ def _slice_graph(corpus: Corpus, start: int, end: int, n_terms: int,
     freq = Counter()
     for gram_list in grams:
         freq.update(gram_list)
-    kept = dict(nsmallest(n_terms, freq.items(), key=lambda item: (-item[1], item[0])))
+    kept = dict(ranked(freq.items(), n_terms))
     graph = _undirected_graph({t: float(n) for t, n in kept.items()},
                               pair_counts((set(g) for g in grams), set(kept)))
     return graph, kept
@@ -113,15 +113,16 @@ def _slice_themes(corpus: Corpus, start: int, end: int, n_terms: int,
     grouped: dict[int, list[str]] = {}
     for term, cluster in clustering.assignment.items():
         grouped.setdefault(cluster, []).append(term)
-    clusters = []
+    # A cluster is labelled by its most frequent term.
+    members: dict[str, list[str]] = {}
+    totals: dict[str, int] = {}
     for terms in grouped.values():
-        total = sum(freq[t] for t in terms)
-        if total < min_cluster_freq:
-            continue
-        label = min(terms, key=lambda t: (-freq[t], t))
-        clusters.append(ThemeCluster(label=label, terms=sorted(terms),
-                                     frequency=total))
-    clusters.sort(key=lambda c: (-c.frequency, c.label))
+        [(label, _)] = ranked(((t, freq[t]) for t in terms), 1)
+        members[label] = sorted(terms)
+        totals[label] = sum(freq[t] for t in terms)
+    clusters = [ThemeCluster(label=label, terms=members[label], frequency=total)
+                for label, total in ranked(totals.items())
+                if total >= min_cluster_freq]
     return ThematicSlice(period=(start, end), clusters=clusters)
 
 

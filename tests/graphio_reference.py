@@ -2,7 +2,8 @@
 
 ``scimap.graphio.write_graphml`` formats the file as text in one pass.
 This is the writer it replaced, kept verbatim so a differential test can
-require byte-identical output.
+require byte-identical output; like the text writer, it reads each
+node's cluster from ``GraphNode.cluster``.
 """
 from __future__ import annotations
 
@@ -10,15 +11,12 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import Mapping, Optional
 
-from scimap.community import Clustering
-from scimap.graphio import GRAPHML_NS, _KEYS, _apply_clustering, _header_lines
+from scimap.graphio import GRAPHML_NS, _KEYS, _header_lines
 from scimap.graphs import Graph
 
 
 def write_graphml(graph: Graph, path: str | Path,
-                  clustering: Optional[Clustering] = None,
                   meta: Optional[Mapping] = None) -> Path:
-    clusters = _apply_clustering(graph, clustering)
     root = ET.Element("graphml", xmlns=GRAPHML_NS)
     root.append(ET.Comment(" " + " | ".join(_header_lines(meta)) + " "))
     for key_id, domain, name, kind in _KEYS:
@@ -31,9 +29,9 @@ def write_graphml(graph: Graph, path: str | Path,
         element = ET.SubElement(container, "node", id=node.id)
         ET.SubElement(element, "data", key="d_label").text = node.label
         ET.SubElement(element, "data", key="d_weight").text = repr(node.weight)
-        if clusters[node.id] is not None:
+        if node.cluster is not None:
             ET.SubElement(element, "data",
-                          key="d_cluster").text = str(clusters[node.id])
+                          key="d_cluster").text = str(node.cluster)
     for u, v, w in sorted(graph.edges):
         element = ET.SubElement(container, "edge", source=u, target=v)
         ET.SubElement(element, "data", key="d_edge_weight").text = repr(w)

@@ -198,6 +198,35 @@ def test_cocite_collab_and_more(corpus_file, tmp_path):
     assert (out / "themes.csv").exists()
 
 
+def test_sankey_same_field_in_two_pillars(corpus_file, tmp_path):
+    import csv as csvmod
+    out = tmp_path / "out"
+    assert main(["terms", "--corpus", str(corpus_file), "--field", "DE",
+                 "--out", str(out)]) == 0
+    _, term_rows = read_csv(out / "terms.csv")
+    frequency = {term: int(n) for term, n in csvmod.reader(term_rows[1:])}
+    assert main(["sankey", "--corpus", str(corpus_file), "--left", "DE",
+                 "--middle", "DE", "--right", "SO", "--k-left", "2",
+                 "--k-mid", "4", "--k-right", "1", "--out", str(out)]) == 0
+    _, item_rows = read_csv(out / "sankey_items.csv")
+    pillars = {"left": {}, "middle": {}, "right": {}}
+    for side, item, documents in csvmod.reader(item_rows[1:]):
+        pillars[side][item] = int(documents)
+    assert [len(pillars[side]) for side in ("left", "middle", "right")] == [2, 4, 1]
+    for side in ("left", "middle"):
+        assert pillars[side] == {t: frequency[t] for t in pillars[side]}
+    assert set(pillars["left"]) < set(pillars["middle"])
+    _, flow_rows = read_csv(out / "sankey_flows.csv")
+    flows = [(span, a, b, int(w)) for span, a, b, w in csvmod.reader(flow_rows[1:])]
+    left_middle = [(a, b, w) for span, a, b, w in flows if span == "left-middle"]
+    assert {a for a, _, _ in left_middle} == set(pillars["left"])
+    assert {b for _, b, _ in left_middle} <= set(pillars["middle"])
+    # a term flows into itself once per document that carries it
+    assert all(w == frequency[a] for a, b, w in left_middle if a == b)
+    assert {b for span, _, b, _ in flows if span == "middle-right"} \
+        == set(pillars["right"])
+
+
 @pytest.mark.parametrize("argv, references", [
     (["sankey", "--left", "AU", "--middle", "SO", "--right", "CR"], True),
     (["sankey", "--left", "ID", "--middle", "CR_SO", "--right", "CO"], True),

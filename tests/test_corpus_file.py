@@ -215,6 +215,18 @@ def test_corpus_loaded_without_references_is_not_saved(tmp_path):
     assert not again.exists()
 
 
+@pytest.mark.parametrize("missing", [None, "CR", ("CR",)])
+def test_document_without_missing_fields_list_leaves_no_file(tmp_path, missing):
+    # load_corpus refuses a document whose missing_fields is not a list,
+    # so save_corpus must not write one
+    corpus = sample_corpus()
+    corpus.documents[0].missing_fields = missing
+    path = tmp_path / "corpus.dat"
+    with pytest.raises(TypeError, match="missing_fields"):
+        save_corpus(corpus, path)
+    assert not path.exists()
+
+
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 

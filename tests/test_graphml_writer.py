@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from graphio_reference import write_graphml as reference_write_graphml
 from scimap.cli import main
-from scimap.community import Clustering
 from scimap.graphio import _NOT_XML_CHAR, _header_lines, read_graphml, write_graphml
 from scimap.graphs import Graph, GraphNode
 
@@ -61,16 +60,10 @@ def scratch(tmp_path_factory):
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(graph=graphs(), meta=st.none() | META, data=st.data())
-def test_text_writer_matches_elementtree_bytes(scratch, graph, meta, data):
-    clustering = None
-    if data.draw(st.booleans()):
-        assignment = {node.id: data.draw(st.integers(0, 3)) for node in graph.nodes
-                      if data.draw(st.booleans())}
-        clustering = Clustering(assignment=assignment, modularity=0.0,
-                                n_clusters=len(set(assignment.values())))
-    new = write_graphml(graph, scratch / "text.graphml", clustering, meta)
-    old = reference_write_graphml(graph, scratch / "tree.graphml", clustering, meta)
+@given(graph=graphs(), meta=st.none() | META)
+def test_text_writer_matches_elementtree_bytes(scratch, graph, meta):
+    new = write_graphml(graph, scratch / "text.graphml", meta)
+    old = reference_write_graphml(graph, scratch / "tree.graphml", meta)
     assert new.read_bytes() == old.read_bytes()
 
 

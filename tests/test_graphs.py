@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from conftest import build_corpus, graph_order, make_document, make_ref
 from scimap.graphs import (
     cocitation_graph, collaboration_graph, cooccurrence_graph, historiograph,
     match_local_citations, rpys, three_field_flow,
 )
+from scimap.metrics import term_frequencies
 
 
 def kumar_style_corpus(n_citing=187):
@@ -27,8 +30,9 @@ def kumar_style_corpus(n_citing=187):
 def test_local_citation_count_via_author_year_source():
     corpus = kumar_style_corpus(187)
     local = match_local_citations(corpus)
-    assert local.document_counts["kumar2007"] == 187
-    assert all(local.document_counts[f"citing{i:03d}"] == 0 for i in range(5))
+    assert local.reference_counts[("doc", "kumar2007")] == 187
+    assert all(local.reference_counts[("doc", f"citing{i:03d}")] == 0
+               for i in range(5))
 
 
 def test_local_citation_count_via_doi():
@@ -38,7 +42,7 @@ def test_local_citation_count_via_doi():
                           cited_refs=[make_ref("SMITHE J, 2001, OTHER SRC, "
                                                "DOI 10.5/abc")])]
     local = match_local_citations(build_corpus(docs))
-    assert local.document_counts["target"] == 1
+    assert local.reference_counts[("doc", "target")] == 1
 
 
 def test_references_differing_only_in_page_merge():
@@ -54,7 +58,7 @@ def test_references_differing_only_in_page_merge():
 def test_uncited_document_counts_zero():
     corpus = kumar_style_corpus(3)
     local = match_local_citations(corpus)
-    assert local.document_counts["citing000"] == 0
+    assert local.reference_counts[("doc", "citing000")] == 0
 
 
 # Co-occurrence ---------------------------------------------------------------
@@ -330,3 +334,30 @@ def test_historiograph_undated_mutual_citations_stay_acyclic():
     graph, flags = historiograph(corpus, match_local_citations(corpus), n=10)
     assert graph_order(graph) is not None
     assert any("cycle-closing" in flag for flag in flags)
+
+
+# Top-k ----------------------------------------------------------------------------
+
+TOP_K = {
+    "term_frequencies": lambda corpus, k: term_frequencies(corpus, "DE", top_n=k),
+    "collaboration_graph": lambda corpus, k: collaboration_graph(corpus, top_n=k),
+    "historiograph": lambda corpus, k: historiograph(
+        corpus, match_local_citations(corpus), n=k),
+    "three_field_flow k_left": lambda corpus, k: three_field_flow(
+        corpus, "AU", "DE", "SO", k_left=k),
+    "three_field_flow k_mid": lambda corpus, k: three_field_flow(
+        corpus, "AU", "DE", "SO", k_mid=k),
+    "three_field_flow k_right": lambda corpus, k: three_field_flow(
+        corpus, "AU", "DE", "SO", k_right=k),
+}
+
+
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("name", sorted(TOP_K))
+def test_top_k_below_one_is_refused(name, k):
+    # A slice [:k] would keep all but the last |k| items without a word.
+    docs = [make_document(f"d{i}", authors=["A, X", "B, Y"], title=f"d{i}",
+                          source="J", pub_year=2020, keywords=["ml", "ai"])
+            for i in range(3)]
+    with pytest.raises(ValueError, match="at least 1"):
+        TOP_K[name](build_corpus(docs), k)

@@ -36,3 +36,32 @@ def test_imports_only_stdlib_numpy_and_scimap(module):
     outside = [f"line {lineno}: {root}" for lineno, root in imported_roots(tree)
                if root not in ALLOWED]
     assert not outside, f"{module.name} imports {', '.join(outside)}"
+
+
+def scimap_imports(tree: ast.AST):
+    """What a module takes from scimap: the module of each ``from .mod``
+    import, or the names of each ``from . import``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "scimap":
+            yield node.module
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names
+                        if alias.name.split(".")[0] == "scimap")
+
+
+# Leaf modules take nothing from scimap; graph I/O knows the graph type
+# and the engine version, not how clusters are found.
+LAYERS = {"digraph.py": set(), "records.py": set(), "textterms.py": set(),
+          "graphio.py": {"ENGINE_VERSION", "graphs"}}
+
+
+@pytest.mark.parametrize("name, allowed", sorted(LAYERS.items()))
+def test_low_layers_import_only_what_they_may_of_scimap(name, allowed):
+    module = PACKAGE / name
+    tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
+    assert set(scimap_imports(tree)) <= allowed

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from scimap.community import Clustering
 from scimap.graphio import read_dot, read_graph, read_graphml, write_graph
 from scimap.graphs import Graph, GraphNode
-from scimap.tables import config_hash, fmt, render_table, round_half_up, write_table
+from scimap.tables import (
+    config_hash, fmt, ranked, render_table, round_half_up, write_table,
+)
 
 
 def test_round_half_up_convention():
@@ -14,6 +15,19 @@ def test_round_half_up_convention():
     assert round_half_up(33.2804, 2) == 33.28
     assert round_half_up(59.15, 1) == 59.2
     assert round_half_up(18.608, 1) == 18.6
+
+
+def test_ranked_orders_by_value_then_name():
+    pairs = [("b", 2), ("c", 3), ("a", 2), ("d", 1)]
+    assert ranked(pairs) == [("c", 3), ("a", 2), ("b", 2), ("d", 1)]
+    assert ranked(pairs, 2) == [("c", 3), ("a", 2)]
+    assert ranked(iter(pairs), 9) == ranked(pairs)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_ranked_refuses_k_below_one(k):
+    with pytest.raises(ValueError, match="at least 1"):
+        ranked([("a", 1)], k)
 
 
 def test_fmt_cells():
@@ -95,13 +109,11 @@ def test_directed_three_cycle_counts(tmp_path, flavor):
 
 def test_cluster_attribute_attached(tmp_path):
     graph = sample_graph()
-    clustering = Clustering(assignment={"a": 0, "b": 0, "c": 1},
-                            modularity=0.1, n_clusters=2)
-    graphml = read_graphml(write_graph(graph, tmp_path / "g.graphml",
-                                       clustering=clustering))
+    assignment = {"a": 0, "b": 0, "c": 1}
+    graph.nodes = [node._replace(cluster=assignment[node.id]) for node in graph.nodes]
+    graphml = read_graphml(write_graph(graph, tmp_path / "g.graphml"))
     assert {n.id: n.cluster for n in graphml.nodes} == {"a": 0, "b": 0, "c": 1}
-    dot = read_dot(write_graph(graph, tmp_path / "g.dot", flavor="dot",
-                               clustering=clustering))
+    dot = read_dot(write_graph(graph, tmp_path / "g.dot", flavor="dot"))
     assert {n.id: n.cluster for n in dot.nodes} == {"a": 0, "b": 0, "c": 1}
 
 
