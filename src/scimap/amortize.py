@@ -74,20 +74,14 @@ def h_index(citation_counts: Sequence[int]) -> int:
     return h
 
 
-class AmortizedItem:
-    __slots__ = ("id", "h", "first_year", "citable_years", "normalized_ps",
-                 "amortized", "tie_flag")
-
-    def __init__(self, id: str, h: int, first_year: int, citable_years: int,
-                 normalized_ps: Fraction, amortized: Fraction,
-                 tie_flag: Optional[str] = None) -> None:
-        self.id = id
-        self.h = h
-        self.first_year = first_year
-        self.citable_years = citable_years
-        self.normalized_ps = normalized_ps
-        self.amortized = amortized
-        self.tie_flag = tie_flag
+class AmortizedItem(NamedTuple):
+    id: str
+    h: int
+    first_year: int
+    citable_years: int
+    normalized_ps: Fraction
+    amortized: Fraction
+    tie_flag: Optional[str] = None
 
 
 def amortized_h_index(items: Sequence[tuple[str, int, int]],
@@ -99,19 +93,13 @@ def amortized_h_index(items: Sequence[tuple[str, int, int]],
     Returns the items ranked by descending amortized value (ties keep
     input order; resolve them with :func:`resolve_amortized_ties`).
     """
-    if not items:
-        return []
-    cys = [citable_years(first_year, reference_year) for _, _, first_year in items]
-    max_cy, min_cy = max(cys), min(cys)
-    max_ps = Fraction(max_cy, min_cy)
+    rows = amortize([(first_year, h) for _, h, first_year in items], reference_year)
     out = []
-    for (item_id, h, first_year), cy in zip(items, cys):
+    for (item_id, h, first_year), row in zip(items, rows):
         if h < 0:
             raise ValueError(f"negative h for {item_id}")
-        nps = Fraction(max_cy, cy) / max_ps
-        out.append(AmortizedItem(id=item_id, h=h, first_year=first_year,
-                                 citable_years=cy, normalized_ps=nps,
-                                 amortized=nps * h))
+        out.append(AmortizedItem(item_id, h, first_year, row.citable_years,
+                                 row.normalized_ps, row.amortized))
     out.sort(key=lambda item: (-item.amortized, item.id))
     return out
 
@@ -120,33 +108,28 @@ def resolve_amortized_ties(items: Sequence[AmortizedItem]) -> list[AmortizedItem
     """Break amortized-value ties by decrementing the raw h of tied items.
 
     Every item in a tied group loses one h point per round and its
-    amortized value is recomputed, until all values are unique or a tied
-    item sits at h = 0; an unresolvable tie at the floor is broken in
+    amortized value is recomputed, until no two items share a value
+    above zero; a tie at zero cannot be resolved, so it is broken in
     favor of the earlier first year and flagged.  Returns the re-ranked
     items; their ``h`` is the raw h less the decrements applied.
     """
-    working = [AmortizedItem(item.id, item.h, item.first_year, item.citable_years,
-                             item.normalized_ps, item.amortized, item.tie_flag)
-               for item in items]
+    working = list(items)
     while True:
-        groups: dict[Fraction, list[AmortizedItem]] = {}
-        for item in working:
-            groups.setdefault(item.amortized, []).append(item)
-        tied = [group for group in groups.values() if len(group) > 1]
+        groups: dict[Fraction, list[int]] = {}
+        for index, item in enumerate(working):
+            groups.setdefault(item.amortized, []).append(index)
+        # A value above zero means h > 0, the normalized scalar being positive.
+        tied = [i for value, group in groups.items() if value and len(group) > 1
+                for i in group]
         if not tied:
             break
-        progressed = False
-        for group in tied:
-            if all(item.h == 0 for item in group):
-                for item in group:
-                    item.tie_flag = "tie-at-zero-broken-by-first-year"
-                continue
-            for item in group:
-                if item.h > 0:
-                    item.h -= 1
-                    item.amortized = item.normalized_ps * item.h
-                    progressed = True
-        if not progressed:
-            break
+        for i in tied:
+            item = working[i]
+            working[i] = item._replace(h=item.h - 1,
+                                       amortized=item.normalized_ps * (item.h - 1))
+    at_zero = groups.get(0, [])
+    if len(at_zero) > 1:
+        for i in at_zero:
+            working[i] = working[i]._replace(tie_flag="tie-at-zero-broken-by-first-year")
     working.sort(key=lambda item: (-item.amortized, item.first_year, item.id))
     return working

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 from typing import Optional
 
 from . import ENGINE_VERSION
-from .amortize import amortize, amortized_h_index, h_index, resolve_amortized_ties
+from .amortize import (
+    amortize, amortized_h_index, citable_years, h_index, resolve_amortized_ties,
+)
 from .centrality import PageRankDivergence, betweenness, pagerank
 from .community import walktrap
 from .corpus import coverage_report, dedupe_and_screen, load_corpus, save_corpus
@@ -39,7 +42,7 @@ from .parsing import ExportParseError, parse_bibtex_export, parse_plaintext_expo
 from .records import Corpus, MAX_PLAUSIBLE_YEAR
 from .tables import config_hash, fmt, ranked, write_table
 from .themes import thematic_evolution
-from .mfas import Multigraph, calibration_harness, solve
+from .mfas import GENERATOR_ID, Multigraph, calibration_harness, solve
 
 
 class DataError(Exception):
@@ -200,9 +203,8 @@ def cmd_ingest(args, config):
 
 def cmd_coverage(args, config):
     corpus = _load(args)
-    report = coverage_report(corpus)
     rows = [(r.tag, r.description, r.missing_count, fmt(r.missing_pct), r.label)
-            for r in report.rows]
+            for r in coverage_report(corpus)]
     write_table(rows, ["key", "description", "missing_count", "missing_pct",
                        "label"], args.out / "coverage.csv",
                 _meta(config, corpus))
@@ -232,7 +234,7 @@ def cmd_stats(args, config):
     production = annual_production(corpus)
     write_table(rows, ["metric", "value"], args.out / "stats.csv",
                 _meta(config, corpus))
-    write_table([(y, int(v)) for y, v in production.points],
+    write_table(production.points,
                 ["year", "documents"], args.out / "annual_production.csv",
                 _meta(config, corpus, undated=production.undated))
     citations = mean_citation_per_elapsed_years(corpus)
@@ -305,12 +307,19 @@ def cmd_hindex(args, config):
 def cmd_amortize(args, config):
     rows_in = []
     lines = Path(args.table).read_text("utf-8").splitlines()
-    for line in lines:
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#") or line.lower().startswith("year"):
             continue
-        year_text, metric_text = [part.strip() for part in line.split(",")[:2]]
-        rows_in.append((int(year_text), float(metric_text)))
+        try:
+            year_text, metric_text = line.split(",")[:2]
+            metric = float(metric_text)
+            if not math.isfinite(metric):
+                raise ValueError(metric)
+            rows_in.append((int(year_text), metric))
+        except ValueError:
+            raise DataError(f"{args.table} line {lineno}: expected an integer "
+                            f"year and a finite number, got {line!r}") from None
     if not rows_in:
         raise DataError(f"no (year, metric) rows in {args.table}")
     reference_year = args.reference_year or max(year for year, _ in rows_in)
@@ -429,9 +438,9 @@ def cmd_historiograph(args, config):
     rows = []
     for node in _nodes_by_weight(graph):
         doc = by_id[node.id]
-        # yearly average over citable years (in-progress year counts as one)
+        # yearly average over citable years
         yearly = "" if doc.pub_year is None else fmt(
-            node.weight / (corpus.reference_year - doc.pub_year + 1))
+            node.weight / citable_years(doc.pub_year, corpus.reference_year))
         rows.append((node.id, node.label, int(node.weight),
                      doc.total_citations, yearly))
     write_table(rows, ["id", "label", "local_citations", "global_citations",
@@ -450,19 +459,18 @@ def cmd_sankey(args, config):
     flow = three_field_flow(corpus, *pillars,
                             k_left=args.k_left, k_mid=args.k_mid,
                             k_right=args.k_right)
+    fields = "-".join(pillars)
     item_rows = []
     for side, items in (("left", flow.left), ("middle", flow.middle),
                         ("right", flow.right)):
         for item, count in items:
             item_rows.append((side, item, count))
     write_table(item_rows, ["pillar", "item", "documents"],
-                args.out / "sankey_items.csv",
-                _meta(config, corpus, fields="-".join(flow.fields)))
+                args.out / "sankey_items.csv", _meta(config, corpus, fields=fields))
     flow_rows = [("left-middle", a, b, w) for a, b, w in flow.flows_left]
     flow_rows += [("middle-right", a, b, w) for a, b, w in flow.flows_right]
     write_table(flow_rows, ["span", "from", "to", "weight"],
-                args.out / "sankey_flows.csv",
-                _meta(config, corpus, fields="-".join(flow.fields)))
+                args.out / "sankey_flows.csv", _meta(config, corpus, fields=fields))
 
 
 def _parse_slices(text: str) -> list[tuple[int, int]]:
@@ -552,7 +560,7 @@ def cmd_mfas(args, config):
     mg = _load_multigraph(args.graph)
     seed = _require_seed(args, config)
     best, report = solve(mg, t=args.runs, seed=seed)
-    meta = _meta(config, seed=seed, generator=report.generator,
+    meta = _meta(config, seed=seed, generator=GENERATOR_ID,
                  runs=report.runs, best_size=report.best_size,
                  reference_bound=f"{report.reference_bound.numerator}"
                                  f"/{report.reference_bound.denominator}",
@@ -569,7 +577,7 @@ def cmd_mfas_calibrate(args, config):
     seed = _require_seed(args, config)
     result = calibration_harness(mg, t=args.runs, trials=args.trials,
                                  seed=seed, confidence=args.confidence)
-    meta = _meta(config, seed=seed, generator=result.generator,
+    meta = _meta(config, seed=seed, generator=GENERATOR_ID,
                  optimum=result.optimum,
                  per_run_success_rate=repr(result.per_run_success_rate),
                  wilson_low=repr(result.wilson_low),
@@ -580,9 +588,10 @@ def cmd_mfas_calibrate(args, config):
                   r.successes) for r in result.records],
                 ["trial", "best_size", "first_success_run", "successes"],
                 args.out / "calibration_trials.csv", meta)
-    curve_rows = [(r + 1, repr(result.empirical_cumulative[r]),
-                   repr(float(result.theoretical_cumulative[r])))
-                  for r in range(result.runs_per_trial)]
+    curve_rows = [(run, repr(empirical), repr(float(bound)))
+                  for run, (empirical, bound) in enumerate(
+                      zip(result.empirical_cumulative,
+                          result.theoretical_cumulative), start=1)]
     write_table(curve_rows, ["run", "empirical_success", "reference_bound"],
                 args.out / "calibration_curve.csv", meta)
     print(f"optimum {result.optimum}; per-run success rate "
@@ -675,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trending", help="trending terms with quartile years")
     common(p)
     p.add_argument("--min-freq", type=int, default=5)
-    p.add_argument("--max-per-year", type=int, default=4)
+    p.add_argument("--max-per-year", type=_count, default=4)
     p.set_defaults(handler=cmd_trending)
 
     p = sub.add_parser("cooccur", help="keyword co-occurrence network")
@@ -716,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("walktrap", help="walktrap clustering of a graph file")
     p.add_argument("--graph", required=True)
-    p.add_argument("--walk-length", type=int, default=4)
+    p.add_argument("--walk-length", type=_count, default=4)
     common(p, corpus=False)
     p.set_defaults(handler=cmd_walktrap)
 
@@ -740,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--slices", required=True,
                    help="comma-separated START-END year ranges")
-    p.add_argument("--n-terms", type=int, default=1000)
+    p.add_argument("--n-terms", type=_count, default=1000)
     p.add_argument("--min-cluster-freq", type=int, default=20)
     p.add_argument("--min-weight-index", type=float, default=0.02)
     p.add_argument("--ngram", type=int, choices=[1, 2], default=2)
@@ -762,15 +771,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mfas", help="Monte Carlo minimum feedback arc set")
     p.add_argument("--graph", required=True,
                    help="multigraph file: 'u v multiplicity' lines")
-    p.add_argument("--runs", "-t", type=int, default=20)
+    p.add_argument("--runs", "-t", type=_count, default=20)
     p.add_argument("--seed", type=int, default=None)
     common(p, corpus=False)
     p.set_defaults(handler=cmd_mfas)
 
     p = sub.add_parser("mfas-calibrate", help="calibrate solver vs oracle")
     p.add_argument("--graph", required=True)
-    p.add_argument("--runs", "-t", type=int, default=10)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--runs", "-t", type=_count, default=10)
+    p.add_argument("--trials", type=_count, default=1000)
     p.add_argument("--confidence", type=float, default=0.99)
     p.add_argument("--seed", type=int, default=None)
     common(p, corpus=False)

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 from .normalize import field_values, fold_ascii, normalize_doi
 from .records import (
-    Corpus, CoverageReport, CoverageRow, CitedReference, Document,
+    Corpus, CoverageRow, CitedReference, Document,
     FIELD_ROLES, ScreeningEntry, coverage_label,
 )
 from .tables import round_half_up
@@ -132,7 +132,7 @@ def _union(first: list[str], second: list[str]) -> list[str]:
 
 # Coverage ----------------------------------------------------------------
 
-def coverage_report(corpus: Corpus) -> CoverageReport:
+def coverage_report(corpus: Corpus) -> list[CoverageRow]:
     """Per-field missing counts with the quality label scale applied."""
     if not corpus.documents:
         raise ValueError("coverage report needs a non-empty corpus")
@@ -144,7 +144,7 @@ def coverage_report(corpus: Corpus) -> CoverageReport:
         rows.append(CoverageRow(tag=tag, description=description,
                                 missing_count=missing, missing_pct=pct,
                                 label=coverage_label(pct)))
-    return CoverageReport(rows=rows)
+    return rows
 
 
 # Canonical corpus file ----------------------------------------------------

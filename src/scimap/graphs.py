@@ -300,7 +300,6 @@ class ThreeFieldFlow(NamedTuple):
     right: list[tuple[str, int]]
     flows_left: list[tuple[str, str, int]]
     flows_right: list[tuple[str, str, int]]
-    fields: tuple[str, str, str] = ("", "", "")
 
 
 def three_field_flow(corpus: Corpus, left: str, middle: str, right: str,
@@ -342,8 +341,7 @@ def three_field_flow(corpus: Corpus, left: str, middle: str, right: str,
     return ThreeFieldFlow(
         left=pillars[0], middle=pillars[1], right=pillars[2],
         flows_left=sorted((a, b, w) for (a, b), w in flows_left.items()),
-        flows_right=sorted((b, c, w) for (b, c), w in flows_right.items()),
-        fields=fields)
+        flows_right=sorted((b, c, w) for (b, c), w in flows_right.items()))
 
 
 # Reference publication year spectroscopy --------------------------------------------

@@ -16,7 +16,7 @@ from .tables import ranked, round_half_up
 
 
 class AnnualSeries(NamedTuple):
-    points: list[tuple[int, float]]
+    points: list[tuple[int, int]]
     undated: int = 0
 
 
@@ -98,7 +98,7 @@ def annual_production(corpus: Corpus) -> AnnualSeries:
             undated += 1
         else:
             per_year[doc.pub_year] += 1
-    points = [(year, float(per_year[year])) for year in sorted(per_year)]
+    points = sorted(per_year.items())
     return AnnualSeries(points=points, undated=undated)
 
 

@@ -307,8 +307,6 @@ class ConfidenceReport(NamedTuple):
     runs: int
     best_size: int
     reference_bound: Fraction
-    seed: int
-    generator: str = GENERATOR_ID
 
 
 def solve(mg: Multigraph, t: int, seed: int) -> tuple[McSolution, ConfidenceReport]:
@@ -326,9 +324,8 @@ def solve(mg: Multigraph, t: int, seed: int) -> tuple[McSolution, ConfidenceRepo
         if best is None or solution.size < best.size:
             best = solution
     assert best is not None
-    report = ConfidenceReport(runs=t, best_size=best.size,
-                              reference_bound=success_lower_bound(t), seed=seed)
-    return best, report
+    return best, ConfidenceReport(runs=t, best_size=best.size,
+                                  reference_bound=success_lower_bound(t))
 
 
 # Exhaustive oracle ---------------------------------------------------------
@@ -351,10 +348,8 @@ def brute_force_optimum(mg: Multigraph, cap: int = 20,
                    key=lambda mask: (sum(bundles[i][1] for i in range(len(bundles))
                                          if mask >> i & 1), mask))
     for mask in masks:
-        residual = Multigraph(nodes=set(mg.nodes),
-                              bundles={b: m for i, (b, m) in enumerate(bundles)
-                                       if not mask >> i & 1})
-        if topological_order(residual.nodes, residual.bundles) is not None:
+        residual = [b for i, (b, _) in enumerate(bundles) if not mask >> i & 1]
+        if topological_order(mg.nodes, residual) is not None:
             witness = {b: m for i, (b, m) in enumerate(bundles) if mask >> i & 1}
             return sum(witness.values()), witness
     raise AssertionError("unreachable: removing every arc is always acyclic")
@@ -362,9 +357,15 @@ def brute_force_optimum(mg: Multigraph, cap: int = 20,
 
 # Calibration harness ---------------------------------------------------------
 
+def _check_confidence(confidence: float) -> None:
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
+
+
 def wilson_interval(successes: int, n: int, confidence: float = 0.99,
                     ) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
+    _check_confidence(confidence)
     if n == 0:
         return 0.0, 1.0
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
@@ -384,8 +385,6 @@ class TrialRecord(NamedTuple):
 
 class CalibrationResult(NamedTuple):
     optimum: int
-    trials: int
-    runs_per_trial: int
     records: list[TrialRecord]
     empirical_cumulative: list[float]   # index r-1: success within r runs
     theoretical_cumulative: list[Fraction]  # reference bound 1 - 2^-r
@@ -393,8 +392,6 @@ class CalibrationResult(NamedTuple):
     wilson_low: float
     wilson_high: float
     confidence: float
-    seed: int
-    generator: str = GENERATOR_ID
 
 
 def calibration_harness(mg: Multigraph, t: int, trials: int, seed: int,
@@ -409,6 +406,7 @@ def calibration_harness(mg: Multigraph, t: int, trials: int, seed: int,
     """
     if t < 1 or trials < 1:
         raise ValueError("both t and trials must be at least 1")
+    _check_confidence(confidence)
     optimum, _ = brute_force_optimum(mg)
     shared = _Shared(_run_start(mg), {})
     records = []
@@ -426,8 +424,8 @@ def calibration_harness(mg: Multigraph, t: int, trials: int, seed: int,
                 successes += 1
                 if first_success is None:
                     first_success = r + 1
-        for r in range(t):
-            if first_success is not None and first_success <= r + 1:
+        if first_success is not None:
+            for r in range(first_success - 1, t):
                 cumulative_hits[r] += 1
         run_successes += successes
         records.append(TrialRecord(trial=j, best_size=best_size,
@@ -436,11 +434,11 @@ def calibration_harness(mg: Multigraph, t: int, trials: int, seed: int,
     rate = run_successes / (trials * t)
     low, high = wilson_interval(run_successes, trials * t, confidence)
     return CalibrationResult(
-        optimum=optimum, trials=trials, runs_per_trial=t, records=records,
+        optimum=optimum, records=records,
         empirical_cumulative=[hits / trials for hits in cumulative_hits],
         theoretical_cumulative=[success_lower_bound(r + 1) for r in range(t)],
         per_run_success_rate=rate, wilson_low=low, wilson_high=high,
-        confidence=confidence, seed=seed)
+        confidence=confidence)
 
 
 def triangle_example() -> Multigraph:

@@ -182,10 +182,6 @@ class CoverageRow(NamedTuple):
     label: str
 
 
-class CoverageReport(NamedTuple):
-    rows: list[CoverageRow]
-
-
 def coverage_label(pct: float) -> str:
     """Map a missing percentage in [0, 100] onto the quality scale.
 

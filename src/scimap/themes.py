@@ -25,16 +25,12 @@ class ThemeCluster(NamedTuple):
     frequency: int
 
 
-class ThematicSlice:
-    __slots__ = ("period", "clusters", "links_to_next", "flag")
-
-    def __init__(self, period: tuple[int, int], clusters: list[ThemeCluster],
-                 flag: Optional[str] = None) -> None:
-        self.period = period
-        self.clusters = clusters
-        # Set by thematic_evolution once the next slice is known.
-        self.links_to_next: list[tuple[str, str, float]] = []
-        self.flag = flag
+class ThematicSlice(NamedTuple):
+    period: tuple[int, int]
+    clusters: list[ThemeCluster]
+    # Filled by thematic_evolution; empty on the last slice.
+    links_to_next: list[tuple[str, str, float]]
+    flag: Optional[str] = None
 
 
 def inclusion_index(a: set[str], b: set[str]) -> float:
@@ -71,14 +67,14 @@ def thematic_evolution(corpus: Corpus, slice_bounds: list[tuple[int, int]],
     # before the next slice starts.
     out = [_slice_themes(corpus, start, end, n_terms, min_cluster_freq, ngram)
            for start, end in slice_bounds]
-    for current, following in zip(out, out[1:]):
+    for index, (current, following) in enumerate(zip(out, out[1:])):
         links = []
         for cluster in current.clusters:
             for nxt in following.clusters:
                 weight = inclusion_index(set(cluster.terms), set(nxt.terms))
                 if weight >= min_weight_index and weight > 0.0:
                     links.append((cluster.label, nxt.label, weight))
-        current.links_to_next = sorted(links)
+        out[index] = current._replace(links_to_next=sorted(links))
     return out
 
 
@@ -105,7 +101,7 @@ def _slice_themes(corpus: Corpus, start: int, end: int, n_terms: int,
                   min_cluster_freq: int, ngram: int) -> ThematicSlice:
     built = _slice_graph(corpus, start, end, n_terms, ngram)
     if built is None:
-        return ThematicSlice(period=(start, end), clusters=[], flag="no-abstracts")
+        return ThematicSlice((start, end), [], [], flag="no-abstracts")
     graph, freq = built
     # Only the graph and the kept terms' frequencies are alive while
     # walktrap runs.
@@ -123,7 +119,7 @@ def _slice_themes(corpus: Corpus, start: int, end: int, n_terms: int,
     clusters = [ThemeCluster(label=label, terms=members[label], frequency=total)
                 for label, total in ranked(totals.items())
                 if total >= min_cluster_freq]
-    return ThematicSlice(period=(start, end), clusters=clusters)
+    return ThematicSlice((start, end), clusters, [])
 
 
 def _check_slices(slice_bounds: list[tuple[int, int]]) -> None:

@@ -112,6 +112,18 @@ def test_amortize_reference_table(tmp_path):
     assert by_year["2000"][5] == "5.0000"
 
 
+@pytest.mark.parametrize("row", ["2020", "2020,abc", "MMXX,5", "2020,inf", "2020,nan"])
+def test_amortize_malformed_row_names_file_and_line(tmp_path, capsys, row):
+    table = tmp_path / "table.csv"
+    table.write_text(f"year,metric\n# comment\n2019,4\n{row}\n2021,3\n")
+    out = tmp_path / "out"
+    assert main(["amortize", "--table", str(table), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"scimap: error: {table} line 4: " in err
+    assert repr(row) in err
+    assert not out.exists()
+
+
 def test_graph_pipeline_cooccur_pagerank_walktrap(corpus_file, tmp_path):
     out = tmp_path / "nets"
     assert main(["cooccur", "--corpus", str(corpus_file), "--field", "DE",
@@ -131,18 +143,6 @@ def test_graph_pipeline_cooccur_pagerank_walktrap(corpus_file, tmp_path):
     meta, cluster_rows = read_csv(out / "clusters.csv")
     assert any("modularity" in line for line in meta)
     assert len(cluster_rows) - 1 == len(graph.nodes)
-
-
-@pytest.mark.parametrize("walk_length", ["0", "-1"])
-def test_walktrap_rejects_walk_length_below_one(tmp_path, capsys, walk_length):
-    graph_path = tmp_path / "pair.graphml"
-    write_graph(Graph(nodes=[GraphNode(id=i, label=i) for i in ("a", "b", "c")],
-                      edges=[("a", "b", 1.0), ("b", "c", 2.0)]), graph_path)
-    out = tmp_path / "out"
-    assert main(["walktrap", "--graph", str(graph_path), "--walk-length",
-                 walk_length, "--out", str(out)]) == 1
-    assert "walk length must be at least 1" in capsys.readouterr().err
-    assert not (out / "clusters.csv").exists()
 
 
 def test_walktrap_rejects_directed_graph(tmp_path, capsys):
@@ -287,6 +287,19 @@ def test_mfas_and_calibration_cli(tmp_path):
     assert (tmp_path / "calibration_curve.csv").exists()
 
 
+@pytest.mark.parametrize("confidence", ["-0.5", "0", "1", "1.5", "nan"])
+def test_calibration_confidence_outside_unit_interval_exits_1(tmp_path, capsys,
+                                                              confidence):
+    graph = tmp_path / "triangle.tsv"
+    graph.write_text("john ellen 3\nellen tim 1\ntim john 2\n")
+    out = tmp_path / "out"
+    assert main(["mfas-calibrate", "--graph", str(graph), "--confidence",
+                 confidence, "--seed", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"confidence must lie in (0, 1), got {float(confidence)!r}" in err
+    assert not out.exists()
+
+
 def test_mfas_input_error_names_the_line(tmp_path, capsys):
     graph = tmp_path / "bad.tsv"
     graph.write_text("# bundles\na b 2\nb a x\n")
@@ -376,14 +389,42 @@ def test_bad_config_value_exits_2_naming_the_option(corpus_file, tmp_path, capsy
 @pytest.mark.parametrize("command, flag", [
     ("terms", "--top-n"), ("collab", "--top-n"), ("historiograph", "--top-n"),
     ("sankey", "--k-left"), ("sankey", "--k-mid"), ("sankey", "--k-right"),
+    ("trending", "--max-per-year"), ("themes", "--n-terms"),
 ])
 def test_count_below_one_exits_2_naming_the_flag(corpus_file, tmp_path, capsys,
                                                  command, flag):
     out = tmp_path / "out"
+    extra = ["--slices", "2000-2023"] if command == "themes" else []
     for value in ("0", "-2"):
         assert main([command, "--corpus", str(corpus_file), flag, value,
-                     "--out", str(out)]) == 2
+                     "--out", str(out)] + extra) == 2
         assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("walktrap", "--walk-length"), ("mfas", "--runs"), ("mfas", "-t"),
+    ("mfas-calibrate", "--runs"), ("mfas-calibrate", "-t"),
+    ("mfas-calibrate", "--trials"),
+])
+def test_graph_count_below_one_exits_2_naming_the_flag(tmp_path, capsys,
+                                                       command, flag):
+    if command == "walktrap":
+        graph_path = tmp_path / "path.graphml"
+        write_graph(Graph(nodes=[GraphNode(id=i, label=i) for i in "abc"],
+                          edges=[("a", "b", 1.0), ("b", "c", 2.0)]), graph_path)
+        extra = []
+    else:
+        graph_path = tmp_path / "triangle.tsv"
+        graph_path.write_text("john ellen 3\nellen tim 1\ntim john 2\n")
+        extra = ["--seed", "1"]
+    # argparse names an option by all of its flags
+    name = "--runs/-t" if flag in ("--runs", "-t") else flag
+    out = tmp_path / "out"
+    for value in ("0", "-2"):
+        assert main([command, "--graph", str(graph_path), flag, value,
+                     "--out", str(out)] + extra) == 2
+        assert f"argument {name}: must be at least 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -112,7 +112,7 @@ def test_coverage_de_row_matches_scale():
                           keywords=["kw"] if i >= 250 else [])
             for i in range(1890)]
     report = coverage_report(build_corpus(docs))
-    row = {r.tag: r for r in report.rows}["DE"]
+    row = {r.tag: r for r in report}["DE"]
     assert row.missing_count == 250
     assert row.missing_pct == 13.23
     assert row.label == "Acceptable"
@@ -122,7 +122,7 @@ def test_coverage_full_and_empty_fields():
     docs = [make_document(f"d{i}", title=f"T{i}", pub_year=2000,
                           authors=["SMITH, J"]) for i in range(4)]
     report = coverage_report(build_corpus(docs))
-    rows = {r.tag: r for r in report.rows}
+    rows = {r.tag: r for r in report}
     assert rows["AU"].missing_pct == 0.0 and rows["AU"].label == "Excellent"
     assert rows["AB"].missing_pct == 100.0
     assert rows["AB"].label == "Completely Missing"

@@ -66,7 +66,7 @@ def test_large_corpus_pipeline_invariants():
     assert n == 260
 
     report = coverage_report(corpus)
-    assert all(0.0 <= row.missing_pct <= 100.0 for row in report.rows)
+    assert all(0.0 <= row.missing_pct <= 100.0 for row in report)
 
     stats = descriptive_summary(corpus)
     assert stats.documents == n

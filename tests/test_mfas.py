@@ -387,6 +387,24 @@ def test_wilson_interval_sanity():
     assert tight_low > low and tight_high < high
 
 
+@pytest.mark.parametrize("confidence", [-0.5, 0.0, 1.0, 1.5, float("nan")])
+def test_confidence_outside_unit_interval_refused_before_any_run(monkeypatch,
+                                                                 confidence):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before checking the confidence")
+
+    monkeypatch.setattr(mfas, "run_once", no_run)
+    monkeypatch.setattr(mfas, "brute_force_optimum", no_run)
+    message = f"confidence must lie in \\(0, 1\\), got {confidence!r}"
+    with pytest.raises(ValueError, match=message):
+        wilson_interval(5, 10, confidence=confidence)
+    with pytest.raises(ValueError, match=message):
+        wilson_interval(0, 0, confidence=confidence)
+    with pytest.raises(ValueError, match=message):
+        calibration_harness(triangle_example(), t=10, trials=3000, seed=1,
+                            confidence=confidence)
+
+
 def test_calibration_on_acyclic_instance_all_optimal():
     mg = Multigraph()
     mg.add("a", "b", 2)
