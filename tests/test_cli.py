@@ -145,6 +145,18 @@ def test_graph_pipeline_cooccur_pagerank_walktrap(corpus_file, tmp_path):
     assert len(cluster_rows) - 1 == len(graph.nodes)
 
 
+@pytest.mark.parametrize("walk_length", ["0", "-1"])
+def test_walktrap_rejects_walk_length_below_one(tmp_path, capsys, walk_length):
+    graph_path = tmp_path / "pair.graphml"
+    write_graph(Graph(nodes=[GraphNode(id=i, label=i) for i in ("a", "b", "c")],
+                      edges=[("a", "b", 1.0), ("b", "c", 2.0)]), graph_path)
+    out = tmp_path / "out"
+    assert main(["walktrap", "--graph", str(graph_path), "--walk-length",
+                 walk_length, "--out", str(out)]) == 2
+    assert "argument --walk-length: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_walktrap_rejects_directed_graph(tmp_path, capsys):
     graph_path = tmp_path / "cycles.graphml"
     write_graph(Graph(nodes=[GraphNode(id=i, label=i) for i in "abcdef"],
@@ -403,27 +415,20 @@ def test_count_below_one_exits_2_naming_the_flag(corpus_file, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command, flag", [
-    ("walktrap", "--walk-length"), ("mfas", "--runs"), ("mfas", "-t"),
+    ("mfas", "--runs"), ("mfas", "-t"),
     ("mfas-calibrate", "--runs"), ("mfas-calibrate", "-t"),
     ("mfas-calibrate", "--trials"),
 ])
 def test_graph_count_below_one_exits_2_naming_the_flag(tmp_path, capsys,
                                                        command, flag):
-    if command == "walktrap":
-        graph_path = tmp_path / "path.graphml"
-        write_graph(Graph(nodes=[GraphNode(id=i, label=i) for i in "abc"],
-                          edges=[("a", "b", 1.0), ("b", "c", 2.0)]), graph_path)
-        extra = []
-    else:
-        graph_path = tmp_path / "triangle.tsv"
-        graph_path.write_text("john ellen 3\nellen tim 1\ntim john 2\n")
-        extra = ["--seed", "1"]
+    graph_path = tmp_path / "triangle.tsv"
+    graph_path.write_text("john ellen 3\nellen tim 1\ntim john 2\n")
     # argparse names an option by all of its flags
     name = "--runs/-t" if flag in ("--runs", "-t") else flag
     out = tmp_path / "out"
     for value in ("0", "-2"):
         assert main([command, "--graph", str(graph_path), flag, value,
-                     "--out", str(out)] + extra) == 2
+                     "--out", str(out), "--seed", "1"]) == 2
         assert f"argument {name}: must be at least 1" in capsys.readouterr().err
     assert not out.exists()
 

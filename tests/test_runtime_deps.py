@@ -55,12 +55,13 @@ def scimap_imports(tree: ast.AST):
 
 
 # Leaf modules take nothing from scimap; graph I/O knows the graph type
-# and the engine version, not how clusters are found.
-LAYERS = {"amortize.py": set(), "digraph.py": set(), "records.py": set(),
-          "textterms.py": set(), "graphio.py": {"ENGINE_VERSION", "graphs"}}
+# and the engine version, not how clusters are found.  New modules go at
+# the end, so the ids of the existing cases stay as they are.
+LAYERS = {"digraph.py": set(), "graphio.py": {"ENGINE_VERSION", "graphs"},
+          "records.py": set(), "textterms.py": set(), "amortize.py": set()}
 
 
-@pytest.mark.parametrize("name, allowed", sorted(LAYERS.items()))
+@pytest.mark.parametrize("name, allowed", LAYERS.items())
 def test_low_layers_import_only_what_they_may_of_scimap(name, allowed):
     module = PACKAGE / name
     tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
