@@ -39,7 +39,7 @@ from .metrics import (
 )
 from .normalize import LEVEL_TAGS, REFERENCE_TAGS, field_values, to_document
 from .parsing import ExportParseError, parse_bibtex_export, parse_plaintext_export
-from .records import Corpus, MAX_PLAUSIBLE_YEAR
+from .records import Corpus, MAX_PLAUSIBLE_YEAR, MIN_PLAUSIBLE_YEAR
 from .tables import config_hash, fmt, ranked, write_table
 from .themes import thematic_evolution
 from .mfas import GENERATOR_ID, Multigraph, calibration_harness, solve
@@ -173,7 +173,8 @@ def _export_documents(args, name: str) -> list:
     else:
         records = parse_plaintext_export(data, source_file=Path(name).name)
     del data
-    year_cap = args.reference_year or MAX_PLAUSIBLE_YEAR
+    year_cap = MAX_PLAUSIBLE_YEAR if args.reference_year is None \
+        else args.reference_year
     return [to_document(r, year_cap) for r in records]
 
 
@@ -322,7 +323,8 @@ def cmd_amortize(args, config):
                             f"year and a finite number, got {line!r}") from None
     if not rows_in:
         raise DataError(f"no (year, metric) rows in {args.table}")
-    reference_year = args.reference_year or max(year for year, _ in rows_in)
+    reference_year = max(year for year, _ in rows_in) \
+        if args.reference_year is None else args.reference_year
     rows = amortize(rows_in, reference_year, display_scale=args.display_scale)
     out_rows = [(r.year, fmt(float(r.metric), 4), r.citable_years,
                  fmt(float(r.pondering_scalar), 4),
@@ -362,8 +364,9 @@ def _write_graph_artifacts(args, config, corpus, graph, stem):
     extra = {}
     if args.cluster:
         clustering = walktrap(graph)
-        graph.nodes = [node._replace(cluster=clustering.assignment.get(node.id))
-                       for node in graph.nodes]
+        graph = graph._replace(nodes=[
+            node._replace(cluster=clustering.assignment.get(node.id))
+            for node in graph.nodes])
         extra["modularity"] = repr(clustering.modularity)
         extra["clusters"] = clustering.n_clusters
     meta = _meta(config, corpus, **extra)
@@ -601,14 +604,39 @@ def cmd_mfas_calibrate(args, config):
 
 # Parser ----------------------------------------------------------------------
 
-def _count(text: str) -> int:
-    """An argparse type: an integer of at least 1."""
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _count(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _year(text: str) -> int:
+    """An argparse type: a year the normalizer accepts as plausible."""
+    value = _int(text)
+    if not MIN_PLAUSIBLE_YEAR <= value <= MAX_PLAUSIBLE_YEAR:
+        raise argparse.ArgumentTypeError(
+            f"must be a year from {MIN_PLAUSIBLE_YEAR} to "
+            f"{MAX_PLAUSIBLE_YEAR}, got {value}")
+    return value
+
+
+def _finite(text: str) -> float:
+    """An argparse type: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
 
 
@@ -634,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+", help="export files")
     p.add_argument("--format", choices=["plaintext", "bibtex"],
                    default="plaintext")
-    p.add_argument("--reference-year", type=int, default=None)
+    p.add_argument("--reference-year", type=_year, default=None)
     p.add_argument("--retracted", default=None,
                    help="file listing retracted ids or DOIs, one per line")
     p.add_argument("--cr-separator", default="\n",
@@ -669,8 +697,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("amortize", help="amortize a (year, metric) table")
     p.add_argument("--table", required=True, help="CSV of year,metric rows")
-    p.add_argument("--reference-year", type=int, default=None)
-    p.add_argument("--display-scale", type=float, default=1.0)
+    p.add_argument("--reference-year", type=_year, default=None)
+    p.add_argument("--display-scale", type=_finite, default=1.0)
     common(p, corpus=False)
     p.set_defaults(handler=cmd_amortize)
 
@@ -751,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated START-END year ranges")
     p.add_argument("--n-terms", type=_count, default=1000)
     p.add_argument("--min-cluster-freq", type=int, default=20)
-    p.add_argument("--min-weight-index", type=float, default=0.02)
+    p.add_argument("--min-weight-index", type=_finite, default=0.02)
     p.add_argument("--ngram", type=int, choices=[1, 2], default=2)
     p.set_defaults(handler=cmd_themes)
 

@@ -39,7 +39,8 @@ def dedupe_and_screen(documents: Iterable[Document],
     Duplicate matching is DOI-first, then (normalized title, year).  Every
     removal lands in the screening ledger with its reason; applying the
     function to an already-screened corpus removes nothing.  A document
-    built in code without ``missing_fields`` gets it from its values.
+    built in code with ``missing_fields`` None gets it from its values.
+    No document passed in is edited: a merge or a fill keeps a new one.
     """
     retracted_keys = set()
     for key in retracted:
@@ -50,40 +51,39 @@ def dedupe_and_screen(documents: Iterable[Document],
 
     kept: list[Document] = []
     screening: list[ScreeningEntry] = []
-    by_doi: dict[str, str] = {}
-    by_title_year: dict[tuple, str] = {}
-    by_id: dict[str, Document] = {}
+    # DOI and (normalized title, year) -> position in kept
+    by_doi: dict[str, int] = {}
+    by_title_year: dict[tuple, int] = {}
 
     for doc in documents:
         if doc.missing_fields is None:
-            doc.missing_fields = [tag for tag, _ in FIELD_ROLES
-                                  if not field_values(doc, tag)]
+            doc = doc._replace(missing_fields=[tag for tag, _ in FIELD_ROLES
+                                               if not field_values(doc, tag)])
         if doc.id in retracted_keys or (doc.doi and doc.doi in retracted_keys):
             screening.append(ScreeningEntry(removed_id=doc.id, reason="retracted"))
             continue
-        target_id = None
+        title_key = (normalized_title(doc.title), doc.pub_year)
+        target = None
         reason = ""
         if doc.doi and doc.doi in by_doi:
-            target_id, reason = by_doi[doc.doi], "duplicate-doi"
-        else:
-            title_key = (normalized_title(doc.title), doc.pub_year)
-            if doc.title and title_key in by_title_year:
-                candidate = by_id[by_title_year[title_key]]
-                # DOI outranks the title+year key: conflicting DOIs mean
-                # distinct works even under an identical title.
-                if not (doc.doi and candidate.doi and doc.doi != candidate.doi):
-                    target_id, reason = candidate.id, "duplicate-title-year"
-        if target_id is not None:
-            _merge_into(by_id[target_id], doc)
+            target, reason = by_doi[doc.doi], "duplicate-doi"
+        elif doc.title and title_key in by_title_year:
+            candidate = by_title_year[title_key]
+            # DOI outranks the title+year key: conflicting DOIs mean
+            # distinct works even under an identical title.
+            other_doi = kept[candidate].doi
+            if not (doc.doi and other_doi and doc.doi != other_doi):
+                target, reason = candidate, "duplicate-title-year"
+        if target is not None:
             screening.append(ScreeningEntry(removed_id=doc.id, reason=reason,
-                                            kept_id=target_id))
+                                            kept_id=kept[target].id))
+            kept[target] = _merged(kept[target], doc)
             continue
-        kept.append(doc)
-        by_id[doc.id] = doc
         if doc.doi:
-            by_doi[doc.doi] = doc.id
+            by_doi[doc.doi] = len(kept)
         if doc.title:
-            by_title_year[(normalized_title(doc.title), doc.pub_year)] = doc.id
+            by_title_year[title_key] = len(kept)
+        kept.append(doc)
 
     if reference_year is None:
         dated = [d.pub_year for d in kept if d.pub_year is not None]
@@ -95,29 +95,30 @@ def dedupe_and_screen(documents: Iterable[Document],
                   provenance=list(provenance), screening=screening)
 
 
-def _merge_into(target: Document, dup: Document) -> None:
-    """Merge a duplicate record: max citations, union of list fields,
-    missing scalars filled from the duplicate."""
-    target.total_citations = max(target.total_citations, dup.total_citations)
-    target.author_keywords = _union(target.author_keywords, dup.author_keywords)
-    target.keywords_plus = _union(target.keywords_plus, dup.keywords_plus)
-    target.categories = _union(target.categories, dup.categories)
-    if not target.authors:
-        target.authors = list(dup.authors)
-    if not target.affiliations:
-        target.affiliations = list(dup.affiliations)
-    if not target.cited_refs:
-        target.cited_refs = list(dup.cited_refs)
-    for attr in ("pub_year", "abstract", "doi", "corresponding", "ref_count"):
-        if getattr(target, attr) in (None, "") and getattr(dup, attr) not in (None, ""):
-            setattr(target, attr, getattr(dup, attr))
-    for attr in ("title", "source", "doc_type", "language"):
-        if not getattr(target, attr) and getattr(dup, attr):
-            setattr(target, attr, getattr(dup, attr))
-    target.missing_fields = [t for t in target.missing_fields
-                             if t in dup.missing_fields]
-    target.quality_flags.extend(f for f in dup.quality_flags
-                                if f not in target.quality_flags)
+# Fields of a kept document that a duplicate fills when they are empty
+# (None, "" or []); a ref_count of 0 is a value.
+_FILLED_FIELDS = ("authors", "title", "source", "pub_year", "cited_refs",
+                  "ref_count", "abstract", "affiliations", "corresponding",
+                  "doi", "doc_type", "language")
+_EMPTY = (None, "", [])
+_UNION_FIELDS = ("author_keywords", "keywords_plus", "categories",
+                 "quality_flags")
+
+
+def _merged(kept: Document, dup: Document) -> Document:
+    """``kept`` merged with its duplicate: max citations, union of the
+    keyword, category and flag lists, empty fields filled from ``dup``,
+    and missing only the tags both miss."""
+    changes = {name: _union(getattr(kept, name), getattr(dup, name))
+               for name in _UNION_FIELDS}
+    changes.update((name, getattr(dup, name)) for name in _FILLED_FIELDS
+                   if getattr(kept, name) in _EMPTY
+                   and getattr(dup, name) not in _EMPTY)
+    return kept._replace(
+        total_citations=max(kept.total_citations, dup.total_citations),
+        missing_fields=[t for t in kept.missing_fields
+                        if t in dup.missing_fields],
+        **changes)
 
 
 def _union(first: list[str], second: list[str]) -> list[str]:
@@ -165,8 +166,8 @@ _REFERENCE_TYPES = frozenset(product((str,), _TEXT, (int, type(None)),
 # Keys of a screening entry in the header, all holding strings.
 _SCREENING_KEYS = frozenset(ScreeningEntry._fields)
 # Keys of a document line, in Document's field order; the loader passes
-# them straight back to the Document constructor.
-DOCUMENT_FIELDS = tuple(name for name in Document.__slots__
+# them straight back to the Document constructor with the references.
+DOCUMENT_FIELDS = tuple(name for name in Document._fields
                         if name != "cited_refs")
 
 
@@ -201,7 +202,9 @@ def save_corpus(corpus: Corpus, path: str | Path) -> Path:
         }))
         handle.write("\n")
         for doc in corpus.documents:
-            handle.write(_dump({name: getattr(doc, name) for name in DOCUMENT_FIELDS}))
+            fields = doc._asdict()
+            del fields["cited_refs"]
+            handle.write(_dump(fields))
             handle.write("\n")
             # A CitedReference is a tuple in REFERENCE_FIELDS order, so
             # it dumps as the positional array.
@@ -270,19 +273,20 @@ def load_corpus(path: str | Path, references: bool = False) -> Corpus:
         reference_year, provenance, screening = _header_fields(header, path)
         lineno = 2
         while line := handle.readline():
+            refs_line = handle.readline()
+            cited_refs = _references(refs_line) \
+                if references and refs_line else None
             try:
-                doc = Document(**json.loads(line))
+                doc = Document(**json.loads(line), cited_refs=cited_refs)
             except (json.JSONDecodeError, TypeError):
                 doc = None
             # coverage reads missing_fields in place of the skipped references
             if doc is None or type(doc.missing_fields) is not list:
                 raise ValueError(f"{path}: line {lineno}: not a document")
-            refs_line = handle.readline()
             if not refs_line:
                 raise ValueError(f"{path}: line {lineno}: document has no "
                                  f"reference line")
-            doc.cited_refs = _references(refs_line) if references else None
-            if references and doc.cited_refs is None:
+            if references and cited_refs is None:
                 raise ValueError(f"{path}: line {lineno + 1}: reference line is "
                                  f"not a JSON array of {len(REFERENCE_FIELDS)}"
                                  f"-element arrays (raw a string, year an "

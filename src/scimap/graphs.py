@@ -27,15 +27,10 @@ class GraphNode(NamedTuple):
     cluster: Optional[int] = None
 
 
-class Graph:
-    __slots__ = ("nodes", "edges", "directed")
-
-    def __init__(self, nodes: Optional[list[GraphNode]] = None,
-                 edges: Optional[list[tuple[str, str, float]]] = None,
-                 directed: bool = False) -> None:
-        self.nodes = [] if nodes is None else nodes
-        self.edges = [] if edges is None else edges
-        self.directed = directed
+class Graph(NamedTuple):
+    nodes: list[GraphNode]
+    edges: list[tuple[str, str, float]]
+    directed: bool = False
 
     def node_ids(self) -> list[str]:
         return [node.id for node in self.nodes]

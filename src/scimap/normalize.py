@@ -217,6 +217,11 @@ def _split_terms(values: list[str]) -> list[str]:
     return list(seen)
 
 
+def _joined(entries: dict[str, list[str]], tag: str) -> str:
+    """The value lines of ``tag`` joined, whitespace runs collapsed."""
+    return WHITESPACE_RUN.sub(" ", " ".join(entries.get(tag, []))).strip()
+
+
 def to_document(record: RawRecord, reference_year: int) -> Document:
     """Map a raw record onto the sixteen field roles of a ``Document``.
 
@@ -226,16 +231,13 @@ def to_document(record: RawRecord, reference_year: int) -> Document:
     value that is not a non-negative integer is a hard error.
     """
     entries = record.entries
-    doc = Document(id=record.first("UT")
-                   or f"{record.source_file or 'record'}:{record.record_index}")
-    doc.quality_flags.extend(record.flags)
+    doc_id = record.first("UT") \
+        or f"{record.source_file or 'record'}:{record.record_index}"
+    flags = list(record.flags)
+    authors = [normalize_author_name(raw_name)
+               for raw_name in entries.get("AU", []) if raw_name.strip()]
 
-    for raw_name in entries.get("AU", []):
-        if raw_name.strip():
-            doc.authors.append(normalize_author_name(raw_name))
-    doc.title = WHITESPACE_RUN.sub(" ", " ".join(entries.get("TI", []))).strip()
-    doc.source = WHITESPACE_RUN.sub(" ", " ".join(entries.get("SO", []))).strip().upper()
-
+    pub_year = None
     py_raw = record.first("PY")
     if py_raw is not None:
         try:
@@ -243,63 +245,66 @@ def to_document(record: RawRecord, reference_year: int) -> Document:
         except ValueError:
             year = None
         if year is not None and MIN_PLAUSIBLE_YEAR <= year <= reference_year:
-            doc.pub_year = year
+            pub_year = year
         else:
-            doc.quality_flags.append(f"unparseable-py:{py_raw.strip()}")
+            flags.append(f"unparseable-py:{py_raw.strip()}")
 
+    total_citations = 0
     tc_raw = record.first("TC")
     if tc_raw is not None:
         try:
-            tc = int(tc_raw.strip())
+            total_citations = int(tc_raw.strip())
         except ValueError:
             raise ValueError(f"total citations not an integer: {tc_raw!r} "
-                             f"(document {doc.id})") from None
-        if tc < 0:
-            raise ValueError(f"negative total citations: {tc} (document {doc.id})")
-        doc.total_citations = tc
+                             f"(document {doc_id})") from None
+        if total_citations < 0:
+            raise ValueError(f"negative total citations: {total_citations} "
+                             f"(document {doc_id})")
 
-    doc.cited_refs = [parse_cited_reference(line)
-                      for line in entries.get("CR", []) if line.strip()]
+    cited_refs = [parse_cited_reference(line)
+                  for line in entries.get("CR", []) if line.strip()]
 
+    ref_count = None
     nr_raw = record.first("NR")
     if nr_raw is not None:
         try:
-            doc.ref_count = int(nr_raw.strip())
+            ref_count = int(nr_raw.strip())
         except ValueError:
-            doc.quality_flags.append(f"unparseable-nr:{nr_raw.strip()}")
-        if doc.ref_count is not None and doc.cited_refs \
-                and doc.ref_count != len(doc.cited_refs):
-            doc.quality_flags.append(
-                f"nr-cr-mismatch:{doc.ref_count}!={len(doc.cited_refs)}")
-
-    doc.author_keywords = _split_terms(entries.get("DE", []))
-    doc.keywords_plus = _split_terms(entries.get("ID", []))
-
-    abstract = WHITESPACE_RUN.sub(" ", " ".join(entries.get("AB", []))).strip()
-    doc.abstract = abstract or None
-
-    doc.affiliations = [normalize_affiliation(line)
-                        for line in entries.get("C1", []) if line.strip()]
+            flags.append(f"unparseable-nr:{nr_raw.strip()}")
+        if ref_count is not None and cited_refs and ref_count != len(cited_refs):
+            flags.append(f"nr-cr-mismatch:{ref_count}!={len(cited_refs)}")
 
     rp_raw = " ".join(entries.get("RP", [])).strip()
-    if rp_raw:
-        doc.corresponding = normalize_affiliation(rp_raw)
-
     di_raw = record.first("DI")
-    if di_raw:
-        doc.doi = normalize_doi(di_raw)
-        if doc.doi is None:
-            doc.quality_flags.append(f"invalid-doi:{di_raw.strip()}")
-
+    doi = normalize_doi(di_raw) if di_raw else None
+    if di_raw and doi is None:
+        flags.append(f"invalid-doi:{di_raw.strip()}")
     dt_raw = (record.first("DT") or "").strip()
-    doc.doc_type = classify_doc_type(dt_raw) if dt_raw else ""
-    doc.language = (record.first("LA") or "").strip()
-    doc.categories = [seg.strip() for value in entries.get("WC", [])
-                      for seg in value.split(";") if seg.strip()]
 
-    doc.missing_fields = [tag for tag, _ in FIELD_ROLES
-                          if not any(v.strip() for v in entries.get(tag, []))]
-    return doc
+    return Document(
+        id=doc_id,
+        authors=authors,
+        title=_joined(entries, "TI"),
+        source=_joined(entries, "SO").upper(),
+        pub_year=pub_year,
+        total_citations=total_citations,
+        cited_refs=cited_refs,
+        ref_count=ref_count,
+        author_keywords=_split_terms(entries.get("DE", [])),
+        keywords_plus=_split_terms(entries.get("ID", [])),
+        abstract=_joined(entries, "AB") or None,
+        affiliations=[normalize_affiliation(line)
+                      for line in entries.get("C1", []) if line.strip()],
+        corresponding=normalize_affiliation(rp_raw) if rp_raw else None,
+        doi=doi,
+        doc_type=classify_doc_type(dt_raw) if dt_raw else "",
+        language=(record.first("LA") or "").strip(),
+        categories=[seg.strip() for value in entries.get("WC", [])
+                    for seg in value.split(";") if seg.strip()],
+        quality_flags=flags,
+        missing_fields=[tag for tag, _ in FIELD_ROLES
+                        if not any(v.strip() for v in entries.get(tag, []))],
+    )
 
 
 # Field accessor ----------------------------------------------------------------

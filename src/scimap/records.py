@@ -71,68 +71,39 @@ class CitedReference(NamedTuple):
     doi: Optional[str] = None
 
 
-class Document:
+class Document(NamedTuple):
     """A normalized bibliographic record (Web of Science field roles).
 
-    A list field passed as None (or left out) starts empty, except
-    ``missing_fields``.
+    Built in one call and changed only with ``_replace``.  Every field is
+    required: a default list would be shared by every document.  Field
+    order is the corpus file's key order.
     """
 
-    # Field order: the corpus file writes a document's keys in this order.
-    __slots__ = ("id", "authors", "title", "source", "pub_year",
-                 "total_citations", "cited_refs", "ref_count",
-                 "author_keywords", "keywords_plus", "abstract",
-                 "affiliations", "corresponding", "doi", "doc_type",
-                 "language", "categories", "quality_flags",
-                 "missing_fields")
-
-    def __init__(self, id: str, authors: Optional[list[str]] = None,
-                 title: str = "", source: str = "",
-                 pub_year: Optional[int] = None, total_citations: int = 0,
-                 cited_refs: Optional[list[CitedReference]] = None,
-                 ref_count: Optional[int] = None,
-                 author_keywords: Optional[list[str]] = None,
-                 keywords_plus: Optional[list[str]] = None,
-                 abstract: Optional[str] = None,
-                 affiliations: Optional[list[str]] = None,
-                 corresponding: Optional[str] = None,
-                 doi: Optional[str] = None, doc_type: str = "",
-                 language: str = "", categories: Optional[list[str]] = None,
-                 quality_flags: Optional[list[str]] = None,
-                 missing_fields: Optional[list[str]] = None) -> None:
-        self.id = id
-        self.authors = [] if authors is None else authors
-        self.title = title
-        self.source = source
-        self.pub_year = pub_year
-        self.total_citations = total_citations
-        # load_corpus sets None when it did not read the references.
-        self.cited_refs = [] if cited_refs is None else cited_refs
-        self.ref_count = ref_count
-        self.author_keywords = [] if author_keywords is None else author_keywords
-        self.keywords_plus = [] if keywords_plus is None else keywords_plus
-        self.abstract = abstract
-        self.affiliations = [] if affiliations is None else affiliations
-        self.corresponding = corresponding
-        self.doi = doi
-        self.doc_type = doc_type
-        self.language = language
-        self.categories = [] if categories is None else categories
-        # Non-fatal data oddities noticed during normalization (e.g. NR vs CR
-        # disagreement, unparseable year).  Never raised, always carried.
-        self.quality_flags = [] if quality_flags is None else quality_flags
-        # Table-4 tags absent from the raw record, filled by to_document;
-        # dedupe_and_screen fills it from the values of a document built in
-        # code without it, so every document of a corpus holds a list.
-        self.missing_fields = missing_fields
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Document:
-            return NotImplemented
-        return _document_values(self) == _document_values(other)
-
-
-_document_values = attrgetter(*Document.__slots__)
+    id: str
+    authors: list[str]
+    title: str
+    source: str
+    pub_year: Optional[int]
+    total_citations: int
+    # None when load_corpus did not read the references.
+    cited_refs: Optional[list[CitedReference]]
+    ref_count: Optional[int]
+    author_keywords: list[str]
+    keywords_plus: list[str]
+    abstract: Optional[str]
+    affiliations: list[str]
+    corresponding: Optional[str]
+    doi: Optional[str]
+    doc_type: str
+    language: str
+    categories: list[str]
+    # Non-fatal data oddities noticed during normalization (e.g. NR vs CR
+    # disagreement, unparseable year).  Never raised, always carried.
+    quality_flags: list[str]
+    # Table-4 tags absent from the raw record, set by to_document;
+    # dedupe_and_screen derives it from the values of a document built in
+    # code with None, so every document of a corpus holds a list.
+    missing_fields: Optional[list[str]]
 
 
 class ScreeningEntry(NamedTuple):

@@ -25,7 +25,8 @@ def make_document(doc_id, *, authors=(), title="", source="", pub_year=None,
         keywords_plus=[k.lower() for k in keywords_plus],
         abstract=abstract, affiliations=list(affiliations),
         corresponding=corresponding, doi=doi, doc_type=doc_type,
-        language=language, categories=list(categories),
+        language=language, categories=list(categories), quality_flags=[],
+        missing_fields=None,
     )
 
 

@@ -108,7 +108,7 @@ def test_pagerank_nonconvergence_carries_residual():
 
 def test_pagerank_empty_graph_rejected():
     with pytest.raises(ValueError):
-        pagerank(Graph())
+        pagerank(Graph([], []))
 
 
 # Betweenness -----------------------------------------------------------------

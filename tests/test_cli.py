@@ -124,6 +124,43 @@ def test_amortize_malformed_row_names_file_and_line(tmp_path, capsys, row):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("year", ["0", "1000", "-5", "1449", "2101"])
+def test_reference_year_outside_plausible_range_exits_2(tmp_path, capsys, year):
+    table = tmp_path / "table.csv"
+    table.write_text("year,metric\n2019,4\n2020,3\n")
+    out = tmp_path / "out"
+    for argv in (["ingest", SAMPLE, "-o", str(out / "corpus.dat")],
+                 ["amortize", "--table", str(table), "--out", str(out)]):
+        assert main(argv + [f"--reference-year={year}"]) == 2
+        assert (f"argument --reference-year: must be a year from 1450 to "
+                f"2100, got {year}") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reference_year_at_the_plausible_bounds_is_accepted(tmp_path):
+    table = tmp_path / "table.csv"
+    table.write_text("year,metric\n1450,4\n")
+    for year in ("1450", "2100"):
+        assert main(["amortize", "--table", str(table), "--reference-year",
+                     year, "--out", str(tmp_path / year)]) == 0
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e400", "nan"])
+def test_non_finite_float_exits_2_naming_the_flag(corpus_file, tmp_path, capsys,
+                                                  value):
+    table = tmp_path / "table.csv"
+    table.write_text("year,metric\n2019,4\n2020,3\n")
+    out = tmp_path / "out"
+    for argv, flag in (
+            (["amortize", "--table", str(table)], "--display-scale"),
+            (["themes", "--corpus", str(corpus_file), "--slices", "2000-2023"],
+             "--min-weight-index")):
+        # "=" keeps argparse from reading "-inf" as an option
+        assert main(argv + [f"{flag}={value}", "--out", str(out)]) == 2
+        assert f"argument {flag}: must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_graph_pipeline_cooccur_pagerank_walktrap(corpus_file, tmp_path):
     out = tmp_path / "nets"
     assert main(["cooccur", "--corpus", str(corpus_file), "--field", "DE",

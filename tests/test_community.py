@@ -88,7 +88,7 @@ def test_walk_length_below_one_rejected(walk_length):
     with pytest.raises(ValueError, match="walk length must be at least 1"):
         walktrap(graph, walk_length=walk_length)
     with pytest.raises(ValueError, match="walk length must be at least 1"):
-        walktrap(Graph(), walk_length=walk_length)
+        walktrap(Graph([], []), walk_length=walk_length)
 
 
 def test_directed_graph_rejected():
@@ -104,7 +104,7 @@ def test_directed_graph_rejected():
 
 
 def test_tiny_graphs():
-    assert walktrap(Graph()) == Clustering(assignment={}, modularity=0.0,
+    assert walktrap(Graph([], [])) == Clustering(assignment={}, modularity=0.0,
                                            n_clusters=0)
     single = walktrap(build_graph(["x"], []))
     assert single.assignment == {"x": 0}

@@ -92,9 +92,9 @@ def self_loops():
     """Self-loops add to degrees but never join two communities."""
     graph = random_graph(5, 20, 0.2, integer=True)
     rng = random.Random(29)
-    graph.edges += [(u, u, float(rng.randrange(1, 4)))
-                    for u in graph.node_ids() if rng.random() < 0.3]
-    return graph
+    return graph._replace(edges=graph.edges + [
+        (u, u, float(rng.randrange(1, 4)))
+        for u in graph.node_ids() if rng.random() < 0.3])
 
 
 GRAPHS = {

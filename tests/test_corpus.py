@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import copy
+
 import pytest
 
-from conftest import build_corpus, make_document
+from conftest import build_corpus, make_document, make_ref
 from scimap.corpus import (
     coverage_report, dedupe_and_screen, load_corpus, save_corpus,
 )
-from scimap.records import coverage_label
+from scimap.records import Document, coverage_label
 
 
 def test_doi_duplicates_merge_keep_max_tc():
@@ -23,6 +25,105 @@ def test_doi_duplicates_merge_keep_max_tc():
     assert kept.author_keywords == ["alpha", "beta"]
     assert [e.reason for e in corpus.screening] == ["duplicate-doi"]
     assert corpus.screening[0].kept_id == "a"
+
+
+def _document(doc_id, **fields):
+    """A document with every field given, empty unless set."""
+    empty = dict(authors=[], title="", source="", pub_year=None,
+                 total_citations=0, cited_refs=[], ref_count=None,
+                 author_keywords=[], keywords_plus=[], abstract=None,
+                 affiliations=[], corresponding=None, doi=None, doc_type="",
+                 language="", categories=[], quality_flags=[],
+                 missing_fields=None)
+    return Document(id=doc_id, **{**empty, **fields})
+
+
+FULL = dict(authors=["ROE, J"], title="Dup title", source="J DUP",
+            pub_year=2001, cited_refs=[make_ref("ALTMAN EI, 1968, J FINANC")],
+            ref_count=1, abstract="An abstract.",
+            affiliations=["UNIV X, CITY, USA"], corresponding="UNIV X, USA",
+            doi="10.1/dup", doc_type="review", language="German",
+            author_keywords=["beta", "alpha", "gamma"],
+            keywords_plus=["plus b", "plus a"],
+            categories=["Economics", "Business"],
+            quality_flags=["flag-b", "flag-a", "flag-b"],
+            missing_fields=["AB", "C1", "ID", "WC"])
+
+
+def test_merge_fills_empty_fields_and_unions_lists():
+    kept = _document("k", doi="10.1/dup", total_citations=3,
+                     author_keywords=["alpha", "delta"],
+                     keywords_plus=["plus a"], categories=["Business"],
+                     quality_flags=["flag-a"],
+                     missing_fields=["AU", "AB", "C1", "DE", "WC"])
+    corpus = dedupe_and_screen([kept, _document("d", **FULL)],
+                               reference_year=2023)
+    assert [e.reason for e in corpus.screening] == ["duplicate-doi"]
+    (merged,) = corpus.documents
+    filled = ("authors", "title", "source", "pub_year", "cited_refs",
+              "ref_count", "abstract", "affiliations", "corresponding",
+              "doc_type", "language")
+    assert {name: getattr(merged, name) for name in filled} == \
+        {name: FULL[name] for name in filled}
+    assert merged.id == "k" and merged.doi == "10.1/dup"
+    assert merged.total_citations == 3
+    assert merged.author_keywords == ["alpha", "delta", "beta", "gamma"]
+    assert merged.keywords_plus == ["plus a", "plus b"]
+    assert merged.categories == ["Business", "Economics"]
+    assert merged.quality_flags == ["flag-a", "flag-b"]
+    # missing only where both miss, in the kept document's order
+    assert merged.missing_fields == ["AB", "C1", "WC"]
+
+
+def test_merge_keeps_the_fields_the_kept_document_has():
+    values = dict(authors=["DOE, A"], title="Dup title", source="J KEPT",
+                  pub_year=2001, cited_refs=[], ref_count=0,
+                  abstract="Kept.", affiliations=["UNIV Y, TOWN, PERU"],
+                  corresponding="UNIV Y, PERU", doc_type="article",
+                  language="English", missing_fields=["DI", "CR"])
+    kept = _document("k", total_citations=9, **values)
+    corpus = dedupe_and_screen([kept, _document("d", **FULL)],
+                               reference_year=2023)
+    assert [e.reason for e in corpus.screening] == ["duplicate-title-year"]
+    (merged,) = corpus.documents
+    # an empty reference list is filled; a ref_count of 0 is a value
+    assert merged.cited_refs == FULL["cited_refs"]
+    assert merged.doi == "10.1/dup"
+    kept_values = {name: value for name, value in values.items()
+                   if name not in ("cited_refs", "missing_fields")}
+    assert {name: getattr(merged, name) for name in kept_values} == kept_values
+    assert merged.total_citations == 9
+    assert merged.missing_fields == []
+
+
+def test_dedupe_leaves_its_input_documents_alone():
+    docs = [
+        make_document("a", title="Same work", doi="10.1/x", keywords=["a"],
+                      pub_year=2001),
+        make_document("b", title="Same work", doi="10.1/x", keywords=["b"],
+                      authors=["ROE, J"], pub_year=2001, total_citations=4),
+        make_document("c", title="Other work", pub_year=2002),
+        make_document("d", title="other work.", pub_year=2002,
+                      abstract="Filled.", categories=["Economics"]),
+    ]
+    before = copy.deepcopy(docs)
+    corpus = build_corpus(docs)
+    assert len(corpus) == 2
+    assert all(doc.missing_fields is not None for doc in corpus.documents)
+    assert docs == before
+
+
+def test_duplicate_merges_into_the_document_it_matched_when_ids_repeat():
+    # two exports sharing a file name give records without UT one id
+    docs = [
+        make_document("wos.txt:0", title="First", pub_year=2001, doi="10.1/a"),
+        make_document("wos.txt:0", title="Second", pub_year=2002, doi="10.1/b"),
+        make_document("wos.txt:1", title="First", pub_year=2001, doi="10.1/a",
+                      total_citations=8),
+    ]
+    corpus = build_corpus(docs)
+    assert [(doc.title, doc.total_citations) for doc in corpus.documents] == \
+        [("First", 8), ("Second", 0)]
 
 
 def test_title_year_duplicates_merge_without_doi():

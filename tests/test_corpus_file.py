@@ -135,9 +135,21 @@ def test_last_document_without_reference_line(tmp_path, capsys):
     assert "line 4: document has no reference line" in capsys.readouterr().err
 
 
+def _line_of_b(drop=(), **extra):
+    """The document line of "b" in ``sample_corpus``, keys dropped or added."""
+    doc = sample_corpus().documents[1]
+    fields = {name: getattr(doc, name) for name in DOCUMENT_FIELDS
+              if name not in drop}
+    return json.dumps({**fields, **extra})
+
+
 @pytest.mark.parametrize("bad", ['{"id": "b", "unknown": 1}', '["b"]',
                                  '{"id": "b", "missing_fields": null}',
-                                 '{"missing_fields": []}'])
+                                 '{"missing_fields": []}',
+                                 pytest.param(_line_of_b(drop=("authors",)),
+                                              id="no-authors"),
+                                 pytest.param(_line_of_b(cited_refs=[]),
+                                              id="cited_refs-key")])
 def test_malformed_document_line_names_its_line(tmp_path, bad):
     path, lines = saved_lines(tmp_path)
     lines[3] = bad + "\n"
@@ -201,7 +213,8 @@ def test_save_fills_missing_fields_so_coverage_needs_no_references(tmp_path):
 
 def test_document_that_cannot_fill_missing_fields_leaves_no_file(tmp_path):
     corpus = sample_corpus()
-    corpus.documents[-1].cited_refs = None   # as after a plain load
+    # as after a plain load
+    corpus.documents[-1] = corpus.documents[-1]._replace(cited_refs=None)
     path = tmp_path / "corpus.dat"
     with pytest.raises(TypeError):
         save_corpus(corpus, path)
@@ -220,7 +233,7 @@ def test_document_without_missing_fields_list_leaves_no_file(tmp_path, missing):
     # load_corpus refuses a document whose missing_fields is not a list,
     # so save_corpus must not write one
     corpus = sample_corpus()
-    corpus.documents[0].missing_fields = missing
+    corpus.documents[0] = corpus.documents[0]._replace(missing_fields=missing)
     path = tmp_path / "corpus.dat"
     with pytest.raises(TypeError, match="missing_fields"):
         save_corpus(corpus, path)
@@ -258,9 +271,7 @@ CORPUS = st.builds(
 
 def _without_references(doc: Document) -> Document:
     """A copy of ``doc`` as a load without references gives it."""
-    copy = Document(**{name: getattr(doc, name) for name in DOCUMENT_FIELDS})
-    copy.cited_refs = None
-    return copy
+    return doc._replace(cited_refs=None)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

@@ -87,7 +87,7 @@ def test_refused_characters_are_exactly_those_outside_xml_char():
 
 
 def test_comment_breaks_double_hyphens(tmp_path):
-    graph = Graph(nodes=[GraphNode(id="a", label="a", weight=1.0)])
+    graph = Graph(nodes=[GraphNode(id="a", label="a", weight=1.0)], edges=[])
     path = write_graphml(graph, tmp_path / "g.graphml", meta={"corpus": "wos---x.txt"})
     assert "<!-- scimap " in path.read_text()
     assert "corpus: wos- - -x.txt -->" in path.read_text()
@@ -95,9 +95,9 @@ def test_comment_breaks_double_hyphens(tmp_path):
 
 
 @pytest.mark.parametrize("graph, where", [
-    (Graph(nodes=[GraphNode(id="a", label="x\x1ay", weight=1.0)]),
+    (Graph(nodes=[GraphNode(id="a", label="x\x1ay", weight=1.0)], edges=[]),
      "node 'a' label holds U+001A"),
-    (Graph(nodes=[GraphNode(id="a\x00", label="a", weight=1.0)]),
+    (Graph(nodes=[GraphNode(id="a\x00", label="a", weight=1.0)], edges=[]),
      "node 'a\\x00' id holds U+0000"),
     (Graph(nodes=[GraphNode(id="a", label="a", weight=1.0)],
            edges=[("a", "b\ufffe", 1.0)], directed=True),
@@ -111,7 +111,7 @@ def test_characters_xml_cannot_carry_are_refused(tmp_path, graph, where):
 
 def test_header_character_xml_cannot_carry_is_refused(tmp_path):
     with pytest.raises(ValueError, match=re.escape("the header comment holds U+0007")):
-        write_graphml(Graph(), tmp_path / "g.graphml", meta={"corpus": "bell\x07"})
+        write_graphml(Graph([], []), tmp_path / "g.graphml", meta={"corpus": "bell\x07"})
 
 
 # Through the command line --------------------------------------------------

@@ -315,22 +315,20 @@ def test_rpys_conservation_and_undated_bucket():
 
 def test_historiograph_undated_mutual_citations_stay_acyclic():
     docs = [
+        # undated references carry no year: match via author+source only
+        # fails, so force direct citations through DOIs instead
         make_document("p", authors=["PRICE, R"], title="p",
-                      source="VENUE P LONG",
-                      cited_refs=[make_ref("QUINE W, , VENUE Q LONG")]),
+                      source="VENUE P LONG", doi="10.9/p",
+                      cited_refs=[make_ref("QUINE W, , VENUE Q LONG")
+                                  ._replace(doi="10.9/q")]),
         make_document("q", authors=["QUINE, W"], title="q",
-                      source="VENUE Q LONG",
-                      cited_refs=[make_ref("PRICE R, , VENUE P LONG")]),
+                      source="VENUE Q LONG", doi="10.9/q",
+                      cited_refs=[make_ref("PRICE R, , VENUE P LONG")
+                                  ._replace(doi="10.9/p")]),
         make_document("anchor", authors=["ADAMS, A"], title="anchor",
                       pub_year=2000),
     ]
     corpus = build_corpus(docs, reference_year=2023)
-    # undated references carry no year: match via author+source only fails,
-    # so force direct citations through DOIs instead
-    docs[0].cited_refs[0] = docs[0].cited_refs[0]._replace(doi="10.9/q")
-    docs[1].cited_refs[0] = docs[1].cited_refs[0]._replace(doi="10.9/p")
-    docs[0].doi = "10.9/p"
-    docs[1].doi = "10.9/q"
     graph, flags = historiograph(corpus, match_local_citations(corpus), n=10)
     assert graph_order(graph) is not None
     assert any("cycle-closing" in flag for flag in flags)

@@ -115,7 +115,7 @@ def test_growth_rate_closed_form():
 
 def test_summary_requires_dated_documents():
     corpus = build_corpus([make_document("a", title="a", pub_year=2000)])
-    corpus.documents[0].pub_year = None
+    corpus.documents[0] = corpus.documents[0]._replace(pub_year=None)
     with pytest.raises(ValueError):
         descriptive_summary(corpus)
 

@@ -10,7 +10,7 @@ from scimap.normalize import (
     normalize_doi, parse_cited_reference, to_document,
 )
 from scimap.parsing import parse_plaintext_export
-from scimap.records import FIELD_ROLES, Document
+from scimap.records import FIELD_ROLES
 
 
 def test_full_given_name_reduced_to_initials():
@@ -180,7 +180,7 @@ def full_document():
 
 
 def test_field_values_cover_every_field_role():
-    full, empty = full_document(), Document(id="e")
+    full, empty = full_document(), make_document("e", doc_type="", language="")
     for tag, _ in FIELD_ROLES:
         assert field_values(full, tag), tag
         # a zero citation count is a value, not absence
@@ -196,7 +196,8 @@ def test_field_values_of_entity_and_derived_fields():
     assert field_values(doc, "TC") == {"0"}
     assert field_values(doc, "title-bigrams") == {"deep credit", "credit scoring"}
     assert "deep networks" in field_values(doc, "abstract-bigrams")
-    assert field_values(Document(id="e"), "abstract-bigrams") == set()
+    assert field_values(make_document("e", doc_type="", language=""),
+                        "abstract-bigrams") == set()
 
 
 def test_field_values_unknown_tag_is_error():

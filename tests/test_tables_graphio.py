@@ -110,7 +110,8 @@ def test_directed_three_cycle_counts(tmp_path, flavor):
 def test_cluster_attribute_attached(tmp_path):
     graph = sample_graph()
     assignment = {"a": 0, "b": 0, "c": 1}
-    graph.nodes = [node._replace(cluster=assignment[node.id]) for node in graph.nodes]
+    graph = graph._replace(nodes=[node._replace(cluster=assignment[node.id])
+                                  for node in graph.nodes])
     graphml = read_graphml(write_graph(graph, tmp_path / "g.graphml"))
     assert {n.id: n.cluster for n in graphml.nodes} == {"a": 0, "b": 0, "c": 1}
     dot = read_dot(write_graph(graph, tmp_path / "g.dot", flavor="dot"))
