@@ -110,6 +110,14 @@ def _config_flags(parser: argparse.ArgumentParser,
     return flags
 
 
+# File options hashed by their basename: an input's identity is its name
+# (and the provenance meta), not where it lies.
+_HASHED_BY_NAME = ("inputs", "graph", "table", "lexicon", "niches", "retracted")
+# Options never hashed: the handler and where the command reads its
+# config and corpus and writes its output.
+_NOT_HASHED = {"handler", "config", "out", "corpus", "output"}
+
+
 def _resolve_config(args: argparse.Namespace) -> dict:
     """The analysis parameters the artifact headers hash; the output
     directory falls back to ``SCIMAP_OUT``, then the working directory.
@@ -117,14 +125,11 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     if getattr(args, "out", None) is None:
         args.out = os.environ.get("SCIMAP_OUT", ".")
     args.out = Path(args.out)
-    # The hash covers analysis parameters; filesystem locations are
-    # incidental (input identity is carried by provenance/basename meta).
-    path_keys = {"handler", "config", "out", "corpus", "output", "inputs",
-                 "graph", "table", "lexicon", "niches", "retracted"}
     resolved = {key: value for key, value in sorted(vars(args).items())
-                if key not in path_keys and value is not None}
+                if key not in _NOT_HASHED and key not in _HASHED_BY_NAME
+                and value is not None}
     resolved["engine"] = ENGINE_VERSION
-    for key in ("inputs", "graph", "table", "lexicon", "niches"):
+    for key in _HASHED_BY_NAME:
         value = getattr(args, key, None)
         if value is not None:
             names = [Path(v).name for v in value] \
@@ -572,7 +577,8 @@ def cmd_mfas(args, config):
                 ["from", "to", "removed"], args.out / "mfas_solution.csv",
                 meta)
     print(f"feedback arc set of size {best.size} after {report.runs} runs "
-          f"(success bound {float(report.reference_bound):.10f})")
+          f"(reference-model bound 1 - 2^-{report.runs} = "
+          f"{float(report.reference_bound):.10f}, not measured on this graph)")
 
 
 def cmd_mfas_calibrate(args, config):

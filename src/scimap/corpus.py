@@ -13,7 +13,7 @@ from itertools import product
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .normalize import field_values, fold_ascii, normalize_doi
+from .normalize import fold_ascii, normalize_doi
 from .records import (
     Corpus, CoverageRow, CitedReference, Document,
     FIELD_ROLES, ScreeningEntry, coverage_label,
@@ -36,11 +36,19 @@ def dedupe_and_screen(documents: Iterable[Document],
                       provenance: Iterable[str] = ()) -> Corpus:
     """Merge duplicates, drop retracted items, and freeze a corpus.
 
-    Duplicate matching is DOI-first, then (normalized title, year).  Every
-    removal lands in the screening ledger with its reason; applying the
-    function to an already-screened corpus removes nothing.  A document
-    built in code with ``missing_fields`` None gets it from its values.
-    No document passed in is edited: a merge or a fill keeps a new one.
+    Every document is assigned its work before any merge, so the groups
+    do not depend on the order of the input.  A document's work is its
+    DOI; else the smallest DOI that a document with the same (normalized
+    title, year) key carries; else that key.  A document with neither a
+    DOI nor a title is a work of its own.  Conflicting DOIs therefore mean
+    distinct works even under an identical title.  Each work keeps its
+    first document, which absorbs the others in input order, and every
+    removal lands in the screening ledger with its reason.
+
+    Applying the function to its own result removes nothing when every
+    document passed in has a title and a year; a merge that fills an
+    empty title or year can make a match the first pass did not see.
+    No document passed in is edited: a merge keeps a new one.
     """
     retracted_keys = set()
     for key in retracted:
@@ -49,41 +57,38 @@ def dedupe_and_screen(documents: Iterable[Document],
         if doi:
             retracted_keys.add(doi)
 
+    documents = list(documents)
+    live = [not (doc.id in retracted_keys or (doc.doi and doc.doi in retracted_keys))
+            for doc in documents]
+    title_keys = [(normalized_title(doc.title), doc.pub_year) if doc.title else None
+                  for doc in documents]
+    dois_by_key: dict[tuple, set[str]] = {}
+    for doc, key, alive in zip(documents, title_keys, live):
+        if alive and key and doc.doi:
+            dois_by_key.setdefault(key, set()).add(doc.doi)
+
     kept: list[Document] = []
     screening: list[ScreeningEntry] = []
-    # DOI and (normalized title, year) -> position in kept
-    by_doi: dict[str, int] = {}
-    by_title_year: dict[tuple, int] = {}
-
-    for doc in documents:
-        if doc.missing_fields is None:
-            doc = doc._replace(missing_fields=[tag for tag, _ in FIELD_ROLES
-                                               if not field_values(doc, tag)])
-        if doc.id in retracted_keys or (doc.doi and doc.doi in retracted_keys):
+    position: dict[object, int] = {}   # work -> position in kept
+    for index, (doc, key, alive) in enumerate(zip(documents, title_keys, live)):
+        if not alive:
             screening.append(ScreeningEntry(removed_id=doc.id, reason="retracted"))
             continue
-        title_key = (normalized_title(doc.title), doc.pub_year)
-        target = None
-        reason = ""
-        if doc.doi and doc.doi in by_doi:
-            target, reason = by_doi[doc.doi], "duplicate-doi"
-        elif doc.title and title_key in by_title_year:
-            candidate = by_title_year[title_key]
-            # DOI outranks the title+year key: conflicting DOIs mean
-            # distinct works even under an identical title.
-            other_doi = kept[candidate].doi
-            if not (doc.doi and other_doi and doc.doi != other_doi):
-                target, reason = candidate, "duplicate-title-year"
-        if target is not None:
-            screening.append(ScreeningEntry(removed_id=doc.id, reason=reason,
-                                            kept_id=kept[target].id))
-            kept[target] = _merged(kept[target], doc)
+        dois = dois_by_key.get(key, ())
+        # a DOI, a title key and an input position never compare equal
+        work = doc.doi or (min(dois) if dois else key) or index
+        if work not in position:
+            position[work] = len(kept)
+            kept.append(doc)
             continue
-        if doc.doi:
-            by_doi[doc.doi] = len(kept)
-        if doc.title:
-            by_title_year[title_key] = len(kept)
-        kept.append(doc)
+        target = kept[position[work]]
+        reason = ("duplicate-doi" if doc.doi and doc.doi == target.doi
+                  else "duplicate-title-year")
+        detail = (f"title-year key holds {len(dois)} DOIs: joined the "
+                  f"smallest ({work})" if not doc.doi and len(dois) > 1 else "")
+        screening.append(ScreeningEntry(removed_id=doc.id, reason=reason,
+                                        kept_id=target.id, detail=detail))
+        kept[position[work]] = _merged(target, doc)
 
     if reference_year is None:
         dated = [d.pub_year for d in kept if d.pub_year is not None]
@@ -191,7 +196,7 @@ def save_corpus(corpus: Corpus, path: str | Path) -> Path:
                             f"references and cannot be saved")
         if type(doc.missing_fields) is not list:
             raise TypeError(f"document {doc.id!r} has no missing_fields list "
-                            f"(dedupe_and_screen fills it) and cannot be saved")
+                            f"and cannot be saved")
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
         handle.write(_dump({

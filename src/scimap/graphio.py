@@ -10,8 +10,8 @@ import re
 from pathlib import Path
 from typing import Mapping, Optional
 
-from . import ENGINE_VERSION
 from .graphs import Graph, GraphNode
+from .tables import header_lines
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 
@@ -21,12 +21,6 @@ _KEYS = (
     ("d_cluster", "node", "cluster", "long"),
     ("d_edge_weight", "edge", "weight", "double"),
 )
-
-
-def _header_lines(meta: Optional[Mapping]) -> list[str]:
-    lines = [f"scimap {ENGINE_VERSION}"]
-    lines.extend(f"{key}: {value}" for key, value in (meta or {}).items())
-    return lines
 
 
 def _escape_text(text: str) -> str:
@@ -89,7 +83,7 @@ def write_graphml(graph: Graph, path: str | Path,
     written.
     """
     path = Path(path)
-    comment = re.sub("-(?=-)", "- ", " | ".join(_header_lines(meta)))
+    comment = re.sub("-(?=-)", "- ", " | ".join(header_lines(meta)))
     nodes = sorted(graph.nodes, key=lambda n: n.id)
     edges = sorted(graph.edges)
     # Each distinct id is escaped and checked once, not once per edge end.
@@ -172,7 +166,7 @@ def write_dot(graph: Graph, path: str | Path,
     kind = "digraph" if graph.directed else "graph"
     arrow = "->" if graph.directed else "--"
     lines = [f"{kind} G {{"]
-    lines.extend(f"  // {line}" for line in _header_lines(meta))
+    lines.extend(f"  // {line}" for line in header_lines(meta))
     for node in sorted(graph.nodes, key=lambda n: n.id):
         attrs = [f"label={_dot_quote(node.label)}", f"weight={node.weight!r}"]
         if node.cluster is not None:

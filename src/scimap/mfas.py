@@ -98,18 +98,6 @@ def _component_of(components: list[list[str]]) -> dict[str, set[str]]:
     return component
 
 
-def cycle_bundles(mg: Multigraph) -> list[tuple[Bundle, int]]:
-    """Bundles currently lying on at least one directed cycle, sorted.
-
-    An arc (u, v) with u != v sits on a cycle exactly when u and v share
-    a strongly connected component.
-    """
-    component = _component_of(strongly_connected_components(
-        sorted(mg.nodes), mg.successors()))
-    return sorted(((u, v), m) for (u, v), m in mg.bundles.items()
-                  if component[u] is component[v])
-
-
 class McSolution:
     """The arcs one run removed.
 
@@ -139,28 +127,23 @@ class McSolution:
         return order
 
 
-class _RunStart(NamedTuple):
-    """What every run on one graph starts from; runs copy what they change."""
-
-    bundles: list[Bundle]              # sorted; bundle i is index i below
-    multiplicity: list[int]
-    out: dict[str, dict[str, int]]     # u -> {v: index of bundle (u, v)}
-    component: dict[str, set[str]]
-    tree: list[int]                    # Fenwick tree of the weights, see run_once
-
-
 # What emptying one bundle does to its component: None when the tail still
 # reaches the head inside it, else each node of the old component mapped
 # to its new member set, and the bundles that now cross between parts.
 _Split = Optional[tuple[dict[str, set[str]], list[int]]]
 
 
-class _Shared(NamedTuple):
-    """What the runs on one graph share: the read-only start, and the
-    split memo that every run reads and fills, keyed on the set of
-    emptied bundles as a bitmask and the bundle emptied last."""
+class _RunStart(NamedTuple):
+    """What every run on one graph starts from.  Runs only read the other
+    fields, copying what they change; they read and fill ``splits``."""
 
-    start: _RunStart
+    bundles: list[Bundle]              # sorted; bundle i is index i below
+    multiplicity: list[int]
+    out: dict[str, dict[str, int]]     # u -> {v: index of bundle (u, v)}
+    component: dict[str, set[str]]
+    tree: list[int]                    # Fenwick tree of the weights, see run_once
+    # The split memo, keyed on the set of emptied bundles as a bitmask
+    # and the bundle emptied last.
     splits: dict[tuple[int, int], _Split]
 
 
@@ -210,7 +193,7 @@ def _run_start(mg: Multigraph) -> _RunStart:
     component = _component_of(strongly_connected_components(sorted(mg.nodes), out))
     weight = [m if component[u] is component[v] else 0
               for (u, v), m in zip(bundles, multiplicity)]
-    return _RunStart(bundles, multiplicity, out, component, _fenwick(weight))
+    return _RunStart(bundles, multiplicity, out, component, _fenwick(weight), {})
 
 
 def _derive_seed(*parts) -> int:
@@ -218,8 +201,8 @@ def _derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-def run_once(mg: Multigraph, seed: int, check_support: bool = False, *,
-             start: Optional[_Shared] = None) -> McSolution:
+def run_once(mg: Multigraph, seed: int, *,
+             start: Optional[_RunStart] = None) -> McSolution:
     """One Monte Carlo run: break uniformly chosen on-cycle arcs until the
     graph is acyclic.  Deterministic given the seed.
 
@@ -237,13 +220,12 @@ def run_once(mg: Multigraph, seed: int, check_support: bool = False, *,
     in the split memo before it is computed, and stored while the memo
     holds fewer than ``SPLIT_MEMO_SIZE`` entries.
 
-    ``start`` is ``_Shared(_run_start(mg), splits)``, built once when many
-    runs share a graph: the runs only read its start and share the memo
-    ``splits``.  Without it the run builds both for itself.
-    ``check_support`` re-verifies, independently of the sampler, that
-    every removed arc lay on a cycle at its removal time.
+    ``start`` is ``_run_start(mg)``, built once when many runs share a
+    graph, and with it its split memo.  Without it the run builds its own.
     """
-    start, splits = start or _Shared(_run_start(mg), {})
+    if start is None:
+        start = _run_start(mg)
+    splits = start.splits
     rng = random.Random(seed)
     bundles = start.bundles
     left = start.multiplicity.copy()
@@ -251,15 +233,9 @@ def run_once(mg: Multigraph, seed: int, check_support: bool = False, *,
     out = {node: succ.copy() for node, succ in start.out.items()}
     component = start.component.copy()
     emptied = 0
-    work = mg.copy() if check_support else None
     while tree[-1]:
         i = _fenwick_find(tree, rng.randrange(tree[-1]))
         u, v = bundles[i]
-        if work is not None:
-            assert reaches(work.successors(), v, u), f"sampled off-cycle arc {(u, v)}"
-            work.bundles[(u, v)] -= 1
-            if not work.bundles[(u, v)]:
-                del work.bundles[(u, v)]
         left[i] -= 1
         _fenwick_add(tree, i, -1)
         if left[i]:
@@ -317,10 +293,10 @@ def solve(mg: Multigraph, t: int, seed: int) -> tuple[McSolution, ConfidenceRepo
     """
     if t < 1:
         raise ValueError("at least one run is required")
-    shared = _Shared(_run_start(mg), {})
+    start = _run_start(mg)
     best: Optional[McSolution] = None
     for i in range(t):
-        solution = run_once(mg, _derive_seed(seed, i), start=shared)
+        solution = run_once(mg, _derive_seed(seed, i), start=start)
         if best is None or solution.size < best.size:
             best = solution
     assert best is not None
@@ -408,7 +384,7 @@ def calibration_harness(mg: Multigraph, t: int, trials: int, seed: int,
         raise ValueError("both t and trials must be at least 1")
     _check_confidence(confidence)
     optimum, _ = brute_force_optimum(mg)
-    shared = _Shared(_run_start(mg), {})
+    start = _run_start(mg)
     records = []
     cumulative_hits = [0] * t
     run_successes = 0
@@ -417,7 +393,7 @@ def calibration_harness(mg: Multigraph, t: int, trials: int, seed: int,
         first_success: Optional[int] = None
         successes = 0
         for r in range(t):
-            solution = run_once(mg, _derive_seed(seed, j, r), start=shared)
+            solution = run_once(mg, _derive_seed(seed, j, r), start=start)
             if best_size is None or solution.size < best_size:
                 best_size = solution.size
             if solution.size == optimum:

@@ -15,8 +15,8 @@ from .textterms import WHITESPACE_RUN
 # Tags that belong to the file envelope, not to any record.
 _FILE_TAGS = {"FN", "VR", "EF"}
 
-_TAG_LINE = re.compile(r"^([A-Z][A-Z0-9]) (.*)$")
-_TAG_ONLY = re.compile(r"^([A-Z][A-Z0-9])$")
+# A two-character tag, then a space or the end of the line.
+_TAG = re.compile(r"[A-Z][A-Z0-9](?: |$)")
 
 
 class ExportParseError(ValueError):
@@ -53,60 +53,47 @@ def _decode(data: bytes, source_file: str) -> str:
 def parse_plaintext_export(data: bytes, source_file: str = "") -> list[RawRecord]:
     """Parse a WoS tagged plaintext export into raw records.
 
-    Records are sequences of ``TAG value`` lines terminated by ``ER``;
-    continuation lines are indented with three spaces and append to the
-    preceding tag's value list.  ``FN`` / ``VR`` header lines and the final
-    ``EF`` trailer are ignored.
+    Records are sequences of ``TAG value`` lines terminated by ``ER``.
+    Any other non-blank line inside a record, such as the three-space
+    indented continuation lines of the export, appends to the preceding
+    tag's value list.  ``FN`` / ``VR`` header lines and non-tag lines
+    outside records are ignored, and the ``EF`` trailer ends the file.
     """
     text = _decode(data, source_file)
     records: list[RawRecord] = []
     current: Optional[RawRecord] = None
-    last_tag: Optional[str] = None
-    index = 0
+    last_tag = ""
 
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.rstrip("\r\n")
         if not line.strip():
             continue
-        match = _TAG_LINE.match(line)
-        tag_only = _TAG_ONLY.match(line) if match is None else None
-        tag = match.group(1) if match else (tag_only.group(1) if tag_only else None)
-
+        if not _TAG.match(line):
+            # inside a record a lenient continuation, not a failed file
+            if current is not None:
+                current.add(last_tag, line.strip())
+            continue
+        tag, value = line[:2], line[3:].strip()
         if tag == "EF":
             break
         if tag == "ER":
             if current is None:
                 raise ExportParseError("record terminator without record",
-                                       source_file, record_index=index, line=lineno)
+                                       source_file, record_index=len(records),
+                                       line=lineno)
             records.append(current)
-            current, last_tag = None, None
-            index += 1
-            continue
-        if tag in _FILE_TAGS:
-            continue
-        if tag is not None:
+            current = None
+        elif tag not in _FILE_TAGS:
             if current is None:
-                current = RawRecord(source_file=source_file, record_index=index)
-            value = match.group(2).strip() if match else ""
+                current = RawRecord(source_file=source_file,
+                                    record_index=len(records))
+            values = current.entries.setdefault(tag, [])
             if value:
-                current.add(tag, value)
-            else:
-                current.entries.setdefault(tag, [])
+                values.append(value)
             last_tag = tag
-            continue
-        if line.startswith("   ") and current is not None and last_tag is not None:
-            value = line[3:].strip()
-            if value:
-                current.add(last_tag, value)
-            continue
-        # Junk outside records is header/trailer noise; inside a record we
-        # treat it as a lenient continuation rather than failing the file.
-        if current is not None and last_tag is not None:
-            current.add(last_tag, line.strip())
 
     if current is not None:
         raise ExportParseError("unterminated record (missing ER)",
-                               source_file, record_index=index)
+                               source_file, record_index=len(records))
     return records
 
 

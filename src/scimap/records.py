@@ -100,10 +100,8 @@ class Document(NamedTuple):
     # Non-fatal data oddities noticed during normalization (e.g. NR vs CR
     # disagreement, unparseable year).  Never raised, always carried.
     quality_flags: list[str]
-    # Table-4 tags absent from the raw record, set by to_document;
-    # dedupe_and_screen derives it from the values of a document built in
-    # code with None, so every document of a corpus holds a list.
-    missing_fields: Optional[list[str]]
+    # Table-4 tags absent from the raw record, set by to_document.
+    missing_fields: list[str]
 
 
 class ScreeningEntry(NamedTuple):

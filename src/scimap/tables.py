@@ -52,13 +52,19 @@ def config_hash(config: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def header_lines(meta: Mapping[str, Any] | None) -> list[str]:
+    """The header of every artifact, table or graph: the engine version,
+    then one ``key: value`` line per meta entry, each without a prefix."""
+    lines = [f"scimap {ENGINE_VERSION}"]
+    lines.extend(f"{key}: {value}" for key, value in (meta or {}).items())
+    return lines
+
+
 def render_table(rows: Iterable[Sequence[Any]], schema: Sequence[str],
                  meta: Mapping[str, Any] | None = None) -> str:
     """Render header block + CSV into a string (see ``write_table``)."""
     buf = io.StringIO()
-    buf.write(f"# scimap {ENGINE_VERSION}\n")
-    for key, value in (meta or {}).items():
-        buf.write(f"# {key}: {value}\n")
+    buf.writelines(f"# {line}\n" for line in header_lines(meta))
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
     writer.writerow(list(schema))
     for row in rows:

@@ -7,8 +7,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from scimap.records import Document  # noqa: E402
+from scimap.records import FIELD_ROLES, Document  # noqa: E402
 from scimap.corpus import dedupe_and_screen  # noqa: E402
+from scimap.normalize import field_values  # noqa: E402
 from scimap.digraph import topological_order  # noqa: E402
 
 
@@ -17,7 +18,9 @@ def make_document(doc_id, *, authors=(), title="", source="", pub_year=None,
                   abstract=None, affiliations=(), corresponding=None, doi=None,
                   doc_type="article", language="English", categories=(),
                   ref_count=None):
-    return Document(
+    """A document built in code; ``missing_fields`` lists the tags whose
+    values it leaves empty."""
+    doc = Document(
         id=doc_id, authors=list(authors), title=title, source=source,
         pub_year=pub_year, total_citations=total_citations,
         cited_refs=list(cited_refs), ref_count=ref_count,
@@ -26,8 +29,10 @@ def make_document(doc_id, *, authors=(), title="", source="", pub_year=None,
         abstract=abstract, affiliations=list(affiliations),
         corresponding=corresponding, doi=doi, doc_type=doc_type,
         language=language, categories=list(categories), quality_flags=[],
-        missing_fields=None,
+        missing_fields=[],
     )
+    return doc._replace(missing_fields=[tag for tag, _ in FIELD_ROLES
+                                        if not field_values(doc, tag)])
 
 
 def make_ref(text):

@@ -11,14 +11,15 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import Mapping, Optional
 
-from scimap.graphio import GRAPHML_NS, _KEYS, _header_lines
+from scimap.graphio import GRAPHML_NS, _KEYS
+from scimap.tables import header_lines
 from scimap.graphs import Graph
 
 
 def write_graphml(graph: Graph, path: str | Path,
                   meta: Optional[Mapping] = None) -> Path:
     root = ET.Element("graphml", xmlns=GRAPHML_NS)
-    root.append(ET.Comment(" " + " | ".join(_header_lines(meta)) + " "))
+    root.append(ET.Comment(" " + " | ".join(header_lines(meta)) + " "))
     for key_id, domain, name, kind in _KEYS:
         ET.SubElement(root, "key", id=key_id, **{"for": domain,
                       "attr.name": name, "attr.type": kind})

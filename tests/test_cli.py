@@ -55,6 +55,19 @@ def test_ingest_retracted_file(tmp_path):
     assert all(d.doi != "10.1016/j.eswa.2022.117000" for d in corpus.documents)
 
 
+def test_retraction_file_name_enters_the_config_hash(tmp_path):
+    configs = []
+    for name, listed in (("r1.txt", "sample_export.txt:2\n"), ("r2.txt", "")):
+        retracted = tmp_path / name
+        retracted.write_text(listed)
+        out = tmp_path / name.replace(".txt", ".dat")
+        assert main(["ingest", SAMPLE, "--reference-year", "2023",
+                     "--retracted", str(retracted), "-o", str(out)]) == 0
+        meta, _ = read_csv(out.with_suffix(".screening.csv"))
+        configs += [line for line in meta if line.startswith("# config:")]
+    assert len(configs) == 2 and configs[0] != configs[1]
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["explode"]) == 2
     assert "usage" in capsys.readouterr().err
@@ -321,11 +334,15 @@ def test_methods_command(corpus_file, tmp_path):
     assert data["fintech"][1] == "0"     # single ML mention suppressed
 
 
-def test_mfas_and_calibration_cli(tmp_path):
+def test_mfas_and_calibration_cli(tmp_path, capsys):
     graph = tmp_path / "triangle.tsv"
     graph.write_text("john ellen 3\nellen tim 1\ntim john 2\n")
     assert main(["mfas", "--graph", str(graph), "-t", "20", "--seed", "7",
                  "--out", str(tmp_path)]) == 0
+    # 1 - 2^-t holds only under the reference model, not for this graph
+    assert capsys.readouterr().out == (
+        "feedback arc set of size 1 after 20 runs (reference-model bound "
+        "1 - 2^-20 = 0.9999990463, not measured on this graph)\n")
     meta, rows = read_csv(tmp_path / "mfas_solution.csv")
     assert any("best_size: 1" in line for line in meta)
     assert any("reference_bound: 1048575/1048576" in line for line in meta)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+from itertools import permutations
 
 import pytest
 
@@ -34,7 +35,7 @@ def _document(doc_id, **fields):
                  author_keywords=[], keywords_plus=[], abstract=None,
                  affiliations=[], corresponding=None, doi=None, doc_type="",
                  language="", categories=[], quality_flags=[],
-                 missing_fields=None)
+                 missing_fields=[])
     return Document(id=doc_id, **{**empty, **fields})
 
 
@@ -109,7 +110,6 @@ def test_dedupe_leaves_its_input_documents_alone():
     before = copy.deepcopy(docs)
     corpus = build_corpus(docs)
     assert len(corpus) == 2
-    assert all(doc.missing_fields is not None for doc in corpus.documents)
     assert docs == before
 
 
@@ -145,6 +145,50 @@ def test_doi_outranks_title_year():
     corpus = build_corpus(docs)
     # different DOIs: the title+year key would merge them, DOI says distinct
     assert len(corpus) == 2
+
+
+# a has no DOI; its title key carries b's DOI, which c shares under
+# another title, so all three are one work in every order
+ABC = {"a": dict(title="T", pub_year=2001),
+       "b": dict(title="T", pub_year=2001, doi="10.1/x"),
+       "c": dict(title="T (corrected)", pub_year=2001, doi="10.1/x")}
+
+
+@pytest.mark.parametrize("order", ["".join(p) for p in permutations("abc")])
+def test_work_groups_do_not_depend_on_the_order(order):
+    corpus = build_corpus([make_document(k, **ABC[k]) for k in order])
+    assert [doc.id for doc in corpus.documents] == [order[0]]
+    assert corpus.documents[0].doi == "10.1/x"
+    assert [(e.removed_id, e.kept_id) for e in corpus.screening] == \
+        [(k, order[0]) for k in order[1:]]
+    assert dedupe_and_screen(corpus.documents, reference_year=2001).screening == []
+
+
+def test_screening_reason_compares_with_the_kept_document_doi():
+    corpus = build_corpus([make_document(k, **ABC[k]) for k in "abc"])
+    # b fills a's DOI when it merges, so c then matches it by DOI
+    assert [e.reason for e in corpus.screening] == [
+        "duplicate-title-year", "duplicate-doi"]
+    corpus = build_corpus([make_document(k, **ABC[k]) for k in "cba"])
+    assert [e.reason for e in corpus.screening] == [
+        "duplicate-doi", "duplicate-title-year"]
+
+
+@pytest.mark.parametrize("order", ["".join(p) for p in permutations("abc")])
+def test_document_without_doi_joins_the_smallest_doi_of_its_title(order):
+    works = {"a": dict(title="Shared", pub_year=2001),
+             "b": dict(title="Shared", pub_year=2001, doi="10.1/y"),
+             "c": dict(title="shared.", pub_year=2001, doi="10.1/x")}
+    corpus = build_corpus([make_document(k, **works[k]) for k in order])
+    groups = {doc.id: {doc.id} for doc in corpus.documents}
+    for entry in corpus.screening:
+        groups[entry.kept_id].add(entry.removed_id)
+    assert sorted(map(sorted, groups.values())) == [["a", "c"], ["b"]]
+    assert sorted(doc.doi for doc in corpus.documents) == ["10.1/x", "10.1/y"]
+    details = {e.removed_id: e.detail for e in corpus.screening}
+    if "a" in details:
+        assert details["a"] == ("title-year key holds 2 DOIs: joined the "
+                                "smallest (10.1/x)")
 
 
 def test_retracted_removed_by_id_or_doi():

@@ -198,7 +198,7 @@ def test_malformed_header_names_the_file(tmp_path, capsys, key, value):
 
 def test_save_fills_missing_fields_so_coverage_needs_no_references(tmp_path):
     corpus = sample_corpus()
-    # dedupe_and_screen filled both from their values, references included
+    # make_document fills both from their values, references included
     assert ["CR" in doc.missing_fields for doc in corpus.documents] == [False, True]
     expected = coverage_report(corpus)
     path = tmp_path / "corpus.dat"

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from graphio_reference import write_graphml as reference_write_graphml
 from scimap.cli import main
-from scimap.graphio import _NOT_XML_CHAR, _header_lines, read_graphml, write_graphml
+from scimap.graphio import _NOT_XML_CHAR, read_graphml, write_graphml
+from scimap.tables import header_lines
 from scimap.graphs import Graph, GraphNode
 
 DATA = Path(__file__).parent / "data"
@@ -51,7 +52,7 @@ def graphs(draw, labels=XML_TEXT, weights=st.floats()):
 
 META = st.dictionaries(XML_TEXT, st.one_of(XML_TEXT, st.integers(), NUMBER),
                        max_size=4).filter(
-    lambda meta: "--" not in " | ".join(_header_lines(meta)))
+    lambda meta: "--" not in " | ".join(header_lines(meta)))
 
 
 @pytest.fixture(scope="module")

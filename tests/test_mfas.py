@@ -12,7 +12,7 @@ from scimap import mfas
 from scimap.digraph import topological_order
 from scimap.mfas import (
     ConfidenceReport, Multigraph, brute_force_optimum, calibration_harness,
-    cycle_bundles, run_once, solve, success_lower_bound, triangle_example,
+    run_once, solve, success_lower_bound, triangle_example,
     wilson_interval,
 )
 from test_golden import SCC_MULTIGRAPH
@@ -132,7 +132,7 @@ def test_run_once_soundness_and_support_on_random_instances():
     rng = random.Random(71)
     for trial in range(100):
         mg = random_multigraph(rng)
-        solution = run_once(mg, seed=trial, check_support=True)
+        solution = run_once(mg, seed=trial)
         residual = mg.copy()
         for bundle, count in solution.removed.items():
             residual.bundles[bundle] -= count
@@ -149,32 +149,31 @@ def test_runs_sharing_one_start_match_runs_on_their_own():
     graphs = [block_multigraph(random.Random(k)) for k in (1, 2)]
     starts = [mfas._run_start(mg) for mg in graphs]
     pristine = copy.deepcopy(starts)
-    shared = [mfas._Shared(start, {}) for start in starts]
     keys = [(g, seed) for g in range(len(graphs)) for seed in range(6)]
     alone = {(g, seed): run_once(graphs[g], seed) for g, seed in keys}
     for order in (keys[::-1], random.Random(3).sample(keys, len(keys))):
-        runs = {(g, seed): run_once(graphs[g], seed, start=shared[g])
+        runs = {(g, seed): run_once(graphs[g], seed, start=starts[g])
                 for g, seed in order}
         # witnesses are read only after every run of the pass
         for key, solution in runs.items():
             assert solution.removed == alone[key].removed, key
             assert solution.witness_order == alone[key].witness_order, key
-    assert starts == pristine
+    # runs fill the split memo and leave every other field as it was
+    assert [start._replace(splits={}) for start in starts] == \
+        [start._replace(splits={}) for start in pristine]
 
 
 def test_runs_sharing_a_split_memo_match_runs_on_their_own():
     graphs = [block_multigraph(random.Random(k)) for k in (5, 6)]
-    shared = [mfas._Shared(mfas._run_start(mg), {}) for mg in graphs]
+    starts = [mfas._run_start(mg) for mg in graphs]
     keys = [(g, seed) for g in range(len(graphs)) for seed in range(30)]
     alone = {(g, seed): run_once(graphs[g], seed) for g, seed in keys}
     for order in (keys, random.Random(7).sample(keys, len(keys))):
         for g, seed in order:
-            # check_support re-verifies each removal without the memo
-            got = run_once(graphs[g], seed, check_support=seed % 3 == 0,
-                           start=shared[g])
+            got = run_once(graphs[g], seed, start=starts[g])
             assert got.removed == alone[g, seed].removed, (g, seed)
             assert got.witness_order == alone[g, seed].witness_order, (g, seed)
-    for memo in (s.splits for s in shared):
+    for memo in (start.splits for start in starts):
         assert any(split is not None for split in memo.values())
 
 
@@ -183,13 +182,13 @@ def test_split_memo_keys_on_the_bundle_emptied_last():
     # order reach the same emptied set, and must not take each other's
     # split of the other cycle.
     mg = Multigraph.from_lines(["a b", "b a", "c d", "d c"])
-    shared = mfas._Shared(mfas._run_start(mg), {})
+    start = mfas._run_start(mg)
     for seed in range(40):
-        got = run_once(mg, seed, start=shared)
+        got = run_once(mg, seed, start=start)
         assert got.size == 2, seed
         assert got.removed == run_once(mg, seed).removed, seed
     last = {}
-    for emptied, i in shared.splits:
+    for emptied, i in start.splits:
         last.setdefault(emptied, set()).add(i)
     assert any(len(bundles) > 1 for bundles in last.values())
 
@@ -204,10 +203,10 @@ def test_split_memo_bound_changes_no_result(monkeypatch, bound):
     assert (best.removed, best.witness_order, report) == (
         want[0][0].removed, want[0][0].witness_order, want[0][1])
     assert calibration_harness(small, t=5, trials=40, seed=3) == want[1]
-    shared = mfas._Shared(mfas._run_start(mg), {})
+    start = mfas._run_start(mg)
     for seed in range(5):
-        run_once(mg, seed, start=shared)
-    assert len(shared.splits) == bound
+        run_once(mg, seed, start=start)
+    assert len(start.splits) == bound
 
 
 def test_calibration_runs_tarjan_once_per_distinct_split(monkeypatch):
@@ -249,13 +248,15 @@ def test_solve_and_calibration_call_run_once_once_per_run(monkeypatch):
     assert len(calls) == 4 * 9
 
 
-def test_cycle_bundles_excludes_off_cycle_arcs():
+def test_run_once_never_removes_an_off_cycle_bundle():
     mg = Multigraph()
     mg.add("a", "b")
     mg.add("b", "a")
     mg.add("a", "c", 5)  # dangling, never on a cycle
-    on_cycle = dict(cycle_bundles(mg))
-    assert on_cycle == {("a", "b"): 1, ("b", "a"): 1}
+    for seed in range(20):
+        removed = run_once(mg, seed).removed
+        assert ("a", "c") not in removed, seed
+        assert sum(removed.values()) == 1, seed
 
 
 # solve -------------------------------------------------------------------------

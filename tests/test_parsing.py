@@ -81,6 +81,59 @@ def test_unterminated_record_names_file_and_index():
     assert "record 0" in str(err.value)
 
 
+def test_terminator_without_record_names_its_line():
+    data = (HEADER + MINIMAL_RECORD + "\nER\nEF\n").encode()
+    with pytest.raises(ExportParseError) as err:
+        parse_plaintext_export(data, source_file="stray.txt")
+    assert str(err.value) == ("record terminator without record "
+                              "(stray.txt, record 1, line 11)")
+    assert err.value.line == 11
+
+
+def test_tag_only_line_records_an_empty_value_list():
+    text = HEADER + "PT J\nDE\nID   \nTC 1\nER\nEF\n"
+    (record,) = parse_plaintext_export(text.encode())
+    assert record.entries["DE"] == []
+    assert record.entries["ID"] == []
+    assert list(record.entries) == ["PT", "DE", "ID", "TC"]
+
+
+def test_unindented_line_inside_a_record_continues_the_last_tag():
+    text = (HEADER + "PT J\nTI A title broken\nacross two lines\n"
+            "  and a short indent\nDE\nloose keyword\nER\nEF\n")
+    (record,) = parse_plaintext_export(text.encode())
+    assert record.entries["TI"] == ["A title broken", "across two lines",
+                                    "and a short indent"]
+    assert record.entries["DE"] == ["loose keyword"]
+
+
+def test_non_tag_lines_outside_records_are_ignored():
+    text = ("junk before the header\n" + HEADER + "   indented noise\n"
+            + MINIMAL_RECORD + "between records\n" + MINIMAL_RECORD + "EF\n")
+    records = parse_plaintext_export(text.encode())
+    assert [r.record_index for r in records] == [0, 1]
+    assert records[0].entries == records[1].entries
+    assert records[0].entries["TC"] == ["512"]
+
+
+def test_lines_after_the_trailer_are_ignored():
+    text = HEADER + MINIMAL_RECORD + "EF\nPT J\nTI Never closed\nER\nER\n"
+    records = parse_plaintext_export(text.encode())
+    assert len(records) == 1
+    assert records[0].entries["TI"] == [
+        "Financial ratios and the prediction of corporate bankruptcy"]
+
+
+def test_crlf_line_ends_parse_like_lf():
+    text = (HEADER + "PT J\nTI Title\n   continued\nDE\nER\n"
+            + MINIMAL_RECORD + "EF\n")
+    lf = parse_plaintext_export(text.encode())
+    crlf = parse_plaintext_export(text.replace("\n", "\r\n").encode())
+    assert [(r.entries, r.record_index) for r in crlf] == \
+        [(r.entries, r.record_index) for r in lf]
+    assert crlf[0].entries["TI"] == ["Title", "continued"]
+
+
 def test_unknown_tags_preserved():
     text = HEADER + "PT J\nZ9 640\nU1 12\nTC 1\nER\nEF\n"
     records = parse_plaintext_export(text.encode())
