@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import re
 from itertools import product
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -21,7 +22,7 @@ from .records import (
 from .tables import round_half_up
 from .textterms import WHITESPACE_RUN
 
-CORPUS_SCHEMA = "scimap-corpus/3"
+CORPUS_SCHEMA = "scimap-corpus/4"
 
 
 def normalized_title(title: str) -> str:
@@ -155,10 +156,15 @@ def coverage_report(corpus: Corpus) -> list[CoverageRow]:
 
 # Canonical corpus file ----------------------------------------------------
 #
-# Line 1 is a JSON header.  Each document then takes two lines: its fields
-# as a JSON object, and its cited references as a JSON array of positional
-# arrays in REFERENCE_FIELDS order.  Only the analyses of cited references
-# decode the second line; every other load skips it undecoded.
+# Line 1 is a JSON header.  Line 2 is the reference table: a JSON array
+# with one positional array in REFERENCE_FIELDS order per distinct cited
+# reference, in the order the documents first cite them.  Each document
+# then takes two lines: its fields as a JSON object, and its cited
+# references as a JSON array of indices into the table.  Only the
+# analyses of cited references decode the table and the index lines;
+# every other load skips them undecoded.  A load with references builds
+# each table entry once, and every document citing it shares that
+# immutable CitedReference.
 
 REFERENCE_FIELDS = ("raw", "first_author", "year", "source", "volume",
                     "page", "doi")
@@ -166,14 +172,29 @@ REFERENCE_FIELDS = ("raw", "first_author", "year", "source", "volume",
 # raw a string, year an int or null, the rest strings or nulls.  Types
 # are matched exactly, so a bool year is refused.
 _TEXT = (str, type(None))
-_REFERENCE_TYPES = frozenset(product((str,), _TEXT, (int, type(None)),
+_OPTIONAL_INT = (int, type(None))
+_REFERENCE_TYPES = frozenset(product((str,), _TEXT, _OPTIONAL_INT,
                                      _TEXT, _TEXT, _TEXT, _TEXT))
 # Keys of a screening entry in the header, all holding strings.
 _SCREENING_KEYS = frozenset(ScreeningEntry._fields)
 # Keys of a document line, in Document's field order; the loader passes
-# them straight back to the Document constructor with the references.
+# their values back to the Document constructor with the references.
 DOCUMENT_FIELDS = tuple(name for name in Document._fields
                         if name != "cited_refs")
+_CITED_REFS_AT = Document._fields.index("cited_refs")
+_document_values = itemgetter(*DOCUMENT_FIELDS)
+# The types save_corpus writes for a document's fields, in DOCUMENT_FIELDS
+# order, matched exactly like a reference's; every list holds strings.
+_STR, _INT, _LIST = (str,), (int,), (list,)
+_DOCUMENT_FIELD_TYPES = (
+    _STR, _LIST, _STR, _STR, _OPTIONAL_INT, _INT,          # id .. total_citations
+    _OPTIONAL_INT, _LIST, _LIST, _TEXT, _LIST, _TEXT,      # ref_count .. corresponding
+    _TEXT, _STR, _STR, _LIST, _LIST, _LIST)                # doi .. missing_fields
+_DOCUMENT_TYPES = frozenset(product(*_DOCUMENT_FIELD_TYPES))
+_document_lists = itemgetter(*(position for position, types
+                               in enumerate(_DOCUMENT_FIELD_TYPES)
+                               if types is _LIST))
+_ONLY_INT = frozenset((int,))
 
 
 def _dump(value) -> str:
@@ -181,8 +202,9 @@ def _dump(value) -> str:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> Path:
-    """Write the versioned corpus file: one JSON header line, then two
-    lines per document (fields, cited references) in stable field order.
+    """Write the versioned corpus file: one JSON header line, the reference
+    table, then two lines per document (fields, reference indices) in
+    stable field order.
 
     Every document is checked to hold its references and its
     ``missing_fields`` list, which ``load_corpus`` requires, before the
@@ -197,6 +219,10 @@ def save_corpus(corpus: Corpus, path: str | Path) -> Path:
         if type(doc.missing_fields) is not list:
             raise TypeError(f"document {doc.id!r} has no missing_fields list "
                             f"and cannot be saved")
+    table: dict[CitedReference, int] = {}
+    for doc in corpus.documents:
+        for ref in doc.cited_refs:
+            table.setdefault(ref, len(table))
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
         handle.write(_dump({
@@ -206,20 +232,22 @@ def save_corpus(corpus: Corpus, path: str | Path) -> Path:
             "screening": [entry._asdict() for entry in corpus.screening],
         }))
         handle.write("\n")
+        # A CitedReference is a tuple in REFERENCE_FIELDS order, so it
+        # dumps as the positional array.
+        handle.write(_dump(list(table)))
+        handle.write("\n")
         for doc in corpus.documents:
             fields = doc._asdict()
             del fields["cited_refs"]
             handle.write(_dump(fields))
             handle.write("\n")
-            # A CitedReference is a tuple in REFERENCE_FIELDS order, so
-            # it dumps as the positional array.
-            handle.write(_dump(doc.cited_refs))
+            handle.write(_dump([table[ref] for ref in doc.cited_refs]))
             handle.write("\n")
     return path
 
 
-def _references(line: str) -> Optional[list[CitedReference]]:
-    """The references of one reference line; None when it is malformed."""
+def _reference_table(line: str) -> Optional[list[CitedReference]]:
+    """The references of the table line; None when it is malformed."""
     try:
         entries = json.loads(line)
     except json.JSONDecodeError:
@@ -229,6 +257,43 @@ def _references(line: str) -> Optional[list[CitedReference]]:
             for entry in entries):
         return None
     return list(map(CitedReference._make, entries))
+
+
+def _cited(line: str, table: list[CitedReference],
+           ) -> Optional[list[CitedReference]]:
+    """The references of one index line; None when it is malformed."""
+    try:
+        indices = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    if type(indices) is not list or not _ONLY_INT.issuperset(map(type, indices)):
+        return None
+    if indices and (min(indices) < 0 or max(indices) >= len(table)):
+        return None
+    return list(map(table.__getitem__, indices))
+
+
+def _document(line: str, cited_refs: Optional[list[CitedReference]],
+              ) -> Optional[Document]:
+    """The document of one document line; None when it is malformed."""
+    try:
+        fields = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    if type(fields) is not dict or len(fields) != len(DOCUMENT_FIELDS):
+        return None
+    try:
+        values = _document_values(fields)
+    except KeyError:
+        return None
+    if tuple(map(type, values)) not in _DOCUMENT_TYPES:
+        return None
+    for items in _document_lists(values):
+        for item in items:
+            if type(item) is not str:
+                return None
+    return Document(*values[:_CITED_REFS_AT], cited_refs,
+                    *values[_CITED_REFS_AT:])
 
 
 def _header_fields(header: dict, path: Path,
@@ -259,9 +324,10 @@ def _header_fields(header: dict, path: Path,
 def load_corpus(path: str | Path, references: bool = False) -> Corpus:
     """Read a corpus file.
 
-    Without ``references`` each reference line is skipped undecoded and
-    every document's ``cited_refs`` is None, so code that reads them
-    without asking fails at once instead of seeing empty lists.
+    Without ``references`` the reference table and each index line are
+    skipped undecoded and every document's ``cited_refs`` is None, so
+    code that reads them without asking fails at once instead of seeing
+    empty lists.
     """
     path = Path(path)
     documents = []
@@ -276,26 +342,30 @@ def load_corpus(path: str | Path, references: bool = False) -> Corpus:
                              f"(expected {CORPUS_SCHEMA}): re-ingest with "
                              f"this version")
         reference_year, provenance, screening = _header_fields(header, path)
-        lineno = 2
+        table_line = handle.readline()
+        if not table_line:
+            raise ValueError(f"{path}: line 2: no reference table")
+        table = _reference_table(table_line) if references else None
+        if references and table is None:
+            raise ValueError(f"{path}: line 2: reference table is not a JSON "
+                             f"array of {len(REFERENCE_FIELDS)}-element "
+                             f"arrays (raw a string, year an integer or "
+                             f"null, the rest strings or null)")
+        lineno = 3
         while line := handle.readline():
-            refs_line = handle.readline()
-            cited_refs = _references(refs_line) \
-                if references and refs_line else None
-            try:
-                doc = Document(**json.loads(line), cited_refs=cited_refs)
-            except (json.JSONDecodeError, TypeError):
-                doc = None
-            # coverage reads missing_fields in place of the skipped references
-            if doc is None or type(doc.missing_fields) is not list:
+            index_line = handle.readline()
+            cited_refs = _cited(index_line, table) \
+                if references and index_line else None
+            doc = _document(line, cited_refs)
+            if doc is None:
                 raise ValueError(f"{path}: line {lineno}: not a document")
-            if not refs_line:
+            if not index_line:
                 raise ValueError(f"{path}: line {lineno}: document has no "
-                                 f"reference line")
+                                 f"index line")
             if references and cited_refs is None:
-                raise ValueError(f"{path}: line {lineno + 1}: reference line is "
-                                 f"not a JSON array of {len(REFERENCE_FIELDS)}"
-                                 f"-element arrays (raw a string, year an "
-                                 f"integer or null, the rest strings or null)")
+                raise ValueError(f"{path}: line {lineno + 1}: index line is "
+                                 f"not a JSON array of reference table "
+                                 f"indices, integers in [0, {len(table)})")
             documents.append(doc)
             lineno += 2
     return Corpus(documents=documents, reference_year=reference_year,

@@ -113,7 +113,9 @@ def match_local_citations(corpus: Corpus) -> LocalCitations:
     A reference hits a corpus document when the DOIs agree, or when the
     normalized first-author surname, the year, and a source prefix of at
     least six characters all agree.  Local citation counts are distinct
-    citing documents; references never matched still get counted.
+    citing documents; references never matched still get counted.  Each
+    distinct reference is matched and keyed once, by value; whether it
+    is a self-citation is decided per citing document.
     """
     by_doi: dict[str, str] = {}
     by_author_year: dict[tuple[str, int], list[Document]] = {}
@@ -138,14 +140,20 @@ def match_local_citations(corpus: Corpus) -> LocalCitations:
     years: dict[tuple, Optional[int]] = {}
     mentions: dict[str, set[tuple]] = {}
     doc_by_id = {doc.id: doc for doc in corpus.documents}
+    # distinct reference -> (matched document id or None, reference key)
+    resolved: dict[CitedReference, tuple[Optional[str], tuple]] = {}
 
     for doc in corpus.documents:
         seen: set[tuple] = set()
         for ref in doc.cited_refs:
-            target = match(ref)
+            hit = resolved.get(ref)
+            if hit is None:
+                target = match(ref)
+                hit = resolved[ref] = (
+                    target, ("doc", target) if target else reference_key(ref))
+            target, key = hit
             if target == doc.id:
                 continue  # a record citing itself carries no local signal
-            key = ("doc", target) if target else reference_key(ref)
             seen.add(key)
             if key in labels:
                 continue

@@ -1,5 +1,7 @@
-"""Corpus file schema 3: two lines per document, references decoded on
-request only, and malformed files rejected with a line number."""
+"""Corpus file schema 4: a reference table holding each distinct cited
+reference once, two lines per document (fields, indices into the table),
+the table and the index lines decoded on request only, and malformed
+files rejected with a line number."""
 from __future__ import annotations
 
 import json
@@ -50,13 +52,35 @@ def test_document_fields_keep_their_file_order():
 
 def test_two_lines_per_document(tmp_path):
     path, lines = saved_lines(tmp_path)
-    assert json.loads(lines[0])["schema"] == CORPUS_SCHEMA == "scimap-corpus/3"
-    assert len(lines) == 1 + 2 * 2
-    assert "cited_refs" not in json.loads(lines[1])
-    assert json.loads(lines[2])[1] == ["OHLSON JA, 1980, J ACCOUNTING RES",
+    assert json.loads(lines[0])["schema"] == CORPUS_SCHEMA == "scimap-corpus/4"
+    assert len(lines) == 2 + 2 * 2
+    assert json.loads(lines[1])[1] == ["OHLSON JA, 1980, J ACCOUNTING RES",
                                        "OHLSON JA", 1980, "J ACCOUNTING RES",
                                        None, None, None]
-    assert json.loads(lines[4]) == []
+    assert "cited_refs" not in json.loads(lines[2])
+    assert json.loads(lines[3]) == [0, 1]
+    assert json.loads(lines[5]) == []
+
+
+def test_each_distinct_reference_is_stored_and_built_once(tmp_path):
+    altman = make_ref("ALTMAN EI, 1968, J FINANC, V23, P589")
+    ohlson = make_ref("OHLSON JA, 1980, J ACCOUNTING RES")
+    docs = [make_document("a", title="A", pub_year=2001,
+                          cited_refs=[altman, ohlson]),
+            make_document("b", title="B", pub_year=2002,
+                          cited_refs=[ohlson, altman, ohlson]),
+            # equal to altman, built apart
+            make_document("c", title="C", pub_year=2003,
+                          cited_refs=[CitedReference(*altman)])]
+    path = tmp_path / "corpus.dat"
+    save_corpus(build_corpus(docs, reference_year=2023), path)
+    lines = path.read_text("utf-8").splitlines()
+    assert json.loads(lines[1]) == [list(altman), list(ohlson)]
+    assert [json.loads(line) for line in lines[3::2]] == [[0, 1], [1, 0, 1], [0]]
+    a, b, c = load_corpus(path, references=True).documents
+    assert a.cited_refs == [altman, ohlson]
+    assert b.cited_refs[0] is b.cited_refs[2] is a.cited_refs[1]
+    assert b.cited_refs[1] is c.cited_refs[0] is a.cited_refs[0]
 
 
 def test_load_without_references_leaves_them_unset(tmp_path):
@@ -76,11 +100,41 @@ def test_load_without_references_leaves_them_unset(tmp_path):
 
 def test_invalid_reference_line_is_skipped_undecoded(tmp_path):
     path, lines = saved_lines(tmp_path)
-    lines[2] = "{not json\n"
+    lines[1] = "{not json\n"
+    lines[3] = "{not json\n"
     path.write_text("".join(lines), encoding="utf-8")
     assert [d.id for d in load_corpus(path).documents] == ["a", "b"]
-    with pytest.raises(ValueError, match="line 3: reference line"):
+    with pytest.raises(ValueError, match="line 2: reference table"):
         load_corpus(path, references=True)
+
+
+def test_load_without_references_never_decodes_table_or_index_lines(
+        tmp_path, monkeypatch):
+    path, lines = saved_lines(tmp_path)
+    decoded = []
+    loads = json.loads
+
+    def spy(text, *args, **kwargs):
+        decoded.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", spy)
+    load_corpus(path)
+    assert decoded == [lines[0], lines[2], lines[4]]
+    decoded.clear()
+    load_corpus(path, references=True)
+    assert sorted(decoded) == sorted(lines)
+
+
+def test_file_without_reference_table_names_line_2(tmp_path, capsys):
+    path, lines = saved_lines(tmp_path)
+    path.write_text(lines[0], encoding="utf-8")
+    for references in (False, True):
+        with pytest.raises(ValueError, match="line 2: no reference table"):
+            load_corpus(path, references=references)
+    assert main(["coverage", "--corpus", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "line 2: no reference table" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ['{"raw": "x"}', '["ALTMAN EI, 1968"]',
@@ -88,14 +142,14 @@ def test_invalid_reference_line_is_skipped_undecoded(tmp_path):
                                  '[[1, 2, 3, 4, 5, 6, 7, 8]]'])
 def test_reference_line_must_hold_seven_element_arrays(tmp_path, capsys, bad):
     path, lines = saved_lines(tmp_path)
-    lines[4] = bad + "\n"
+    lines[1] = bad + "\n"
     path.write_text("".join(lines), encoding="utf-8")
     load_corpus(path)
-    with pytest.raises(ValueError, match="line 5: reference line is not a JSON "
-                                         "array of 7-element arrays"):
+    with pytest.raises(ValueError, match="line 2: reference table is not a "
+                                         "JSON array of 7-element arrays"):
         load_corpus(path, references=True)
     assert main(["stats", "--corpus", str(path), "--out", str(tmp_path / "o")]) == 1
-    assert "line 5: reference line" in capsys.readouterr().err
+    assert "line 2: reference table" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value", [("year", "1968"), ("year", True),
@@ -103,22 +157,22 @@ def test_reference_line_must_hold_seven_element_arrays(tmp_path, capsys, bad):
                                           ("doi", ["10.1/x"]), ("raw", None)])
 def test_reference_fields_must_have_their_types(tmp_path, capsys, field, value):
     path, lines = saved_lines(tmp_path)
-    entries = json.loads(lines[2])
+    entries = json.loads(lines[1])
     entries[1][REFERENCE_FIELDS.index(field)] = value
-    lines[2] = json.dumps(entries) + "\n"
+    lines[1] = json.dumps(entries) + "\n"
     path.write_text("".join(lines), encoding="utf-8")
     load_corpus(path)
-    with pytest.raises(ValueError, match="line 3: reference line is not"):
+    with pytest.raises(ValueError, match="line 2: reference table is not"):
         load_corpus(path, references=True)
     assert main(["rpys", "--corpus", str(path), "--out", str(tmp_path / "o")]) == 1
-    assert "line 3: reference line" in capsys.readouterr().err
+    assert "line 2: reference table" in capsys.readouterr().err
 
 
 def test_reference_fields_may_be_null(tmp_path):
     path, lines = saved_lines(tmp_path)
-    entries = json.loads(lines[2])
+    entries = json.loads(lines[1])
     entries[1] = [entries[1][0]] + [None] * (len(REFERENCE_FIELDS) - 1)
-    lines[2] = json.dumps(entries) + "\n"
+    lines[1] = json.dumps(entries) + "\n"
     path.write_text("".join(lines), encoding="utf-8")
     refs = load_corpus(path, references=True).documents[0].cited_refs
     assert refs[1] == CitedReference(raw=entries[1][0])
@@ -128,11 +182,28 @@ def test_last_document_without_reference_line(tmp_path, capsys):
     path, lines = saved_lines(tmp_path)
     path.write_text("".join(lines[:-1]), encoding="utf-8")
     for references in (False, True):
-        with pytest.raises(ValueError, match="line 4: document has no reference"):
+        with pytest.raises(ValueError, match="line 5: document has no index"):
             load_corpus(path, references=references)
     assert main(["coverage", "--corpus", str(path),
                  "--out", str(tmp_path / "o")]) == 1
-    assert "line 4: document has no reference line" in capsys.readouterr().err
+    assert "line 5: document has no index line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["{not json", '{"0": 0}', "0", "[true]",
+                                 "[-1]", "[0.0]", "[1.5]", "[2]", '["0"]',
+                                 "[[0]]", "[0, null]"])
+def test_index_line_must_hold_table_indices(tmp_path, capsys, bad):
+    path, lines = saved_lines(tmp_path)
+    lines[3] = bad + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert [d.id for d in load_corpus(path).documents] == ["a", "b"]
+    with pytest.raises(ValueError, match=r"line 4: index line is not a JSON "
+                                         r"array of reference table indices, "
+                                         r"integers in \[0, 2\)"):
+        load_corpus(path, references=True)
+    assert main(["cocite", "--corpus", str(path), "--min-citations", "1",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "line 4: index line" in capsys.readouterr().err
 
 
 def _line_of_b(drop=(), **extra):
@@ -152,13 +223,48 @@ def _line_of_b(drop=(), **extra):
                                               id="cited_refs-key")])
 def test_malformed_document_line_names_its_line(tmp_path, bad):
     path, lines = saved_lines(tmp_path)
-    lines[3] = bad + "\n"
+    lines[4] = bad + "\n"
     path.write_text("".join(lines), encoding="utf-8")
-    with pytest.raises(ValueError, match="line 4: not a document"):
+    with pytest.raises(ValueError, match="line 5: not a document"):
         load_corpus(path)
 
 
-@pytest.mark.parametrize("schema", ["scimap-corpus/1", "scimap-corpus/2"])
+# A value of a type save_corpus never writes, for each document field.
+WRONG_TYPES = {
+    "id": 7, "authors": "KUMAR, PR", "title": None, "source": ["X"],
+    "pub_year": "2001", "total_citations": None, "ref_count": True,
+    "author_keywords": ["svm", 1], "keywords_plus": [None], "abstract": 3,
+    "affiliations": {}, "corresponding": ["X"], "doi": 10.1,
+    "doc_type": False, "language": 1, "categories": [["x"]],
+    "quality_flags": "flag", "missing_fields": [16],
+}
+
+
+def test_every_document_field_has_a_wrong_type_case():
+    assert tuple(WRONG_TYPES) == DOCUMENT_FIELDS
+
+
+@pytest.mark.parametrize("field, value",
+                         [*WRONG_TYPES.items(), ("pub_year", True),
+                          ("pub_year", 2001.0), ("total_citations", False),
+                          ("authors", None)])
+def test_document_fields_must_have_their_types(tmp_path, capsys, field, value):
+    path, lines = saved_lines(tmp_path)
+    fields = json.loads(lines[4])
+    fields[field] = value
+    lines[4] = json.dumps(fields) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    for references in (False, True):
+        with pytest.raises(ValueError, match="line 5: not a document"):
+            load_corpus(path, references=references)
+    for command in ("stats", "coverage"):
+        assert main([command, "--corpus", str(path),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "line 5: not a document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("schema", ["scimap-corpus/1", "scimap-corpus/2",
+                                    "scimap-corpus/3"])
 def test_version_1_file_asks_for_reingest(tmp_path, capsys, schema):
     path = tmp_path / "old.dat"
     path.write_text(json.dumps({"schema": schema,
@@ -247,7 +353,12 @@ TEXT = st.text(max_size=12)
 OPTIONAL_TEXT = st.none() | TEXT
 OPTIONAL_INT = st.none() | st.integers(-10**6, 10**6)
 TEXTS = st.lists(TEXT, max_size=3)
-REFERENCE = st.builds(
+# A few fixed references recur across documents, so the table is shared.
+REFERENCE = st.sampled_from([
+    CitedReference("ALTMAN EI, 1968, J FINANC", "ALTMAN EI", 1968, "J FINANC"),
+    CitedReference("ALTMAN EI, 1968, J FINANC"),
+    CitedReference(""),
+]) | st.builds(
     CitedReference,
     raw=st.one_of(TEXT, st.sampled_from(['A "quoted" ref\nsplit',
                                          "KUDELIĆ R, 2019, ÜBER, V1, P2"])),
@@ -279,6 +390,9 @@ def _without_references(doc: Document) -> Document:
 def test_round_trip_with_and_without_references(tmp_path_factory, corpus):
     path = tmp_path_factory.mktemp("rt") / "corpus.dat"
     save_corpus(corpus, path)
+    table = json.loads(path.read_text("utf-8").splitlines()[1])
+    assert len(table) == len({ref for doc in corpus.documents
+                              for ref in doc.cited_refs})
     assert load_corpus(path, references=True) == corpus
     without = load_corpus(path)
     assert without == Corpus(
