@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -45,30 +46,51 @@ from .themes import thematic_evolution
 from .mfas import GENERATOR_ID, Multigraph, calibration_harness, solve
 
 
+# A third-generation threshold no count of young collections reaches.
+_NO_FULL_COLLECTION = 2**31 - 1
+
+
 class DataError(Exception):
     """User-facing data problem: reported on stderr with exit status 1."""
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else argv
+    """Run one command; returns its exit status.
+
+    The cyclic garbage collector makes no full collection while the
+    command parses its arguments and runs: each full collection rescans
+    every long-lived object, the loaded corpus included, so their cost
+    grows with the corpus.  Young collections still run and free the
+    cyclic garbage that argument parsing and numpy's import leave, which
+    would otherwise stay alive through walktrap.  The caller's
+    thresholds are restored on return."""
+    thresholds = gc.get_threshold()
+    gc.set_threshold(thresholds[0], thresholds[1], _NO_FULL_COLLECTION)
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            # Config entries enter as flags ahead of the command line's
-            # own, so argparse converts and checks them as it does flags,
-            # and a flag given on the line wins.
-            args = parser.parse_args(
-                argv[:1] + _config_flags(parser, args) + argv[1:])
-        config = _resolve_config(args)
-        args.handler(args, config)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        args.handler(args, _resolve_config(args))
     except SystemExit as exc:  # argparse: usage errors, --help, --version
         return int(exc.code or 0)
     except (DataError, ExportParseError, PageRankDivergence, ValueError,
             OSError) as exc:
         print(f"scimap: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        gc.set_threshold(*thresholds)
     return 0
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The command line, parsed.  The parser is garbage once this
+    returns, before the command runs."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        # Config entries enter as flags ahead of the command line's own,
+        # so argparse converts and checks them as it does flags, and a
+        # flag given on the line wins.
+        args = parser.parse_args(argv[:1] + _config_flags(parser, args) + argv[1:])
+    return args
 
 
 def _commands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
@@ -344,9 +366,9 @@ def cmd_amortize(args, config):
 
 def cmd_terms(args, config):
     corpus = _load(args)
-    stats = term_frequencies(corpus, args.field, top_n=args.top_n)
-    write_table([(s.term, s.frequency) for s in stats], ["term", "frequency"],
-                args.out / "terms.csv", _meta(config, corpus))
+    write_table(term_frequencies(corpus, args.field, top_n=args.top_n),
+                ["term", "frequency"], args.out / "terms.csv",
+                _meta(config, corpus))
 
 
 def cmd_trending(args, config):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import product
+from itertools import islice, product
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional
@@ -195,6 +195,9 @@ _document_lists = itemgetter(*(position for position, types
                                in enumerate(_DOCUMENT_FIELD_TYPES)
                                if types is _LIST))
 _ONLY_INT = frozenset((int,))
+# References per write of the table line, so the encoded line is never
+# held whole.
+_TABLE_SLICE = 1024
 
 
 def _dump(value) -> str:
@@ -233,9 +236,16 @@ def save_corpus(corpus: Corpus, path: str | Path) -> Path:
         }))
         handle.write("\n")
         # A CitedReference is a tuple in REFERENCE_FIELDS order, so it
-        # dumps as the positional array.
-        handle.write(_dump(list(table)))
-        handle.write("\n")
+        # dumps as the positional array.  The table goes out a slice at a
+        # time: the bytes of _dump(list(table)), never one string.
+        handle.write("[")
+        refs = iter(table)
+        separator = ""
+        while chunk := list(islice(refs, _TABLE_SLICE)):
+            handle.write(separator)
+            handle.write(_dump(chunk)[1:-1])
+            separator = ","
+        handle.write("]\n")
         for doc in corpus.documents:
             fields = doc._asdict()
             del fields["cited_refs"]

@@ -94,32 +94,36 @@ def write_graphml(graph: Graph, path: str | Path,
     if _NOT_XML_CHAR.search("".join([comment, *ids, *(n.label or "" for n in nodes)])):
         _refuse_not_xml_char(graph, comment, path)
     edgedefault = "directed" if graph.directed else "undirected"
-    parts = ["<?xml version='1.0' encoding='utf-8'?>\n",
-             f'<graphml xmlns="{GRAPHML_NS}">\n',
-             f"  <!-- {comment} -->\n"]
-    parts.extend(f'  <key id="{key_id}" for="{domain}" attr.name="{name}" '
-                 f'attr.type="{kind}" />\n' for key_id, domain, name, kind in _KEYS)
-    if not nodes and not edges:
-        parts.append(f'  <graph id="G" edgedefault="{edgedefault}" />\n')
-    else:
-        parts.append(f'  <graph id="G" edgedefault="{edgedefault}">\n')
-        for node in nodes:
-            label = (f'<data key="d_label">{_escape_text(node.label)}</data>'
-                     if node.label else '<data key="d_label" />')
-            cluster = ("" if node.cluster is None else
-                       f'      <data key="d_cluster">{node.cluster}</data>\n')
-            parts.append(f'    <node id="{attribute[node.id]}">\n'
-                         f"      {label}\n"
-                         f'      <data key="d_weight">{node.weight!r}</data>\n'
-                         f"{cluster}    </node>\n")
-        parts.extend(f'    <edge source="{attribute[u]}" target="{attribute[v]}">\n'
-                     f'      <data key="d_edge_weight">{w!r}</data>\n'
-                     "    </edge>\n" for u, v, w in edges)
-        parts.append("  </graph>\n")
-    parts.append("</graphml>\n")
     path.parent.mkdir(parents=True, exist_ok=True)
+    # Piece by piece through the file's own buffer; the text is never
+    # held whole.
     with path.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.writelines(parts)
+        write = handle.write
+        write("<?xml version='1.0' encoding='utf-8'?>\n")
+        write(f'<graphml xmlns="{GRAPHML_NS}">\n')
+        write(f"  <!-- {comment} -->\n")
+        handle.writelines(f'  <key id="{key_id}" for="{domain}" attr.name="{name}" '
+                          f'attr.type="{kind}" />\n'
+                          for key_id, domain, name, kind in _KEYS)
+        if not nodes and not edges:
+            write(f'  <graph id="G" edgedefault="{edgedefault}" />\n')
+        else:
+            write(f'  <graph id="G" edgedefault="{edgedefault}">\n')
+            for node in nodes:
+                label = (f'<data key="d_label">{_escape_text(node.label)}</data>'
+                         if node.label else '<data key="d_label" />')
+                cluster = ("" if node.cluster is None else
+                           f'      <data key="d_cluster">{node.cluster}</data>\n')
+                write(f'    <node id="{attribute[node.id]}">\n'
+                      f"      {label}\n"
+                      f'      <data key="d_weight">{node.weight!r}</data>\n'
+                      f"{cluster}    </node>\n")
+            handle.writelines(
+                f'    <edge source="{attribute[u]}" target="{attribute[v]}">\n'
+                f'      <data key="d_edge_weight">{w!r}</data>\n'
+                "    </edge>\n" for u, v, w in edges)
+            write("  </graph>\n")
+        write("</graphml>\n")
     return path
 
 

@@ -200,25 +200,25 @@ def author_document_counts(corpus: Corpus) -> list[tuple[str, int]]:
 
 # Term statistics -------------------------------------------------------------
 
-class TermStat(NamedTuple):
-    term: str
-    frequency: int
-    q1_year: Optional[int] = None
-    median_year: Optional[int] = None
-    q3_year: Optional[int] = None
-
-
 def term_frequencies(corpus: Corpus, term_field: str = "DE",
-                     top_n: Optional[int] = None) -> list[TermStat]:
-    """Document-occurrence counts per term, descending, ties lexicographic.
+                     top_n: Optional[int] = None) -> list[tuple[str, int]]:
+    """(term, document-occurrence count) pairs, descending, ties
+    lexicographic.
 
     A term repeated inside one document counts once (per-document
     presence, matching the full-counting link semantics)."""
     counts = Counter()
     for doc in corpus.documents:
         counts.update(field_values(doc, term_field))
-    return [TermStat(term=term, frequency=count)
-            for term, count in ranked(counts.items(), top_n)]
+    return ranked(counts.items(), top_n)
+
+
+class TermStat(NamedTuple):
+    term: str
+    frequency: int
+    q1_year: int
+    median_year: int
+    q3_year: int
 
 
 def _nearest_rank(sorted_values: list[int], quantile: float) -> int:

@@ -12,6 +12,7 @@ import io
 import json
 from decimal import Decimal, ROUND_HALF_UP
 from heapq import nsmallest
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
@@ -39,7 +40,11 @@ def ranked(pairs: Iterable[tuple[Any, Any]], k: Optional[int] = None) -> list:
     """(name, value) pairs by descending value, ties by ascending name:
     all of them, or the first ``k``.  A ``k`` below 1 raises ValueError."""
     if k is None:
-        return sorted(pairs, key=lambda item: (-item[1], item[0]))
+        # Two stable sorts, by name and then by value descending, give the
+        # order of the (-value, name) key without building a key tuple.
+        out = sorted(pairs, key=itemgetter(0))
+        out.sort(key=itemgetter(1), reverse=True)
+        return out
     if k < 1:
         raise ValueError(f"top-k must be at least 1, got {k}")
     return nsmallest(k, pairs, key=lambda item: (-item[1], item[0]))
@@ -66,11 +71,14 @@ def render_table(rows: Iterable[Sequence[Any]], schema: Sequence[str],
     buf = io.StringIO()
     buf.writelines(f"# {line}\n" for line in header_lines(meta))
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-    writer.writerow(list(schema))
-    for row in rows:
-        if len(row) != len(schema):
-            raise ValueError(f"row width {len(row)} != schema width {len(schema)}")
-        writer.writerow(["" if cell is None else cell for cell in row])
+    rows = list(rows)
+    width = len(schema)
+    if set(map(len, rows)) - {width}:
+        bad = next(len(row) for row in rows if len(row) != width)
+        raise ValueError(f"row width {bad} != schema width {width}")
+    writer.writerow(schema)
+    # csv writes None as an empty field.
+    writer.writerows(rows)
     return buf.getvalue()
 
 

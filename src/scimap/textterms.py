@@ -32,13 +32,10 @@ def bigrams_of(text: str) -> list[str]:
     a bare number; duplicates within the text are kept (callers that want
     per-document presence semantics take the set).
     """
-    words = tokenize(text)
     stop = stopwords()
-    out = []
-    for first, second in zip(words, words[1:]):
-        if first in stop or second in stop:
-            continue
-        if first.isdigit() or second.isdigit():
-            continue
-        out.append(f"{first} {second}")
-    return out
+    # Each word is judged once; a dropped word becomes None and breaks
+    # both bigrams it would have joined.
+    words = [None if word in stop or word.isdigit() else word
+             for word in tokenize(text)]
+    return [f"{first} {second}" for first, second in zip(words, words[1:])
+            if first and second]

@@ -7,16 +7,18 @@ survivors are linked across consecutive slices by inclusion index.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from itertools import chain
+from typing import NamedTuple, Optional
 
 from .community import walktrap
-from .graphs import _undirected_graph, pair_counts
+from .graphs import Graph, GraphNode
 from .records import Corpus
 from .tables import ranked
 from .textterms import bigrams_of, stopwords, tokenize
 
-if TYPE_CHECKING:
-    from .graphs import Graph
+# Incidence cells per block of documents in ``_cooccurrences``: 2 MB of
+# float64.
+_BLOCK_CELLS = 1 << 18
 
 
 class ThemeCluster(NamedTuple):
@@ -92,9 +94,46 @@ def _slice_graph(corpus: Corpus, start: int, end: int, n_terms: int,
     for gram_list in grams:
         freq.update(gram_list)
     kept = dict(ranked(freq.items(), n_terms))
-    graph = _undirected_graph({t: float(n) for t, n in kept.items()},
-                              pair_counts((set(g) for g in grams), set(kept)))
-    return graph, kept
+    ids = sorted(kept)
+    column = {term: index for index, term in enumerate(ids)}
+    # Each document's kept terms as columns; one kept term links nothing.
+    hits = [cols for cols in ({column[t] for t in gram_list if t in column}
+                              for gram_list in grams) if len(cols) > 1]
+    del grams, freq  # gone before numpy loads and allocates
+    nodes = [GraphNode(id=term, label=term, weight=float(kept[term]))
+             for term in ids]
+    return Graph(nodes=nodes, edges=_cooccurrences(hits, ids),
+                 directed=False), kept
+
+
+def _cooccurrences(hits: list[set[int]], ids: list[str],
+                   ) -> list[tuple[str, str, int]]:
+    """Full counting over documents given as sets of term columns: the
+    weighted edges (ids[i], ids[j], n) with i < j, in row-major order.
+
+    The counts are the off-diagonal entries of X'X for the 0/1 document
+    x term incidence matrix X, summed over blocks of documents so no
+    block exceeds ``_BLOCK_CELLS``.  Sums of products of 0/1 entries are
+    exact integers in float64.  As ``ids`` is sorted, row-major order over
+    the strict upper triangle is the sorted order of the (u, v) pairs.
+    """
+    if not hits:
+        return []
+    import numpy as np  # deferred: only clustering commands pay for numpy
+
+    n = len(ids)
+    counts = np.zeros((n, n))
+    step = max(1, _BLOCK_CELLS // n)
+    for first in range(0, len(hits), step):
+        block = hits[first:first + step]
+        incidence = np.zeros((len(block), n))
+        incidence[np.repeat(np.arange(len(block)), list(map(len, block))),
+                  list(chain.from_iterable(block))] = 1.0
+        counts += incidence.T @ incidence
+    rows, cols = np.nonzero(np.triu(counts, 1))
+    weights = counts[rows, cols].astype(np.int64).tolist()
+    return list(zip(map(ids.__getitem__, rows.tolist()),
+                    map(ids.__getitem__, cols.tolist()), weights))
 
 
 def _slice_themes(corpus: Corpus, start: int, end: int, n_terms: int,

@@ -5,13 +5,16 @@ files rejected with a line number."""
 from __future__ import annotations
 
 import json
+import tracemalloc
+from unittest import mock
 
 import pytest
 
 from conftest import build_corpus, make_document, make_ref
+from scimap import corpus as corpus_module
 from scimap.cli import main
 from scimap.corpus import (
-    CORPUS_SCHEMA, DOCUMENT_FIELDS, REFERENCE_FIELDS, coverage_report,
+    CORPUS_SCHEMA, DOCUMENT_FIELDS, REFERENCE_FIELDS, _dump, coverage_report,
     load_corpus, save_corpus,
 )
 from scimap.normalize import REFERENCE_TAGS, _FIELD_VALUES, field_values
@@ -302,6 +305,31 @@ def test_malformed_header_names_the_file(tmp_path, capsys, key, value):
     assert f"{path}: header {key}" in err
 
 
+def test_reference_table_is_written_in_slices(tmp_path):
+    # 10,000 distinct references of about 270 bytes: a 2.7 MB table line.
+    # Encoded whole, the save peaked at 6 MB under tracemalloc; a slice
+    # at a time it peaks at 1.5 MB.
+    refs = [CitedReference(f"AUTHOR{i} X, 2001, {'LONG ' * 20}{i}",
+                           f"AUTHOR{i} X", 2001, f"{'LONG ' * 20}{i}")
+            for i in range(10_000)]
+    docs = [make_document(f"d{j}", title=f"t{j}", pub_year=2000,
+                          cited_refs=refs[j::20]) for j in range(20)]
+    corpus = build_corpus(docs, reference_year=2023)
+    path = tmp_path / "corpus.dat"
+    tracemalloc.start()
+    try:
+        save_corpus(corpus, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table_line = path.read_text("utf-8").splitlines()[1]
+    assert len(table_line) > 2_700_000
+    # A bool, so a failure does not print a diff of two 2.7 MB strings.
+    same = table_line == _dump([ref for doc in docs for ref in doc.cited_refs])
+    assert same
+    assert peak < 2_500_000, peak
+
+
 def test_save_fills_missing_fields_so_coverage_needs_no_references(tmp_path):
     corpus = sample_corpus()
     # make_document fills both from their values, references included
@@ -386,13 +414,18 @@ def _without_references(doc: Document) -> Document:
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(CORPUS)
-def test_round_trip_with_and_without_references(tmp_path_factory, corpus):
+@given(CORPUS, st.integers(1, 4))
+def test_round_trip_with_and_without_references(tmp_path_factory, corpus,
+                                                table_slice):
     path = tmp_path_factory.mktemp("rt") / "corpus.dat"
-    save_corpus(corpus, path)
-    table = json.loads(path.read_text("utf-8").splitlines()[1])
-    assert len(table) == len({ref for doc in corpus.documents
-                              for ref in doc.cited_refs})
+    # A small slice writes the table in several pieces; the second save
+    # below writes it with the default slice and must give the same bytes.
+    with mock.patch.object(corpus_module, "_TABLE_SLICE", table_slice):
+        save_corpus(corpus, path)
+    distinct = list(dict.fromkeys(ref for doc in corpus.documents
+                                  for ref in doc.cited_refs))
+    table_line = path.read_text("utf-8").splitlines()[1]
+    assert table_line == _dump(distinct)
     assert load_corpus(path, references=True) == corpus
     without = load_corpus(path)
     assert without == Corpus(

@@ -12,12 +12,16 @@ several, so its ``witness_order`` pins the topological tie rule.
 acyclic bridges and bundles of multiplicity 2 and 3, so its ``mfas`` and
 ``mfas-calibrate`` runs both decrement bundles in place and split
 components when a bundle empties.  The table is in ``sha256sum`` format;
-print a fresh one for an intended output change with
+write a fresh one for an intended output change with
 
-    PYTHONPATH=src python tests/test_golden.py DIR
+    PYTHONPATH=src python tests/test_golden.py DIR > tests/data/golden_artifacts.sha256
+
+which runs the suite under DIR (created when missing), sends the
+commands' own output to stderr and prints only the table.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import re
@@ -84,7 +88,7 @@ def format_table(digests: dict[str, str]) -> str:
 
 
 def parse_table(text: str) -> dict[str, str]:
-    """Digest lines of ``text``; other lines (command chatter) are skipped."""
+    """The digest lines of ``text``, by file name."""
     return {match[2]: match[1] for match in _TABLE_LINE.finditer(text)}
 
 
@@ -112,8 +116,15 @@ def test_golden_artifacts_independent_of_hash_seed(tmp_path):
         done = subprocess.run([sys.executable, str(Path(__file__).resolve()),
                                str(root)], env=env, capture_output=True,
                               text=True, check=True)
+        # stdout holds the table and nothing else, so it can be redirected
+        # to the golden file as it is.
+        assert done.stdout == format_table(parse_table(done.stdout))
         assert_matches_golden(parse_table(done.stdout))
 
 
 if __name__ == "__main__":
-    sys.stdout.write(format_table(run_golden_suite(Path(sys.argv[1]))))
+    out = Path(sys.argv[1])
+    out.mkdir(parents=True, exist_ok=True)
+    with contextlib.redirect_stdout(sys.stderr):
+        digests = run_golden_suite(out)
+    sys.stdout.write(format_table(digests))

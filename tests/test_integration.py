@@ -79,7 +79,7 @@ def test_large_corpus_pipeline_invariants():
     assert sum(c for z in zones for _, c in z.sources) == n
 
     terms = term_frequencies(corpus, "DE")
-    assert sum(t.frequency for t in terms) == \
+    assert sum(frequency for _, frequency in terms) == \
         sum(len(set(d.author_keywords)) for d in corpus.documents)
     for stat in trending_terms(corpus, min_freq=5):
         assert stat.q1_year <= stat.median_year <= stat.q3_year
