@@ -192,7 +192,9 @@ def _require_seed(args, config: dict) -> int:
 
 def _export_documents(args, name: str) -> list:
     """The documents of one export.  Its bytes and raw records are freed
-    on return, before the next export is read."""
+    on return, before the next export is read.  A record that cannot be
+    normalized stops the ingest with an error naming the export and the
+    record's 1-based number."""
     data = Path(name).read_bytes()
     if args.format == "bibtex":
         records = parse_bibtex_export(data, source_file=Path(name).name,
@@ -202,7 +204,14 @@ def _export_documents(args, name: str) -> list:
     del data
     year_cap = MAX_PLAUSIBLE_YEAR if args.reference_year is None \
         else args.reference_year
-    return [to_document(r, year_cap) for r in records]
+    documents = []
+    for record in records:
+        try:
+            documents.append(to_document(record, year_cap))
+        except ValueError as exc:
+            raise DataError(f"{name}, record {record.record_index + 1}: "
+                            f"{exc}") from None
+    return documents
 
 
 def cmd_ingest(args, config):

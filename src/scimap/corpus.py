@@ -20,15 +20,15 @@ from .records import (
     FIELD_ROLES, ScreeningEntry, coverage_label,
 )
 from .tables import round_half_up
-from .textterms import WHITESPACE_RUN
 
 CORPUS_SCHEMA = "scimap-corpus/4"
+_ALNUM_RUN = re.compile(r"[a-z0-9]+")
 
 
 def normalized_title(title: str) -> str:
-    text = fold_ascii(title).lower()
-    text = re.sub(r"[^a-z0-9]+", " ", text)
-    return WHITESPACE_RUN.sub(" ", text).strip()
+    """The title's ASCII letter and digit runs, lowercased, one space
+    apart: the title half of the duplicate key."""
+    return " ".join(_ALNUM_RUN.findall(fold_ascii(title).lower()))
 
 
 def dedupe_and_screen(documents: Iterable[Document],

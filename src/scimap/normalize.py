@@ -14,19 +14,22 @@ from typing import Callable, Optional
 from .records import (
     Document, CitedReference, RawRecord, FIELD_ROLES, MIN_PLAUSIBLE_YEAR,
 )
-from .textterms import WHITESPACE_RUN, bigrams_of
+from .textterms import bigrams_of, collapse_whitespace
 
 _DOI_RE = re.compile(r"^10\.[^/\s]+/\S+$")
 _YEAR_SEG = re.compile(r"^(1[4-9]\d{2}|20\d{2}|21\d{2})$")
 _VOLUME_SEG = re.compile(r"^V\d+[A-Z]?$")
 _PAGE_SEG = re.compile(r"^P[A-Z]?\d+[A-Z]?$")
+# The bracketed author list WoS puts ahead of an affiliation.
+_AUTHOR_LIST = re.compile(r"^\[[^\]]*\]\s*")
 
 # Country aliases for the ragged last segment of WoS affiliation strings.
 _UK_PARTS = {"ENGLAND", "SCOTLAND", "WALES", "NORTH IRELAND", "NORTHERN IRELAND"}
 
 # Entry bounds of the per-process memos of the pure string parsers.  A
 # corpus repeats the same reference strings and author names many times,
-# so each distinct string is parsed once per process.
+# so each distinct string is parsed once per process.  Author names and
+# surname keys share a bound.
 REFERENCE_CACHE_SIZE = 1 << 16
 SURNAME_CACHE_SIZE = 1 << 15
 
@@ -39,6 +42,7 @@ def fold_ascii(text: str) -> str:
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 
 
+@functools.lru_cache(maxsize=SURNAME_CACHE_SIZE)
 def normalize_author_name(raw: str) -> str:
     """Normalize a personal name to ``SURNAME, IJ``.
 
@@ -48,8 +52,7 @@ def normalize_author_name(raw: str) -> str:
     """
     if not raw or not raw.strip():
         raise ValueError("blank author name")
-    text = fold_ascii(raw).replace(".", " ").strip()
-    text = WHITESPACE_RUN.sub(" ", text)
+    text = collapse_whitespace(fold_ascii(raw).replace(".", " "))
     if "," in text:
         surname, _, given = text.partition(",")
     else:
@@ -59,7 +62,7 @@ def normalize_author_name(raw: str) -> str:
         else:
             # Surname-first convention: a short final token is the initials.
             surname, given = " ".join(tokens[:-1]), tokens[-1]
-    initials = "".join(_initials_of(part) for part in re.split(r"[\s\-]+", given) if part)
+    initials = "".join(map(_initials_of, given.replace("-", " ").split()))
     surname = re.sub(r"[^A-Za-z\- ]", "", surname).upper().strip()
     if not surname:
         raise ValueError(f"no surname in author name: {raw!r}")
@@ -124,29 +127,35 @@ def parse_cited_reference(raw: str) -> CitedReference:
     claimed = [False] * len(segments)
 
     for i, seg in enumerate(segments):
+        # Each shape test first checks what its pattern needs of the
+        # segment's head or length, so most segments run no regex.
         upper = seg.upper()
-        if doi is None and (upper.startswith("DOI") or _DOI_RE.match(seg.rstrip(".;"))):
-            doi = normalize_doi(seg if not upper.startswith("DOI") else seg[3:])
+        head = upper[:1]
+        tagged = upper.startswith("DOI")
+        if doi is None and (tagged or (
+                seg[:1] == "1" and _DOI_RE.match(seg.rstrip(".;")))):
+            doi = normalize_doi(seg[3:] if tagged else seg)
             if doi:
                 claimed[i] = True
-        elif year is None and _YEAR_SEG.match(seg):
+        elif year is None and len(seg) == 4 and _YEAR_SEG.match(seg):
             year = int(seg)
             claimed[i] = True
-        elif volume is None and _VOLUME_SEG.match(upper):
+        elif volume is None and head == "V" and _VOLUME_SEG.match(upper):
             volume = upper
             claimed[i] = True
-        elif page is None and _PAGE_SEG.match(upper):
+        elif page is None and head == "P" and _PAGE_SEG.match(upper):
             page = upper
             claimed[i] = True
 
     if segments and not claimed[0] and segments[0]:
-        first_author = WHITESPACE_RUN.sub(" ", fold_ascii(segments[0]).replace(".", " ")).strip().upper()
+        first_author = collapse_whitespace(
+            fold_ascii(segments[0]).replace(".", " ")).upper()
         claimed[0] = True
     # The venue is the first unclaimed letter-initial segment after the
     # author; segments of other shapes (e.g. a malformed year) stay in raw.
     for i, seg in enumerate(segments):
         if not claimed[i] and seg and i > 0 and seg[0].isalpha():
-            source = WHITESPACE_RUN.sub(" ", fold_ascii(seg)).strip().upper()
+            source = collapse_whitespace(fold_ascii(seg)).upper()
             break
     return CitedReference(raw, first_author, year, source, volume, page, doi)
 
@@ -163,10 +172,8 @@ def reference_key(ref: CitedReference) -> tuple:
 def normalize_affiliation(raw: str) -> str:
     """Normalize one affiliation line: strip the bracketed author list WoS
     prepends, fold to ASCII uppercase, collapse whitespace."""
-    text = re.sub(r"^\[[^\]]*\]\s*", "", raw)
-    text = fold_ascii(text).upper()
-    text = WHITESPACE_RUN.sub(" ", text).strip().rstrip(".")
-    return text
+    text = _AUTHOR_LIST.sub("", raw) if raw[:1] == "[" else raw
+    return collapse_whitespace(fold_ascii(text).upper()).rstrip(".")
 
 
 def institution_of(affiliation: str) -> str:
@@ -211,7 +218,7 @@ def _split_terms(values: list[str]) -> list[str]:
     seen: dict[str, None] = {}
     for value in values:
         for term in value.split(";"):
-            term = WHITESPACE_RUN.sub(" ", term).strip().lower()
+            term = collapse_whitespace(term).lower()
             if term:
                 seen.setdefault(term, None)
     return list(seen)
@@ -219,7 +226,7 @@ def _split_terms(values: list[str]) -> list[str]:
 
 def _joined(entries: dict[str, list[str]], tag: str) -> str:
     """The value lines of ``tag`` joined, whitespace runs collapsed."""
-    return WHITESPACE_RUN.sub(" ", " ".join(entries.get(tag, []))).strip()
+    return collapse_whitespace(" ".join(entries.get(tag, ())))
 
 
 def to_document(record: RawRecord, reference_year: int) -> Document:
@@ -303,7 +310,7 @@ def to_document(record: RawRecord, reference_year: int) -> Document:
                     for seg in value.split(";") if seg.strip()],
         quality_flags=flags,
         missing_fields=[tag for tag, _ in FIELD_ROLES
-                        if not any(v.strip() for v in entries.get(tag, []))],
+                        if not any(map(str.strip, entries.get(tag, ())))],
     )
 
 

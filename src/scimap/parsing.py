@@ -10,7 +10,7 @@ import re
 from typing import Optional
 
 from .records import RawRecord
-from .textterms import WHITESPACE_RUN
+from .textterms import collapse_whitespace
 
 # Tags that belong to the file envelope, not to any record.
 _FILE_TAGS = {"FN", "VR", "EF"}
@@ -290,21 +290,21 @@ def _store_field(record: RawRecord, name: str, value: str, seen: set[str],
         parts = [p.strip().rstrip(".") for p in value.split(reference_separator)]
         for part in parts:
             if part:
-                record.add(tag, _collapse_ws(part))
+                record.add(tag, collapse_whitespace(part))
     elif tag == "C1":
         # one affiliation per line; the bracketed author prefix may hold
         # semicolons, so only newlines separate entries
         for part in value.split("\n"):
             part = part.strip()
             if part:
-                record.add(tag, _collapse_ws(part))
+                record.add(tag, collapse_whitespace(part))
     elif tag in _MULTI_VALUE_SEPS:
         for part in value.split(_MULTI_VALUE_SEPS[tag]):
-            part = _collapse_ws(part.strip())
+            part = collapse_whitespace(part)
             if part:
                 record.add(tag, part)
     else:
-        record.add(tag, _collapse_ws(value.strip()))
+        record.add(tag, collapse_whitespace(value))
 
 
 def _strip_braces(value: str) -> str:
@@ -327,7 +327,3 @@ def _balanced(text: str) -> bool:
             if depth < 0:
                 return False
     return depth == 0
-
-
-def _collapse_ws(text: str) -> str:
-    return WHITESPACE_RUN.sub(" ", text).strip()

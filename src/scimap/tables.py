@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 from decimal import Decimal, ROUND_HALF_UP
 from heapq import nsmallest
@@ -65,27 +64,21 @@ def header_lines(meta: Mapping[str, Any] | None) -> list[str]:
     return lines
 
 
-def render_table(rows: Iterable[Sequence[Any]], schema: Sequence[str],
-                 meta: Mapping[str, Any] | None = None) -> str:
-    """Render header block + CSV into a string (see ``write_table``)."""
-    buf = io.StringIO()
-    buf.writelines(f"# {line}\n" for line in header_lines(meta))
-    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-    rows = list(rows)
+def write_table(rows: Sequence[Sequence[Any]], schema: Sequence[str],
+                path: str | Path, meta: Mapping[str, Any] | None = None) -> Path:
+    """Write a table artifact; returns the path written.  Every row's
+    width is checked before the file is opened, so a bad row leaves no
+    file; the rows then go to the open file as they are rendered."""
     width = len(schema)
     if set(map(len, rows)) - {width}:
         bad = next(len(row) for row in rows if len(row) != width)
         raise ValueError(f"row width {bad} != schema width {width}")
-    writer.writerow(schema)
-    # csv writes None as an empty field.
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def write_table(rows: Iterable[Sequence[Any]], schema: Sequence[str],
-                path: str | Path, meta: Mapping[str, Any] | None = None) -> Path:
-    """Write a table artifact; returns the path written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_table(rows, schema, meta), encoding="utf-8", newline="")
+    with path.open("w", encoding="utf-8", newline="") as out:
+        out.writelines(f"# {line}\n" for line in header_lines(meta))
+        writer = csv.writer(out, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+        writer.writerow(schema)
+        # csv writes None as an empty field.
+        writer.writerows(rows)
     return path

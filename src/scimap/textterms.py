@@ -10,8 +10,13 @@ from functools import lru_cache
 from importlib import resources
 
 _TOKEN_RE = re.compile(r"[a-z0-9][a-z0-9\-']*")
-# A run of whitespace; ingest collapses each run in a field to one space.
-WHITESPACE_RUN = re.compile(r"\s+")
+
+
+def collapse_whitespace(text: str) -> str:
+    """``text`` with each whitespace run made one space and the ends
+    trimmed.  Whitespace is what ``str.isspace`` accepts, the same code
+    points as the ``\\s`` of ``re``; ingest collapses every field so."""
+    return " ".join(text.split())
 
 
 @lru_cache(maxsize=1)

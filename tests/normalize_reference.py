@@ -1,12 +1,16 @@
 """Test-only oracle: the string parsers that ``scimap.normalize`` shipped
-before it memoized them, kept verbatim.
+before it memoized them and before it collapsed whitespace with ``str``
+methods, kept verbatim.
 
 ``fold_ascii`` always takes the NFKD path, and ``parse_cited_reference``
 and ``surname_of`` recompute on every call.  ``parse_cited_reference``
 fills a mutable copy of the reference, since ``CitedReference`` itself
-cannot be edited.  ``tests/test_normalize_memo.py``
-requires the shipped functions to return the same values as these for
-every input.
+cannot be edited, and runs every segment's regex with no shape check in
+front.  ``normalize_author_name``, ``normalize_affiliation``,
+``_split_terms``, ``_joined`` and ``corpus.normalized_title`` collapse
+whitespace with one regex pass.  ``tests/test_normalize_memo.py`` and
+``tests/test_normalize_differential.py`` require the shipped functions
+to return the same values as these for every input.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ _DOI_RE = re.compile(r"^10\.[^/\s]+/\S+$")
 _YEAR_SEG = re.compile(r"^(1[4-9]\d{2}|20\d{2}|21\d{2})$")
 _VOLUME_SEG = re.compile(r"^V\d+[A-Z]?$")
 _PAGE_SEG = re.compile(r"^P[A-Z]?\d+[A-Z]?$")
+WHITESPACE_RUN = re.compile(r"\s+")
 
 
 def fold_ascii(text: str) -> str:
@@ -87,3 +92,71 @@ def parse_cited_reference(raw: str) -> CitedReference:
             ref.source = re.sub(r"\s+", " ", fold_ascii(seg)).strip().upper()
             break
     return CitedReference(**vars(ref))
+
+
+def normalize_author_name(raw: str) -> str:
+    """Normalize a personal name to ``SURNAME, IJ``.
+
+    Accepts the comma form ("Tsai, Chih-Fong"), the surname-first citing
+    form ("SHIN KS"), and anything already normalized; the function is
+    idempotent and case-insensitive on input.  Blank input is an error.
+    """
+    if not raw or not raw.strip():
+        raise ValueError("blank author name")
+    text = fold_ascii(raw).replace(".", " ").strip()
+    text = WHITESPACE_RUN.sub(" ", text)
+    if "," in text:
+        surname, _, given = text.partition(",")
+    else:
+        tokens = text.split(" ")
+        if len(tokens) == 1:
+            surname, given = tokens[0], ""
+        else:
+            # Surname-first convention: a short final token is the initials.
+            surname, given = " ".join(tokens[:-1]), tokens[-1]
+    initials = "".join(_initials_of(part) for part in re.split(r"[\s\-]+", given) if part)
+    surname = re.sub(r"[^A-Za-z\- ]", "", surname).upper().strip()
+    if not surname:
+        raise ValueError(f"no surname in author name: {raw!r}")
+    return f"{surname}, {initials}" if initials else surname
+
+
+def _initials_of(part: str) -> str:
+    # "KS" is two initials; "Kyung" contributes one.
+    if part.isupper() and len(part) <= 3:
+        return "".join(ch for ch in part if ch.isalpha())
+    for ch in part:
+        if ch.isalpha():
+            return ch.upper()
+    return ""
+
+
+def normalize_affiliation(raw: str) -> str:
+    """Normalize one affiliation line: strip the bracketed author list WoS
+    prepends, fold to ASCII uppercase, collapse whitespace."""
+    text = re.sub(r"^\[[^\]]*\]\s*", "", raw)
+    text = fold_ascii(text).upper()
+    text = WHITESPACE_RUN.sub(" ", text).strip().rstrip(".")
+    return text
+
+
+def _split_terms(values: list[str]) -> list[str]:
+    """Split keyword value lines on ';', lowercase and trim, drop repeats."""
+    seen: dict[str, None] = {}
+    for value in values:
+        for term in value.split(";"):
+            term = WHITESPACE_RUN.sub(" ", term).strip().lower()
+            if term:
+                seen.setdefault(term, None)
+    return list(seen)
+
+
+def _joined(entries: dict[str, list[str]], tag: str) -> str:
+    """The value lines of ``tag`` joined, whitespace runs collapsed."""
+    return WHITESPACE_RUN.sub(" ", " ".join(entries.get(tag, []))).strip()
+
+
+def normalized_title(title: str) -> str:
+    text = fold_ascii(title).lower()
+    text = re.sub(r"[^a-z0-9]+", " ", text)
+    return WHITESPACE_RUN.sub(" ", text).strip()

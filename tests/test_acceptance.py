@@ -3,16 +3,14 @@ tolerances, one printed pass/fail line each (run with ``pytest -s`` to
 see the lines on a green suite)."""
 from __future__ import annotations
 
-import json
 import random
 import time
 from fractions import Fraction
-from pathlib import Path
 
 from conftest import build_corpus, make_document
+from golden_suite import run_cli_suite
 from scimap.amortize import amortize, h_index
 from scimap.centrality import betweenness, pagerank
-from scimap.cli import main
 from scimap.community import modularity, walktrap
 from scimap.graphs import rpys, match_local_citations
 from scimap.metrics import bradford_zones, lotka_fit, mcp_ratio_pct, \
@@ -25,8 +23,6 @@ from scimap.tables import fmt
 import test_centrality as centrality_fixtures
 import test_community as community_fixtures
 from test_metrics import EXPECTED_CUMULATIVE, full_bradford_fixture
-
-DATA = Path(__file__).parent / "data"
 
 
 def report(number: int, name: str, ok: bool) -> None:
@@ -196,58 +192,6 @@ def test_criterion_11_rpys_conservation():
     ok = ok and undated == sum(1 for k in mentions if k not in dated_keys)
     report(11, "spectroscopy conserves distinct references and dated "
                "mentions", ok)
-
-
-CLI_SUITE_SEED = "7"
-
-
-def run_cli_suite(root: Path) -> None:
-    corpus = root / "corpus.dat"
-    sample = str(DATA / "sample_export.txt")
-    lexicon = root / "lexicon.json"
-    lexicon.write_text(json.dumps({"SVM": ["support vector machine"],
-                                   "ML": ["machine learning"]}))
-    niches = root / "niches.json"
-    niches.write_text(json.dumps(
-        {"prediction": ["bankruptcy prediction", "credit scoring"]}))
-    table = root / "b1.csv"
-    table.write_text("year,metric\n1999,11\n2000,5\n")
-    triangle = root / "triangle.tsv"
-    triangle.write_text("john ellen 3\nellen tim 1\ntim john 2\n")
-    out = str(root / "artifacts")
-    commands = [
-        ["ingest", sample, "--reference-year", "2023", "-o", str(corpus)],
-        ["coverage", "--corpus", str(corpus), "--out", out],
-        ["stats", "--corpus", str(corpus), "--out", out],
-        ["bradford", "--corpus", str(corpus), "--out", out],
-        ["lotka", "--corpus", str(corpus), "--out", out],
-        ["hindex", "--corpus", str(corpus), "--level", "source",
-         "--amortized", "--resolve-ties", "--out", out],
-        ["amortize", "--table", str(table), "--out", out],
-        ["terms", "--corpus", str(corpus), "--out", out],
-        ["trending", "--corpus", str(corpus), "--min-freq", "2", "--out", out],
-        ["cooccur", "--corpus", str(corpus), "--min-occurrence", "2",
-         "--cluster", "--out", out],
-        ["cocite", "--corpus", str(corpus), "--min-citations", "2", "--out", out],
-        ["collab", "--corpus", str(corpus), "--level", "country", "--out", out],
-        ["pagerank", "--graph", f"{out}/cooccurrence.graphml", "--out", out],
-        ["betweenness", "--graph", f"{out}/cooccurrence.graphml", "--out", out],
-        ["walktrap", "--graph", f"{out}/cooccurrence.graphml", "--out", out],
-        ["historiograph", "--corpus", str(corpus), "--top-n", "6", "--out", out],
-        ["sankey", "--corpus", str(corpus), "--out", out],
-        ["themes", "--corpus", str(corpus), "--slices", "2007-2015,2016-2023",
-         "--min-cluster-freq", "2", "--out", out],
-        ["rpys", "--corpus", str(corpus), "--out", out],
-        ["methods", "--corpus", str(corpus), "--lexicon", str(lexicon),
-         "--niches", str(niches), "--min-occ", "2", "--out", out],
-        ["mfas", "--graph", str(triangle), "-t", "20",
-         "--seed", CLI_SUITE_SEED, "--out", out],
-        ["mfas-calibrate", "--graph", str(triangle), "-t", "5", "--trials",
-         "50", "--seed", CLI_SUITE_SEED, "--out", out],
-    ]
-    for argv in commands:
-        status = main(argv)
-        assert status == 0, f"command failed: {argv}"
 
 
 def test_criterion_12_cli_determinism(tmp_path):

@@ -44,6 +44,25 @@ def test_ingest_builds_corpus_and_ledger(corpus_file):
     assert "kernel methods" in merged.author_keywords  # keyword union
 
 
+@pytest.mark.parametrize("line, edited, reason", [
+    ("AU Shin, KS\n", "AU 123\n", "no surname in author name: '123'"),
+    ("TC 456\n", "TC -3\n", "negative total citations: -3"),
+])
+def test_bad_record_names_the_export_and_record(tmp_path, capsys, line,
+                                                edited, reason):
+    text = Path(SAMPLE).read_text("utf-8")
+    assert text.count(line) == 1  # the third record
+    export = tmp_path / "bad.txt"
+    export.write_text(text.replace(line, edited), "utf-8")
+    corpus = tmp_path / "corpus.dat"
+    assert main(["ingest", str(export), "--reference-year", "2023",
+                 "-o", str(corpus)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scimap: error: {export}, record 3: {reason}")
+    assert not corpus.exists()
+    assert not corpus.with_suffix(".screening.csv").exists()
+
+
 def test_ingest_retracted_file(tmp_path):
     bad = tmp_path / "retracted.txt"
     bad.write_text("10.1016/j.eswa.2022.117000\n")

@@ -1,95 +1,25 @@
-"""Golden artifacts: the acceptance CLI suite plus one command per field
-path and one ``mfas`` run on a multigraph with many topological orders
-must write exactly the bytes recorded in ``data/golden_artifacts.sha256``.
-
-The extra commands reach every tag of the field accessor that the
-acceptance suite leaves out (keyword and bigram terms, ID co-occurrence,
-author and institution collaboration, author h-index, sankey over AU,
-SO, CR, ID, CR_SO and CO).  The acceptance suite's triangle leaves a
-residual with one valid order; the residual of ``MULTIGRAPH`` has
-several, so its ``witness_order`` pins the topological tie rule.
-``SCC_MULTIGRAPH`` has three strongly connected components joined by
-acyclic bridges and bundles of multiplicity 2 and 3, so its ``mfas`` and
-``mfas-calibrate`` runs both decrement bundles in place and split
-components when a bundle empties.  The table is in ``sha256sum`` format;
-write a fresh one for an intended output change with
-
-    PYTHONPATH=src python tests/test_golden.py DIR > tests/data/golden_artifacts.sha256
-
-which runs the suite under DIR (created when missing), sends the
-commands' own output to stderr and prints only the table.
+"""Golden artifacts: the suite in ``golden_suite`` must write exactly the
+bytes recorded in ``data/golden_artifacts.sha256``, in process, under
+``PYTHONHASHSEED`` 0 and 1, and, for the commands that need no numpy,
+under every other local CPython from 3.10 to 3.13.  ``golden_suite``
+says how to write a fresh table for an intended output change.
 """
 from __future__ import annotations
 
-import contextlib
-import hashlib
 import os
-import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-from scimap.cli import main
-from test_acceptance import CLI_SUITE_SEED, run_cli_suite
+import pytest
+
+from golden_suite import (
+    GOLDEN, format_table, parse_table, run_golden_suite,
+)
 
 HERE = Path(__file__).resolve().parent
-GOLDEN = HERE / "data" / "golden_artifacts.sha256"
-_TABLE_LINE = re.compile(r"^([0-9a-f]{64})  (.+)$", re.MULTILINE)
-
-FIELD_COMMANDS = {
-    "terms-ID": ["terms", "--field", "ID"],
-    "terms-title": ["terms", "--field", "title-bigrams"],
-    "terms-abstract": ["terms", "--field", "abstract-bigrams"],
-    "cooccur-ID": ["cooccur", "--field", "ID", "--min-occurrence", "1"],
-    "collab-author": ["collab", "--level", "author", "--cluster"],
-    "collab-institution": ["collab", "--level", "institution"],
-    "hindex-author": ["hindex", "--level", "author"],
-    "sankey-AU-SO-CR": ["sankey", "--left", "AU", "--middle", "SO",
-                        "--right", "CR"],
-    "sankey-ID-CR_SO-CO": ["sankey", "--left", "ID", "--middle", "CR_SO",
-                           "--right", "CO"],
-}
-
-# Two cycles through d (one over a parallel pair) plus acyclic branches.
-MULTIGRAPH = "s d 1\nd x 2\nx d 1\nd b 1\nb c 1\nc d 1\ns a 1\na e 1\ns e 1\n"
-# Components {a, b}, {c, d, e} and {f, g, h}, 18 arcs (the oracle's cap is 20).
-SCC_MULTIGRAPH = ("a b 2\nb a 1\na c 1\nb d 1\nc d 1\nd e 2\ne c 1\nd c 1\n"
-                  "d g 1\ne f 1\nf g 3\ng h 1\nh f 1\ng f 1\n")
-MFAS_COMMANDS = {
-    "mfas-multigraph": (MULTIGRAPH, ["mfas", "-t", "20"]),
-    "mfas-scc": (SCC_MULTIGRAPH, ["mfas", "-t", "20"]),
-    "mfas-scc-calibrate": (SCC_MULTIGRAPH,
-                           ["mfas-calibrate", "-t", "5", "--trials", "50"]),
-}
-
-
-def run_golden_suite(root: Path) -> dict[str, str]:
-    """Run the extended suite under ``root``; relative path -> SHA-256."""
-    run_cli_suite(root)
-    corpus = str(root / "corpus.dat")
-    for name, argv in FIELD_COMMANDS.items():
-        full = argv + ["--corpus", corpus, "--out", str(root / "fields" / name)]
-        assert main(full) == 0, f"command failed: {full}"
-    inputs = {MULTIGRAPH: root / "multigraph.tsv",
-              SCC_MULTIGRAPH: root / "scc-multigraph.tsv"}
-    for text, path in inputs.items():
-        path.write_text(text, encoding="utf-8")
-    for name, (text, command) in MFAS_COMMANDS.items():
-        argv = command + ["--graph", str(inputs[text]), "--seed",
-                          CLI_SUITE_SEED, "--out", str(root / name)]
-        assert main(argv) == 0, f"command failed: {argv}"
-    return {path.relative_to(root).as_posix():
-            hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(root.rglob("*")) if path.is_file()}
-
-
-def format_table(digests: dict[str, str]) -> str:
-    return "".join(f"{digest}  {name}\n" for name, digest in sorted(digests.items()))
-
-
-def parse_table(text: str) -> dict[str, str]:
-    """The digest lines of ``text``, by file name."""
-    return {match[2]: match[1] for match in _TABLE_LINE.finditer(text)}
+DRIVER = HERE / "golden_suite.py"
 
 
 def assert_matches_golden(digests: dict[str, str]) -> None:
@@ -99,6 +29,36 @@ def assert_matches_golden(digests: dict[str, str]) -> None:
     assert not changed, f"artifacts differ from the golden table: {changed}"
 
 
+def _driver_env(hash_seed: str) -> dict[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(HERE.parent / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    env["PYTHONHASHSEED"] = hash_seed
+    return env
+
+
+def other_pythons() -> list[str]:
+    """Each ``python3.10`` to ``python3.13`` on the path that runs, is
+    CPython and is not this interpreter's version."""
+    found = []
+    for minor in range(10, 14):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None:
+            continue
+        try:
+            done = subprocess.run(
+                [exe, "-c", "import sys; print(sys.implementation.name, "
+                            "*sys.version_info[:2])"],
+                capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if done.returncode != 0 or done.stdout.split() != ["cpython", "3", str(minor)]:
+            continue  # e.g. a version-manager shim with no such version
+        if sys.version_info[:2] != (3, minor):
+            found.append(exe)
+    return found
+
+
 def test_golden_artifacts(tmp_path):
     digests = run_golden_suite(tmp_path)
     assert len(digests) == 66
@@ -106,15 +66,11 @@ def test_golden_artifacts(tmp_path):
 
 
 def test_golden_artifacts_independent_of_hash_seed(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(HERE.parent / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     for seed in ("0", "1"):
-        env["PYTHONHASHSEED"] = seed
         root = tmp_path / f"seed{seed}"
         root.mkdir()
-        done = subprocess.run([sys.executable, str(Path(__file__).resolve()),
-                               str(root)], env=env, capture_output=True,
+        done = subprocess.run([sys.executable, str(DRIVER), str(root)],
+                              env=_driver_env(seed), capture_output=True,
                               text=True, check=True)
         # stdout holds the table and nothing else, so it can be redirected
         # to the golden file as it is.
@@ -122,9 +78,21 @@ def test_golden_artifacts_independent_of_hash_seed(tmp_path):
         assert_matches_golden(parse_table(done.stdout))
 
 
-if __name__ == "__main__":
-    out = Path(sys.argv[1])
-    out.mkdir(parents=True, exist_ok=True)
-    with contextlib.redirect_stdout(sys.stderr):
-        digests = run_golden_suite(out)
-    sys.stdout.write(format_table(digests))
+def test_golden_artifacts_on_other_pythons(tmp_path):
+    pythons = other_pythons()
+    if not pythons:
+        pytest.skip("no other CPython 3.10-3.13 on the path")
+    expected = parse_table(GOLDEN.read_text("utf-8"))
+    for exe in pythons:
+        root = tmp_path / Path(exe).name
+        root.mkdir()
+        done = subprocess.run([exe, str(DRIVER), str(root), "--without-numpy"],
+                              env=_driver_env("1"), capture_output=True,
+                              text=True, timeout=600)
+        assert done.returncode == 0, f"{exe}: {done.stderr[-2000:]}"
+        digests = parse_table(done.stdout)
+        # The twelve files of the commands that need numpy are left out.
+        assert len(digests) == 54, exe
+        changed = sorted(name for name, digest in digests.items()
+                         if expected.get(name) != digest)
+        assert not changed, f"{exe}: artifacts differ from the golden table: {changed}"

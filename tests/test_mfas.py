@@ -15,7 +15,7 @@ from scimap.mfas import (
     run_once, solve, success_lower_bound, triangle_example,
     wilson_interval,
 )
-from test_golden import SCC_MULTIGRAPH
+from golden_suite import SCC_MULTIGRAPH
 
 
 def random_multigraph(rng, max_nodes=5, max_extra=8):

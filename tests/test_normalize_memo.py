@@ -15,8 +15,8 @@ import pytest
 
 import normalize_reference
 from scimap.normalize import (
-    REFERENCE_CACHE_SIZE, SURNAME_CACHE_SIZE, fold_ascii, parse_cited_reference,
-    surname_of,
+    REFERENCE_CACHE_SIZE, SURNAME_CACHE_SIZE, fold_ascii, normalize_author_name,
+    parse_cited_reference, surname_of,
 )
 from scimap.parsing import parse_bibtex_export, parse_plaintext_export
 from scimap.records import CitedReference
@@ -78,6 +78,7 @@ def test_a_reference_cannot_be_edited():
 def test_caches_are_bounded():
     assert parse_cited_reference.cache_info().maxsize == REFERENCE_CACHE_SIZE
     assert surname_of.cache_info().maxsize == SURNAME_CACHE_SIZE
+    assert normalize_author_name.cache_info().maxsize == SURNAME_CACHE_SIZE
     assert 0 < REFERENCE_CACHE_SIZE and 0 < SURNAME_CACHE_SIZE
 
 
