@@ -57,6 +57,23 @@ class DataError(Exception):
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one command; returns its exit status.
 
+    Without ``argv`` the command line is the process's own, as when the
+    ``scimap`` script runs: once the command has returned, ``main``
+    flushes stdout and stderr and ends the process with that status,
+    skipping the interpreter's teardown (a full collection over the heap,
+    then freeing every object).  Every artifact is closed by then.  If a
+    flush fails, ``main`` returns and the interpreter reports the error
+    as usual.  Called with a list, ``main`` returns the status, so a
+    library caller keeps its process."""
+    status = _run(sys.argv[1:] if argv is None else argv)
+    if argv is None:
+        _end_process(status)
+    return status
+
+
+def _run(argv: list[str]) -> int:
+    """Parse ``argv`` and run its command; returns the exit status.
+
     The cyclic garbage collector makes no full collection while the
     command parses its arguments and runs: each full collection rescans
     every long-lived object, the loaded corpus included, so their cost
@@ -67,7 +84,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     thresholds = gc.get_threshold()
     gc.set_threshold(thresholds[0], thresholds[1], _NO_FULL_COLLECTION)
     try:
-        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        args = _parse_args(argv)
         args.handler(args, _resolve_config(args))
     except SystemExit as exc:  # argparse: usage errors, --help, --version
         return int(exc.code or 0)
@@ -80,10 +97,21 @@ def main(argv: Optional[list[str]] = None) -> int:
     return 0
 
 
+def _end_process(status: int) -> None:
+    """Exit now, without teardown; returns only if a flush fails."""
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a broken pipe, a full disk, a closed stream
+        return  # the interpreter's own exit reports it
+    os._exit(status)
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """The command line, parsed.  The parser is garbage once this
-    returns, before the command runs."""
-    parser = build_parser()
+    """The command line, parsed by a parser holding only the subcommand
+    that ``argv`` names, or every subcommand when it names none.  The
+    parser is garbage once this returns, before the command runs."""
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     if args.config:
         # Config entries enter as flags ahead of the command line's own,
@@ -677,25 +705,20 @@ def _finite(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="scimap",
-        description="Bibliometric analysis and science mapping engine.")
-    parser.add_argument("--version", action="version",
-                        version=f"scimap {ENGINE_VERSION}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p, corpus=True, out=True):
+    """The options most commands share; with no others, a corpus
+    command's arguments."""
+    if out:
+        p.add_argument("--out", "-o", default=None,
+                       help="output directory (default: $SCIMAP_OUT or .)")
+    p.add_argument("--config", default=None,
+                   help="JSON config file; flags take precedence")
+    if corpus:
+        p.add_argument("--corpus", required=True,
+                       help="corpus file produced by ingest")
 
-    def common(p, corpus=True, out=True):
-        if out:
-            p.add_argument("--out", "-o", default=None,
-                           help="output directory (default: $SCIMAP_OUT or .)")
-        p.add_argument("--config", default=None,
-                       help="JSON config file; flags take precedence")
-        if corpus:
-            p.add_argument("--corpus", required=True,
-                           help="corpus file produced by ingest")
 
-    p = sub.add_parser("ingest", help="parse export files into a corpus")
+def _ingest_args(p):
     p.add_argument("inputs", nargs="+", help="export files")
     p.add_argument("--format", choices=["plaintext", "bibtex"],
                    default="plaintext")
@@ -706,150 +729,189 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cited-references separator for the BibTeX flavor")
     p.add_argument("--output", "-o", required=True,
                    help="corpus file to write (screening ledger lands beside it)")
-    common(p, corpus=False, out=False)
-    p.set_defaults(handler=cmd_ingest)
+    _common(p, corpus=False, out=False)
 
-    p = sub.add_parser("coverage", help="data coverage quality table")
-    common(p)
-    p.set_defaults(handler=cmd_coverage)
 
-    p = sub.add_parser("stats", help="descriptive statistics")
-    common(p)
-    p.set_defaults(handler=cmd_stats)
-
-    p = sub.add_parser("bradford", help="Bradford source zones")
-    common(p)
-    p.set_defaults(handler=cmd_bradford)
-
-    p = sub.add_parser("lotka", help="author productivity law")
-    common(p)
-    p.set_defaults(handler=cmd_lotka)
-
-    p = sub.add_parser("hindex", help="entity h-index, optionally amortized")
-    common(p)
+def _hindex_args(p):
+    _common(p)
     p.add_argument("--level", choices=["source", "author"], default="source")
     p.add_argument("--amortized", action="store_true")
     p.add_argument("--resolve-ties", action="store_true")
-    p.set_defaults(handler=cmd_hindex)
 
-    p = sub.add_parser("amortize", help="amortize a (year, metric) table")
+
+def _amortize_args(p):
     p.add_argument("--table", required=True, help="CSV of year,metric rows")
     p.add_argument("--reference-year", type=_year, default=None)
     p.add_argument("--display-scale", type=_finite, default=1.0)
-    common(p, corpus=False)
-    p.set_defaults(handler=cmd_amortize)
+    _common(p, corpus=False)
 
-    p = sub.add_parser("terms", help="most frequent terms")
-    common(p)
+
+def _terms_args(p):
+    _common(p)
     p.add_argument("--field", choices=["DE", "ID", "title-bigrams",
                                        "abstract-bigrams"], default="DE")
     p.add_argument("--top-n", type=_count, default=None)
-    p.set_defaults(handler=cmd_terms)
 
-    p = sub.add_parser("trending", help="trending terms with quartile years")
-    common(p)
+
+def _trending_args(p):
+    _common(p)
     p.add_argument("--min-freq", type=int, default=5)
     p.add_argument("--max-per-year", type=_count, default=4)
-    p.set_defaults(handler=cmd_trending)
 
-    p = sub.add_parser("cooccur", help="keyword co-occurrence network")
-    common(p)
+
+def _flavor(p):
+    p.add_argument("--flavor", choices=["graphml", "dot"], default="graphml")
+
+
+def _cooccur_args(p):
+    _common(p)
     p.add_argument("--field", choices=["DE", "ID"], default="DE")
     p.add_argument("--min-occurrence", type=int, default=5)
-    p.add_argument("--flavor", choices=["graphml", "dot"], default="graphml")
+    _flavor(p)
     p.add_argument("--cluster", action="store_true",
                    help="attach walktrap clusters")
-    p.set_defaults(handler=cmd_cooccur)
 
-    p = sub.add_parser("cocite", help="reference co-citation network")
-    common(p)
+
+def _cocite_args(p):
+    _common(p)
     p.add_argument("--min-citations", type=int, default=20)
-    p.add_argument("--flavor", choices=["graphml", "dot"], default="graphml")
+    _flavor(p)
     p.add_argument("--cluster", action="store_true")
-    p.set_defaults(handler=cmd_cocite)
 
-    p = sub.add_parser("collab", help="collaboration network and indices")
-    common(p)
+
+def _collab_args(p):
+    _common(p)
     p.add_argument("--level", choices=["author", "institution", "country"],
                    default="institution")
     p.add_argument("--top-n", type=_count, default=None)
-    p.add_argument("--flavor", choices=["graphml", "dot"], default="graphml")
+    _flavor(p)
     p.add_argument("--cluster", action="store_true")
-    p.set_defaults(handler=cmd_collab)
 
-    p = sub.add_parser("pagerank", help="PageRank over an exported graph")
+
+def _pagerank_args(p):
     p.add_argument("--graph", required=True)
     p.add_argument("--damping", type=float, default=0.85)
-    common(p, corpus=False)
-    p.set_defaults(handler=cmd_pagerank)
+    _common(p, corpus=False)
 
-    p = sub.add_parser("betweenness", help="betweenness over an exported graph")
+
+def _betweenness_args(p):
     p.add_argument("--graph", required=True)
-    common(p, corpus=False)
-    p.set_defaults(handler=cmd_betweenness)
+    _common(p, corpus=False)
 
-    p = sub.add_parser("walktrap", help="walktrap clustering of a graph file")
+
+def _walktrap_args(p):
     p.add_argument("--graph", required=True)
     p.add_argument("--walk-length", type=_count, default=4)
-    common(p, corpus=False)
-    p.set_defaults(handler=cmd_walktrap)
+    _common(p, corpus=False)
 
-    p = sub.add_parser("historiograph", help="direct-citation historiograph")
-    common(p)
+
+def _historiograph_args(p):
+    _common(p)
     p.add_argument("--top-n", type=_count, default=30)
-    p.add_argument("--flavor", choices=["graphml", "dot"], default="graphml")
-    p.set_defaults(handler=cmd_historiograph)
+    _flavor(p)
 
-    p = sub.add_parser("sankey", help="three-field flow data")
-    common(p)
+
+def _sankey_args(p):
+    _common(p)
     p.add_argument("--left", default="CO")
     p.add_argument("--middle", default="DE")
     p.add_argument("--right", default="C1")
     p.add_argument("--k-left", type=_count, default=10)
     p.add_argument("--k-mid", type=_count, default=10)
     p.add_argument("--k-right", type=_count, default=10)
-    p.set_defaults(handler=cmd_sankey)
 
-    p = sub.add_parser("themes", help="thematic evolution over time slices")
-    common(p)
+
+def _themes_args(p):
+    _common(p)
     p.add_argument("--slices", required=True,
                    help="comma-separated START-END year ranges")
     p.add_argument("--n-terms", type=_count, default=1000)
     p.add_argument("--min-cluster-freq", type=int, default=20)
     p.add_argument("--min-weight-index", type=_finite, default=0.02)
     p.add_argument("--ngram", type=int, choices=[1, 2], default=2)
-    p.set_defaults(handler=cmd_themes)
 
-    p = sub.add_parser("rpys", help="reference publication year spectroscopy")
-    common(p)
-    p.set_defaults(handler=cmd_rpys)
 
-    p = sub.add_parser("methods", help="lexicon method occurrence by niche")
-    common(p)
+def _methods_args(p):
+    _common(p)
     p.add_argument("--lexicon", required=True,
                    help="JSON: method -> synonym terms")
     p.add_argument("--niches", required=True,
                    help="JSON: niche -> marker keywords")
     p.add_argument("--min-occ", type=int, default=3)
-    p.set_defaults(handler=cmd_methods)
 
-    p = sub.add_parser("mfas", help="Monte Carlo minimum feedback arc set")
+
+def _mfas_args(p):
     p.add_argument("--graph", required=True,
                    help="multigraph file: 'u v multiplicity' lines")
     p.add_argument("--runs", "-t", type=_count, default=20)
     p.add_argument("--seed", type=int, default=None)
-    common(p, corpus=False)
-    p.set_defaults(handler=cmd_mfas)
+    _common(p, corpus=False)
 
-    p = sub.add_parser("mfas-calibrate", help="calibrate solver vs oracle")
+
+def _mfas_calibrate_args(p):
     p.add_argument("--graph", required=True)
     p.add_argument("--runs", "-t", type=_count, default=10)
     p.add_argument("--trials", type=_count, default=1000)
     p.add_argument("--confidence", type=float, default=0.99)
     p.add_argument("--seed", type=int, default=None)
-    common(p, corpus=False)
-    p.set_defaults(handler=cmd_mfas_calibrate)
+    _common(p, corpus=False)
 
+
+# Subcommand name -> (help, handler, argument builder), in help order.
+COMMANDS = {
+    "ingest": ("parse export files into a corpus", cmd_ingest, _ingest_args),
+    "coverage": ("data coverage quality table", cmd_coverage, _common),
+    "stats": ("descriptive statistics", cmd_stats, _common),
+    "bradford": ("Bradford source zones", cmd_bradford, _common),
+    "lotka": ("author productivity law", cmd_lotka, _common),
+    "hindex": ("entity h-index, optionally amortized", cmd_hindex,
+               _hindex_args),
+    "amortize": ("amortize a (year, metric) table", cmd_amortize,
+                 _amortize_args),
+    "terms": ("most frequent terms", cmd_terms, _terms_args),
+    "trending": ("trending terms with quartile years", cmd_trending,
+                 _trending_args),
+    "cooccur": ("keyword co-occurrence network", cmd_cooccur, _cooccur_args),
+    "cocite": ("reference co-citation network", cmd_cocite, _cocite_args),
+    "collab": ("collaboration network and indices", cmd_collab, _collab_args),
+    "pagerank": ("PageRank over an exported graph", cmd_pagerank,
+                 _pagerank_args),
+    "betweenness": ("betweenness over an exported graph", cmd_betweenness,
+                    _betweenness_args),
+    "walktrap": ("walktrap clustering of a graph file", cmd_walktrap,
+                 _walktrap_args),
+    "historiograph": ("direct-citation historiograph", cmd_historiograph,
+                      _historiograph_args),
+    "sankey": ("three-field flow data", cmd_sankey, _sankey_args),
+    "themes": ("thematic evolution over time slices", cmd_themes,
+               _themes_args),
+    "rpys": ("reference publication year spectroscopy", cmd_rpys, _common),
+    "methods": ("lexicon method occurrence by niche", cmd_methods,
+                _methods_args),
+    "mfas": ("Monte Carlo minimum feedback arc set", cmd_mfas, _mfas_args),
+    "mfas-calibrate": ("calibrate solver vs oracle", cmd_mfas_calibrate,
+                       _mfas_calibrate_args),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command-line parser with every subcommand, or with only
+    ``command``.  The usage line names every subcommand either way, so
+    both parsers print the same text for the same input."""
+    parser = argparse.ArgumentParser(
+        prog="scimap",
+        description="Bibliometric analysis and science mapping engine.")
+    parser.add_argument("--version", action="version",
+                        version=f"scimap {ENGINE_VERSION}")
+    names = list(COMMANDS) if command is None else [command]
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    for name in names:
+        help_text, handler, add_arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(handler=handler)
     return parser
 
 

@@ -20,14 +20,17 @@ _TAG = re.compile(r"[A-Z][A-Z0-9](?: |$)")
 
 
 class ExportParseError(ValueError):
-    """Raised when an export file cannot be parsed; carries a position."""
+    """Raised when an export file cannot be parsed; carries a position.
+
+    ``record_index`` counts records from 0, as ``RawRecord.record_index``
+    does; the message counts them from 1, as the command line does."""
 
     def __init__(self, message: str, source_file: str = "",
                  record_index: Optional[int] = None,
                  line: Optional[int] = None, offset: Optional[int] = None):
         where = source_file or "<input>"
         if record_index is not None:
-            where += f", record {record_index}"
+            where += f", record {record_index + 1}"
         if line is not None:
             where += f", line {line}"
         if offset is not None:

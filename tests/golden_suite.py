@@ -80,13 +80,14 @@ def needs_numpy(argv: list[str]) -> bool:
         "walktrap", "themes", "pagerank", "betweenness")
 
 
-def _run(argv: list[str], with_numpy: bool) -> None:
+def _run(argv: list[str], with_numpy: bool, run) -> None:
     if with_numpy or not needs_numpy(argv):
-        assert main(argv) == 0, f"command failed: {argv}"
+        assert run(argv) == 0, f"command failed: {argv}"
 
 
-def run_cli_suite(root: Path, with_numpy: bool = True) -> None:
-    """The acceptance CLI suite: every command once, under ``root``."""
+def run_cli_suite(root: Path, with_numpy: bool = True, run=main) -> None:
+    """The acceptance CLI suite: every command once, under ``root``.
+    ``run`` takes a command's argv and returns its exit status."""
     corpus = root / "corpus.dat"
     sample = str(DATA / "sample_export.txt")
     lexicon = root / "lexicon.json"
@@ -131,23 +132,26 @@ def run_cli_suite(root: Path, with_numpy: bool = True) -> None:
          "50", "--seed", CLI_SUITE_SEED, "--out", out],
     ]
     for argv in commands:
-        _run(argv, with_numpy)
+        _run(argv, with_numpy, run)
 
 
-def run_golden_suite(root: Path, with_numpy: bool = True) -> dict[str, str]:
-    """Run the extended suite under ``root``; relative path -> SHA-256."""
-    run_cli_suite(root, with_numpy)
+def run_golden_suite(root: Path, with_numpy: bool = True,
+                     run=main) -> dict[str, str]:
+    """Run the extended suite under ``root``, each command through
+    ``run``; relative path -> SHA-256."""
+    run_cli_suite(root, with_numpy, run)
     corpus = str(root / "corpus.dat")
     for name, argv in FIELD_COMMANDS.items():
         _run(argv + ["--corpus", corpus, "--out", str(root / "fields" / name)],
-             with_numpy)
+             with_numpy, run)
     inputs = {MULTIGRAPH: root / "multigraph.tsv",
               SCC_MULTIGRAPH: root / "scc-multigraph.tsv"}
     for text, path in inputs.items():
         path.write_text(text, encoding="utf-8")
     for name, (text, command) in MFAS_COMMANDS.items():
-        _run(command + ["--graph", str(inputs[text]), "--seed",
-                        CLI_SUITE_SEED, "--out", str(root / name)], with_numpy)
+        argv = command + ["--graph", str(inputs[text]), "--seed",
+                          CLI_SUITE_SEED, "--out", str(root / name)]
+        _run(argv, with_numpy, run)
     return {path.relative_to(root).as_posix():
             hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(root.rglob("*")) if path.is_file()}
@@ -160,6 +164,13 @@ def format_table(digests: dict[str, str]) -> str:
 def parse_table(text: str) -> dict[str, str]:
     """The digest lines of ``text``, by file name."""
     return {match[2]: match[1] for match in _TABLE_LINE.finditer(text)}
+
+
+def assert_matches_golden(digests: dict[str, str]) -> None:
+    expected = parse_table(GOLDEN.read_text("utf-8"))
+    assert sorted(digests) == sorted(expected)
+    changed = sorted(name for name in expected if digests[name] != expected[name])
+    assert not changed, f"artifacts differ from the golden table: {changed}"
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ fills a mutable copy of the reference, since ``CitedReference`` itself
 cannot be edited, and runs every segment's regex with no shape check in
 front.  ``normalize_author_name``, ``normalize_affiliation``,
 ``_split_terms``, ``_joined`` and ``corpus.normalized_title`` collapse
-whitespace with one regex pass.  ``tests/test_normalize_memo.py`` and
+whitespace with one regex pass.  ``normalize_doi`` is a copy too, so
+no DOI goes through the shipped code on both sides of a check.
+``tests/test_normalize_memo.py`` and
 ``tests/test_normalize_differential.py`` require the shipped functions
 to return the same values as these for every input.
 """
@@ -17,8 +19,8 @@ from __future__ import annotations
 import re
 import unicodedata
 from types import SimpleNamespace
+from typing import Optional
 
-from scimap.normalize import normalize_doi
 from scimap.records import CitedReference
 
 _DOI_RE = re.compile(r"^10\.[^/\s]+/\S+$")
@@ -26,6 +28,19 @@ _YEAR_SEG = re.compile(r"^(1[4-9]\d{2}|20\d{2}|21\d{2})$")
 _VOLUME_SEG = re.compile(r"^V\d+[A-Z]?$")
 _PAGE_SEG = re.compile(r"^P[A-Z]?\d+[A-Z]?$")
 WHITESPACE_RUN = re.compile(r"\s+")
+
+
+def normalize_doi(raw: str) -> Optional[str]:
+    """Canonical lowercase DOI, or None when the syntax does not hold."""
+    text = raw.strip()
+    for prefix in ("https://doi.org/", "http://doi.org/", "http://dx.doi.org/", "doi:", "DOI:", "DOI "):
+        if text.lower().startswith(prefix.lower()):
+            text = text[len(prefix):].strip()
+    text = text.strip("[]")
+    if "," in text:  # bracketed DOI lists in some CR exports: keep the first
+        text = text.split(",")[0].strip()
+    text = text.lower().rstrip(".;")
+    return text if _DOI_RE.match(text) else None
 
 
 def fold_ascii(text: str) -> str:

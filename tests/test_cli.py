@@ -63,6 +63,20 @@ def test_bad_record_names_the_export_and_record(tmp_path, capsys, line,
     assert not corpus.with_suffix(".screening.csv").exists()
 
 
+def test_missing_terminator_names_the_record_as_a_bad_record_does(tmp_path, capsys):
+    # The third record loses its ER; the parser counts records as the
+    # normalizer's error above does.
+    records = Path(SAMPLE).read_text("utf-8").split("\nER\n")
+    export = tmp_path / "bad.txt"
+    export.write_text("\nER\n".join(records[:3]) + "\nEF\n", "utf-8")
+    corpus = tmp_path / "corpus.dat"
+    assert main(["ingest", str(export), "--reference-year", "2023",
+                 "-o", str(corpus)]) == 1
+    assert capsys.readouterr().err == ("scimap: error: unterminated record "
+                                       "(missing ER) (bad.txt, record 3)\n")
+    assert not corpus.exists()
+
+
 def test_ingest_retracted_file(tmp_path):
     bad = tmp_path / "retracted.txt"
     bad.write_text("10.1016/j.eswa.2022.117000\n")

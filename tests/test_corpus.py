@@ -231,6 +231,24 @@ def test_dedupe_idempotent():
     assert again.screening == []
 
 
+def test_second_pass_merges_what_a_filled_title_and_year_match():
+    # The docstring's exception: k takes its title from d, so only then
+    # does k share l's (title, year) key.
+    docs = [_document("k", pub_year=2001, doi="10.1/x"),
+            _document("d", title="T", doi="10.1/x"),
+            _document("l", title="T", pub_year=2001)]
+    corpus = dedupe_and_screen(docs, reference_year=2001)
+    assert [(doc.id, doc.title, doc.pub_year, doc.doi)
+            for doc in corpus.documents] == [("k", "T", 2001, "10.1/x"),
+                                             ("l", "T", 2001, None)]
+    assert [(e.removed_id, e.reason, e.kept_id) for e in corpus.screening] == \
+        [("d", "duplicate-doi", "k")]
+    again = dedupe_and_screen(corpus.documents, reference_year=2001)
+    assert [doc.id for doc in again.documents] == ["k"]
+    assert [(e.removed_id, e.reason, e.kept_id) for e in again.screening] == \
+        [("l", "duplicate-title-year", "k")]
+
+
 def test_reference_year_defaults_to_latest_pub_year():
     corpus = build_corpus([make_document("a", title="t", pub_year=2014),
                            make_document("b", title="u", pub_year=2021)])

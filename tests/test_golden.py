@@ -15,18 +15,11 @@ from pathlib import Path
 import pytest
 
 from golden_suite import (
-    GOLDEN, format_table, parse_table, run_golden_suite,
+    GOLDEN, assert_matches_golden, format_table, parse_table, run_golden_suite,
 )
 
 HERE = Path(__file__).resolve().parent
 DRIVER = HERE / "golden_suite.py"
-
-
-def assert_matches_golden(digests: dict[str, str]) -> None:
-    expected = parse_table(GOLDEN.read_text("utf-8"))
-    assert sorted(digests) == sorted(expected)
-    changed = sorted(name for name in expected if digests[name] != expected[name])
-    assert not changed, f"artifacts differ from the golden table: {changed}"
 
 
 def _driver_env(hash_seed: str) -> dict[str, str]:

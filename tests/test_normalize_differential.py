@@ -9,7 +9,8 @@ zero-width space (not whitespace), leading and trailing runs, and the
 tokens whose shape or case a guard could misjudge: ``ß`` (its upper case
 is longer), Arabic-Indic digits (``\\d`` matches them and ``int`` parses
 them), ``doi``/``DOI`` prefixes, lower-case ``v``/``p`` tokens, and
-bracketed and unbracketed affiliations.
+bracketed and unbracketed affiliations.  ``normalize_doi`` is checked
+against its copy on DOIs behind each prefix, in any case.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import normalize_reference
 from scimap.corpus import normalized_title
 from scimap.normalize import (
     _joined, _split_terms, normalize_affiliation, normalize_author_name,
-    parse_cited_reference, to_document,
+    normalize_doi, parse_cited_reference, to_document,
 )
 from scimap.records import FIELD_ROLES, RawRecord
 from scimap.textterms import collapse_whitespace
@@ -99,6 +100,14 @@ AFFILIATION = st.one_of(
 )
 REFERENCE = st.lists(st.one_of(padded(st.sampled_from(SHAPES)), TEXT),
                      max_size=7).map(",".join)
+# A DOI behind any of its prefixes in any case, maybe bracketed, listed
+# or closed with punctuation.
+DOI = st.builds(
+    lambda prefix, doi, tail: prefix + doi + tail,
+    st.sampled_from(["", "[", "https://doi.org/", "HTTP://DX.DOI.ORG/",
+                     "http://doi.org/", "doi:", "DOI:", "Doi: ", "DOI "]),
+    st.one_of(padded(st.sampled_from(SHAPES)), TEXT),
+    st.sampled_from(["", ".", ";", "]", ", 10.2/y]", ".;"]))
 KEYWORD_LINES = st.lists(st.lists(TEXT, max_size=4).map(";".join), max_size=3)
 
 SETTINGS = settings(max_examples=150, derandomize=True, deadline=None)
@@ -144,6 +153,12 @@ def test_joined_field_matches_the_regex_version(values):
 @given(TEXT)
 def test_title_key_matches_the_regex_version(title):
     assert normalized_title(title) == normalize_reference.normalized_title(title)
+
+
+@SETTINGS
+@given(DOI)
+def test_doi_matches_the_copy(raw):
+    assert normalize_doi(raw) == normalize_reference.normalize_doi(raw)
 
 
 @SETTINGS

@@ -78,7 +78,7 @@ def test_unterminated_record_names_file_and_index():
     with pytest.raises(ExportParseError) as err:
         parse_plaintext_export(data, source_file="broken.txt")
     assert "broken.txt" in str(err.value)
-    assert "record 0" in str(err.value)
+    assert "record 1" in str(err.value)
 
 
 def test_terminator_without_record_names_its_line():
@@ -86,7 +86,7 @@ def test_terminator_without_record_names_its_line():
     with pytest.raises(ExportParseError) as err:
         parse_plaintext_export(data, source_file="stray.txt")
     assert str(err.value) == ("record terminator without record "
-                              "(stray.txt, record 1, line 11)")
+                              "(stray.txt, record 2, line 11)")
     assert err.value.line == 11
 
 
