@@ -7,10 +7,12 @@ is exact rational arithmetic; decimals appear only at presentation.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
-Metric = Union[int, float, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Metric = Union[int, float, Fraction]
 
 
 def citable_years(year: int, reference_year: int) -> int:
@@ -43,6 +45,7 @@ def amortize(points: Sequence[tuple[int, Metric]], reference_year: int,
     """
     if not points:
         return []
+    from fractions import Fraction  # deferred: only amortizing commands pay for it
     cys = {year: citable_years(year, reference_year) for year, _ in points}
     max_cy = max(cys.values())
     max_ps = Fraction(max_cy, min(cys.values()))

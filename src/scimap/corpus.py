@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import islice, product
+from itertools import chain, islice, product
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional
@@ -21,7 +21,7 @@ from .records import (
 )
 from .tables import round_half_up
 
-CORPUS_SCHEMA = "scimap-corpus/4"
+CORPUS_SCHEMA = "scimap-corpus/5"
 _ALNUM_RUN = re.compile(r"[a-z0-9]+")
 
 
@@ -159,12 +159,12 @@ def coverage_report(corpus: Corpus) -> list[CoverageRow]:
 # Line 1 is a JSON header.  Line 2 is the reference table: a JSON array
 # with one positional array in REFERENCE_FIELDS order per distinct cited
 # reference, in the order the documents first cite them.  Each document
-# then takes two lines: its fields as a JSON object, and its cited
-# references as a JSON array of indices into the table.  Only the
-# analyses of cited references decode the table and the index lines;
-# every other load skips them undecoded.  A load with references builds
-# each table entry once, and every document citing it shares that
-# immutable CitedReference.
+# then takes two lines: its fields as a positional JSON array in
+# DOCUMENT_FIELDS order, and its cited references as a JSON array of
+# indices into the table.  Only the analyses of cited references decode
+# the table and the index lines; every other load skips them undecoded.
+# A load with references builds each table entry once, and every
+# document citing it shares that immutable CitedReference.
 
 REFERENCE_FIELDS = ("raw", "first_author", "year", "source", "volume",
                     "page", "doi")
@@ -177,12 +177,12 @@ _REFERENCE_TYPES = frozenset(product((str,), _TEXT, _OPTIONAL_INT,
                                      _TEXT, _TEXT, _TEXT, _TEXT))
 # Keys of a screening entry in the header, all holding strings.
 _SCREENING_KEYS = frozenset(ScreeningEntry._fields)
-# Keys of a document line, in Document's field order; the loader passes
-# their values back to the Document constructor with the references.
+# The positions of a document line: Document's fields but cited_refs,
+# which the loader puts back at its place.
 DOCUMENT_FIELDS = tuple(name for name in Document._fields
                         if name != "cited_refs")
 _CITED_REFS_AT = Document._fields.index("cited_refs")
-_document_values = itemgetter(*DOCUMENT_FIELDS)
+_document_values = itemgetter(*map(Document._fields.index, DOCUMENT_FIELDS))
 # The types save_corpus writes for a document's fields, in DOCUMENT_FIELDS
 # order, matched exactly like a reference's; every list holds strings.
 _STR, _INT, _LIST = (str,), (int,), (list,)
@@ -194,14 +194,26 @@ _DOCUMENT_TYPES = frozenset(product(*_DOCUMENT_FIELD_TYPES))
 _document_lists = itemgetter(*(position for position, types
                                in enumerate(_DOCUMENT_FIELD_TYPES)
                                if types is _LIST))
+_ONLY_STR = frozenset((str,))
 _ONLY_INT = frozenset((int,))
 # References per write of the table line, so the encoded line is never
 # held whole.
 _TABLE_SLICE = 1024
 
+# One encoder and one decoder for every line: json.dumps with options
+# builds a new encoder on each call.
+_dump = json.JSONEncoder(ensure_ascii=True, separators=(",", ":")).encode
+_raw_decode = json.JSONDecoder().raw_decode
 
-def _dump(value) -> str:
-    return json.dumps(value, ensure_ascii=True, separators=(",", ":"))
+
+def _decoded(line: str):
+    """The JSON value that fills ``line`` up to its newline; None when
+    the line holds anything else.  No corpus line is a JSON null."""
+    try:
+        value, end = _raw_decode(line)
+    except json.JSONDecodeError:
+        return None
+    return value if line[end:] in ("\n", "") else None
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> Path:
@@ -247,9 +259,7 @@ def save_corpus(corpus: Corpus, path: str | Path) -> Path:
             separator = ","
         handle.write("]\n")
         for doc in corpus.documents:
-            fields = doc._asdict()
-            del fields["cited_refs"]
-            handle.write(_dump(fields))
+            handle.write(_dump(_document_values(doc)))
             handle.write("\n")
             handle.write(_dump([table[ref] for ref in doc.cited_refs]))
             handle.write("\n")
@@ -258,10 +268,7 @@ def save_corpus(corpus: Corpus, path: str | Path) -> Path:
 
 def _reference_table(line: str) -> Optional[list[CitedReference]]:
     """The references of the table line; None when it is malformed."""
-    try:
-        entries = json.loads(line)
-    except json.JSONDecodeError:
-        return None
+    entries = _decoded(line)
     if type(entries) is not list or not all(
             type(entry) is list and tuple(map(type, entry)) in _REFERENCE_TYPES
             for entry in entries):
@@ -272,10 +279,7 @@ def _reference_table(line: str) -> Optional[list[CitedReference]]:
 def _cited(line: str, table: list[CitedReference],
            ) -> Optional[list[CitedReference]]:
     """The references of one index line; None when it is malformed."""
-    try:
-        indices = json.loads(line)
-    except json.JSONDecodeError:
-        return None
+    indices = _decoded(line)
     if type(indices) is not list or not _ONLY_INT.issuperset(map(type, indices)):
         return None
     if indices and (min(indices) < 0 or max(indices) >= len(table)):
@@ -286,24 +290,14 @@ def _cited(line: str, table: list[CitedReference],
 def _document(line: str, cited_refs: Optional[list[CitedReference]],
               ) -> Optional[Document]:
     """The document of one document line; None when it is malformed."""
-    try:
-        fields = json.loads(line)
-    except json.JSONDecodeError:
+    values = _decoded(line)
+    if (type(values) is not list
+            or tuple(map(type, values)) not in _DOCUMENT_TYPES
+            or not _ONLY_STR.issuperset(
+                map(type, chain.from_iterable(_document_lists(values))))):
         return None
-    if type(fields) is not dict or len(fields) != len(DOCUMENT_FIELDS):
-        return None
-    try:
-        values = _document_values(fields)
-    except KeyError:
-        return None
-    if tuple(map(type, values)) not in _DOCUMENT_TYPES:
-        return None
-    for items in _document_lists(values):
-        for item in items:
-            if type(item) is not str:
-                return None
-    return Document(*values[:_CITED_REFS_AT], cited_refs,
-                    *values[_CITED_REFS_AT:])
+    values.insert(_CITED_REFS_AT, cited_refs)
+    return Document._make(values)
 
 
 def _header_fields(header: dict, path: Path,
@@ -342,10 +336,9 @@ def load_corpus(path: str | Path, references: bool = False) -> Corpus:
     path = Path(path)
     documents = []
     with path.open(encoding="utf-8") as handle:
-        try:
-            header = json.loads(handle.readline())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"not a corpus file: {path}") from exc
+        header = _decoded(handle.readline())
+        if header is None:
+            raise ValueError(f"not a corpus file: {path}")
         schema = header.get("schema") if type(header) is dict else None
         if schema != CORPUS_SCHEMA:
             raise ValueError(f"unsupported corpus schema {schema!r} in {path} "

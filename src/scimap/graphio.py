@@ -185,9 +185,11 @@ def write_dot(graph: Graph, path: str | Path,
     return path
 
 
-_DOT_NODE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)" \[(.*)\];$')
-_DOT_EDGE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)" (--|->) "((?:[^"\\]|\\.)*)" \[(.*)\];$')
-_DOT_ATTR = re.compile(r'(\w+)=(?:"((?:[^"\\]|\\.)*)"|([^,\]]+))')
+# The DOT reader's patterns, compiled (and kept in re's cache) on the
+# first read: a command that reads no DOT file never compiles them.
+_DOT_NODE = r'^\s*"((?:[^"\\]|\\.)*)" \[(.*)\];$'
+_DOT_EDGE = r'^\s*"((?:[^"\\]|\\.)*)" (--|->) "((?:[^"\\]|\\.)*)" \[(.*)\];$'
+_DOT_ATTR = r'(\w+)=(?:"((?:[^"\\]|\\.)*)"|([^,\]]+))'
 
 
 def _dot_unquote(text: str) -> str:
@@ -201,16 +203,18 @@ def read_dot(path: str | Path) -> Graph:
     if not lines or not lines[0].startswith(("graph ", "digraph ")):
         raise ValueError(f"not a DOT graph: {path}")
     directed = lines[0].startswith("digraph")
+    match_edge = re.compile(_DOT_EDGE).match
+    match_node = re.compile(_DOT_NODE).match
     nodes, edges = [], []
     for line in lines[1:]:
-        edge_match = _DOT_EDGE.match(line)
+        edge_match = match_edge(line)
         if edge_match:
             u, _, v, attrs = edge_match.groups()
             values = _parse_dot_attrs(attrs)
             edges.append((_dot_unquote(u), _dot_unquote(v),
                           float(values.get("weight", 1.0))))
             continue
-        node_match = _DOT_NODE.match(line)
+        node_match = match_node(line)
         if node_match:
             node_id, attrs = node_match.groups()
             values = _parse_dot_attrs(attrs)
@@ -227,7 +231,7 @@ def read_dot(path: str | Path) -> Graph:
 
 def _parse_dot_attrs(text: str) -> dict[str, str]:
     out = {}
-    for name, quoted, bare in _DOT_ATTR.findall(text):
+    for name, quoted, bare in re.findall(_DOT_ATTR, text):
         out[name] = quoted if quoted else bare.strip()
     return out
 

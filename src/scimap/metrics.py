@@ -6,13 +6,15 @@ mutates shared state.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .amortize import citable_years
 from .normalize import country_of, field_values, reference_key
 from .records import Corpus
 from .tables import ranked, round_half_up
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class AnnualSeries(NamedTuple):
@@ -105,6 +107,7 @@ def annual_production(corpus: Corpus) -> AnnualSeries:
 def mean_citation_per_elapsed_years(corpus: Corpus) -> list[tuple[int, Fraction]]:
     """Per publication year: mean total citations of that year's documents
     divided by the citable years.  Exact rational values."""
+    from fractions import Fraction  # deferred: only this table pays for it
     per_year: dict[int, list[int]] = {}
     for doc in corpus.documents:
         if doc.pub_year is not None:

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import hashlib
 import random
-from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from statistics import NormalDist
-from typing import Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .digraph import reaches, strongly_connected_components, topological_order
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 GENERATOR_ID = "mt19937-sha256-split"
 
@@ -75,9 +76,6 @@ class Multigraph:
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
         return mg
-
-    def to_lines(self) -> list[str]:
-        return [f"{u} {v} {m}" for (u, v), m in sorted(self.bundles.items())]
 
     def successors(self) -> dict[str, list[str]]:
         """Adjacency of the bundle digraph (multiplicities dropped)."""
@@ -276,6 +274,7 @@ def success_lower_bound(t: int) -> Fraction:
     """The reference model's success bound 1 - 2^-t, exactly."""
     if t < 1:
         raise ValueError("at least one run is required")
+    from fractions import Fraction  # deferred: only mfas commands pay for it
     return Fraction(2**t - 1, 2**t)
 
 
@@ -344,6 +343,7 @@ def wilson_interval(successes: int, n: int, confidence: float = 0.99,
     _check_confidence(confidence)
     if n == 0:
         return 0.0, 1.0
+    from statistics import NormalDist  # deferred: only calibration pays for it
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     p = successes / n
     denom = 1.0 + z * z / n
@@ -416,12 +416,3 @@ def calibration_harness(mg: Multigraph, t: int, trials: int, seed: int,
         per_run_success_rate=rate, wilson_low=low, wilson_high=high,
         confidence=confidence)
 
-
-def triangle_example() -> Multigraph:
-    """The three-party message cycle with bundle multiplicities 3, 1, 2;
-    breaking the single-arc bundle is the unique optimal repair."""
-    mg = Multigraph()
-    mg.add("john", "ellen", 3)
-    mg.add("ellen", "tim", 1)
-    mg.add("tim", "john", 2)
-    return mg

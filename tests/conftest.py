@@ -11,6 +11,7 @@ from scimap.records import FIELD_ROLES, Document  # noqa: E402
 from scimap.corpus import dedupe_and_screen  # noqa: E402
 from scimap.normalize import field_values  # noqa: E402
 from scimap.digraph import topological_order  # noqa: E402
+from scimap.mfas import Multigraph  # noqa: E402
 
 
 def make_document(doc_id, *, authors=(), title="", source="", pub_year=None,
@@ -50,3 +51,18 @@ def build_corpus(documents, reference_year=None, retracted=(), provenance=("test
     return dedupe_and_screen(documents, retracted=retracted,
                              reference_year=reference_year,
                              provenance=provenance)
+
+
+def triangle_example() -> Multigraph:
+    """The three-party message cycle with bundle multiplicities 3, 1, 2;
+    breaking the single-arc bundle is the unique optimal repair."""
+    mg = Multigraph()
+    mg.add("john", "ellen", 3)
+    mg.add("ellen", "tim", 1)
+    mg.add("tim", "john", 2)
+    return mg
+
+
+def to_lines(mg: Multigraph) -> list[str]:
+    """``mg`` in the delimited format ``Multigraph.from_lines`` reads."""
+    return [f"{u} {v} {m}" for (u, v), m in sorted(mg.bundles.items())]

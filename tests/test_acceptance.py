@@ -7,7 +7,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import build_corpus, make_document
+from conftest import build_corpus, make_document, triangle_example
 from golden_suite import run_cli_suite
 from scimap.amortize import amortize, h_index
 from scimap.centrality import betweenness, pagerank
@@ -15,9 +15,7 @@ from scimap.community import modularity, walktrap
 from scimap.graphs import rpys, match_local_citations
 from scimap.metrics import bradford_zones, lotka_fit, mcp_ratio_pct, \
     mean_citation_per_elapsed_years
-from scimap.mfas import (
-    brute_force_optimum, calibration_harness, solve, triangle_example,
-)
+from scimap.mfas import brute_force_optimum, calibration_harness, solve
 from scimap.tables import fmt
 
 import test_centrality as centrality_fixtures

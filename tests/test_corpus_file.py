@@ -1,7 +1,7 @@
-"""Corpus file schema 4: a reference table holding each distinct cited
-reference once, two lines per document (fields, indices into the table),
-the table and the index lines decoded on request only, and malformed
-files rejected with a line number."""
+"""Corpus file schema 5: a reference table holding each distinct cited
+reference once, two lines per document (its fields as a positional
+array, indices into the table), the table and the index lines decoded on
+request only, and malformed files rejected with a line number."""
 from __future__ import annotations
 
 import json
@@ -55,12 +55,15 @@ def test_document_fields_keep_their_file_order():
 
 def test_two_lines_per_document(tmp_path):
     path, lines = saved_lines(tmp_path)
-    assert json.loads(lines[0])["schema"] == CORPUS_SCHEMA == "scimap-corpus/4"
+    assert json.loads(lines[0])["schema"] == CORPUS_SCHEMA == "scimap-corpus/5"
     assert len(lines) == 2 + 2 * 2
     assert json.loads(lines[1])[1] == ["OHLSON JA, 1980, J ACCOUNTING RES",
                                        "OHLSON JA", 1980, "J ACCOUNTING RES",
                                        None, None, None]
-    assert "cited_refs" not in json.loads(lines[2])
+    a = sample_corpus().documents[0]
+    assert json.loads(lines[2]) == [getattr(a, name) for name in DOCUMENT_FIELDS]
+    assert lines[2].startswith('["a",["KUMAR, PR"],"Review","EUR J OPER RES",'
+                               '2007,9,null,[],')
     assert json.loads(lines[3]) == [0, 1]
     assert json.loads(lines[5]) == []
 
@@ -115,13 +118,14 @@ def test_load_without_references_never_decodes_table_or_index_lines(
         tmp_path, monkeypatch):
     path, lines = saved_lines(tmp_path)
     decoded = []
-    loads = json.loads
+    raw_decode = corpus_module._raw_decode
 
     def spy(text, *args, **kwargs):
         decoded.append(text)
-        return loads(text, *args, **kwargs)
+        return raw_decode(text, *args, **kwargs)
 
-    monkeypatch.setattr(json, "loads", spy)
+    monkeypatch.setattr(corpus_module, "_raw_decode", spy)
+    monkeypatch.setattr(json, "loads", None)  # every line goes through the spy
     load_corpus(path)
     assert decoded == [lines[0], lines[2], lines[4]]
     decoded.clear()
@@ -194,7 +198,8 @@ def test_last_document_without_reference_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad", ["{not json", '{"0": 0}', "0", "[true]",
                                  "[-1]", "[0.0]", "[1.5]", "[2]", '["0"]',
-                                 "[[0]]", "[0, null]"])
+                                 "[[0]]", "[0, null]", "null", " [0]", "[0] ",
+                                 "[0]x", "[0][1]"])
 def test_index_line_must_hold_table_indices(tmp_path, capsys, bad):
     path, lines = saved_lines(tmp_path)
     lines[3] = bad + "\n"
@@ -209,21 +214,33 @@ def test_index_line_must_hold_table_indices(tmp_path, capsys, bad):
     assert "line 4: index line" in capsys.readouterr().err
 
 
-def _line_of_b(drop=(), **extra):
-    """The document line of "b" in ``sample_corpus``, keys dropped or added."""
-    doc = sample_corpus().documents[1]
-    fields = {name: getattr(doc, name) for name in DOCUMENT_FIELDS
-              if name not in drop}
-    return json.dumps({**fields, **extra})
+# The fields of "b" in ``sample_corpus``, in document-line order.
+_B_VALUES = [getattr(sample_corpus().documents[1], name)
+             for name in DOCUMENT_FIELDS]
+_B = json.dumps(_B_VALUES)
+_AUTHORS_AT = DOCUMENT_FIELDS.index("authors")
+_CITED_REFS_AT = Document._fields.index("cited_refs")
 
 
-@pytest.mark.parametrize("bad", ['{"id": "b", "unknown": 1}', '["b"]',
-                                 '{"id": "b", "missing_fields": null}',
-                                 '{"missing_fields": []}',
-                                 pytest.param(_line_of_b(drop=("authors",)),
-                                              id="no-authors"),
-                                 pytest.param(_line_of_b(cited_refs=[]),
-                                              id="cited_refs-key")])
+@pytest.mark.parametrize("bad", [
+    # object lines, schema 4's layout, whole or not
+    '{"id": "b", "unknown": 1}', '{"id": "b", "missing_fields": null}',
+    '{"missing_fields": []}',
+    pytest.param(json.dumps(dict(zip(DOCUMENT_FIELDS, _B_VALUES))),
+                 id="object-line"),
+    '["b"]', "[]", "null", '"b"', "{not json",
+    pytest.param(json.dumps(_B_VALUES[:_AUTHORS_AT] + _B_VALUES[_AUTHORS_AT + 1:]),
+                 id="no-authors"),
+    pytest.param(json.dumps(_B_VALUES[:-1]), id="no-missing_fields"),
+    pytest.param(json.dumps(_B_VALUES + [[]]), id="one-more-field"),
+    pytest.param(json.dumps(_B_VALUES[:_CITED_REFS_AT] + [[]]
+                            + _B_VALUES[_CITED_REFS_AT:]), id="cited_refs-key"),
+    pytest.param(json.dumps([_B_VALUES]), id="nested"),
+    pytest.param(" " + _B, id="leading-space"),
+    pytest.param(_B + " ", id="trailing-space"),
+    pytest.param(_B + "[]", id="second-value"),
+    pytest.param(_B + "x", id="trailing-text"),
+    pytest.param(_B[:-1], id="truncated")])
 def test_malformed_document_line_names_its_line(tmp_path, bad):
     path, lines = saved_lines(tmp_path)
     lines[4] = bad + "\n"
@@ -253,9 +270,9 @@ def test_every_document_field_has_a_wrong_type_case():
                           ("authors", None)])
 def test_document_fields_must_have_their_types(tmp_path, capsys, field, value):
     path, lines = saved_lines(tmp_path)
-    fields = json.loads(lines[4])
-    fields[field] = value
-    lines[4] = json.dumps(fields) + "\n"
+    values = json.loads(lines[4])
+    values[DOCUMENT_FIELDS.index(field)] = value
+    lines[4] = json.dumps(values) + "\n"
     path.write_text("".join(lines), encoding="utf-8")
     for references in (False, True):
         with pytest.raises(ValueError, match="line 5: not a document"):
@@ -267,7 +284,7 @@ def test_document_fields_must_have_their_types(tmp_path, capsys, field, value):
 
 
 @pytest.mark.parametrize("schema", ["scimap-corpus/1", "scimap-corpus/2",
-                                    "scimap-corpus/3"])
+                                    "scimap-corpus/3", "scimap-corpus/4"])
 def test_version_1_file_asks_for_reingest(tmp_path, capsys, schema):
     path = tmp_path / "old.dat"
     path.write_text(json.dumps({"schema": schema,
@@ -434,3 +451,47 @@ def test_round_trip_with_and_without_references(tmp_path_factory, corpus,
     again = path.with_name("again.dat")
     save_corpus(load_corpus(path, references=True), again)
     assert again.read_bytes() == path.read_bytes()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(DOCUMENT, min_size=1, max_size=4))
+def test_each_document_is_one_positional_line_and_loads_equal(
+        tmp_path_factory, documents):
+    path = tmp_path_factory.mktemp("docs") / "corpus.dat"
+    save_corpus(Corpus(documents, 2023), path)
+    lines = path.read_text("utf-8").splitlines()
+    assert [json.loads(line) for line in lines[2::2]] == [
+        [getattr(doc, name) for name in DOCUMENT_FIELDS] for doc in documents]
+    assert load_corpus(path, references=True).documents == documents
+
+
+# Text after a document's array on its line; a line break would start a
+# new line.
+TRAILING = st.text(st.characters(blacklist_characters="\r\n"),
+                   min_size=1, max_size=4)
+OTHER_VALUE = st.none() | st.booleans() | TEXT | st.integers() | TEXTS
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(DOCUMENT, st.sampled_from(("shorter", "longer", "object", "trailing")),
+       st.data())
+def test_document_line_of_another_shape_is_refused(tmp_path_factory, doc,
+                                                   change, data):
+    values = [getattr(doc, name) for name in DOCUMENT_FIELDS]
+    if change == "shorter":
+        line = json.dumps(values[:data.draw(st.integers(0, len(values) - 1))])
+    elif change == "longer":
+        line = json.dumps(values + data.draw(st.lists(OTHER_VALUE, min_size=1,
+                                                      max_size=3)))
+    elif change == "object":
+        line = json.dumps(dict(zip(DOCUMENT_FIELDS, values)))
+    else:
+        line = json.dumps(values) + data.draw(TRAILING)
+    path = tmp_path_factory.mktemp("bad") / "corpus.dat"
+    save_corpus(Corpus([doc], 2023), path)
+    lines = path.read_text("utf-8").splitlines(keepends=True)
+    lines[2] = line + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    for references in (False, True):
+        with pytest.raises(ValueError, match="line 3: not a document"):
+            load_corpus(path, references=references)

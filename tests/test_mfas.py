@@ -12,9 +12,9 @@ from scimap import mfas
 from scimap.digraph import topological_order
 from scimap.mfas import (
     ConfidenceReport, Multigraph, brute_force_optimum, calibration_harness,
-    run_once, solve, success_lower_bound, triangle_example,
-    wilson_interval,
+    run_once, solve, success_lower_bound, wilson_interval,
 )
+from conftest import to_lines, triangle_example
 from golden_suite import SCC_MULTIGRAPH
 
 
@@ -92,7 +92,7 @@ def test_multigraph_input_errors_name_the_line(text, message):
 
 def test_multigraph_line_round_trip():
     mg = triangle_example()
-    again = Multigraph.from_lines(mg.to_lines())
+    again = Multigraph.from_lines(to_lines(mg))
     assert again.bundles == mg.bundles
 
 

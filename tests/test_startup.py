@@ -1,15 +1,18 @@
 """Start-up cost: numpy loads only when a command clusters, ElementTree
-only when a command reads GraphML, and ``dataclasses`` never.
+only when a command reads GraphML, ``fractions`` only when a command
+computes an exact ratio, ``statistics`` only when ``mfas-calibrate``
+runs, and ``dataclasses`` never.
 
 Each command runs in a fresh process, so an import that a command does
 not use is paid on every command.  This runs, in one new interpreter,
 ``import scimap.cli`` and then commands that neither cluster nor read
 GraphML (``cooccur`` writes it), checking that ``numpy``,
 ``xml.etree.ElementTree``, ``dataclasses`` and ``inspect`` (which
-``dataclasses`` imports) stay out of ``sys.modules``.  A ``pagerank
---graph`` command after them must load ElementTree but not numpy, and a
-``walktrap`` command must still import numpy and work without loading
-``numpy.ma``.
+``dataclasses`` imports) stay out of ``sys.modules``, and that
+``fractions`` and ``statistics`` stay out until ``mfas`` and
+``mfas-calibrate`` run.  A ``pagerank --graph`` command after them must
+load ElementTree but not numpy, and a ``walktrap`` command must still
+import numpy and work without loading ``numpy.ma``.
 """
 from __future__ import annotations
 
@@ -40,26 +43,38 @@ SCRIPT = textwrap.dedent("""
         for name in ("dataclasses", "inspect"):
             assert name not in sys.modules, f"{step} loads {name}"
 
+    def no_exact_ratios(step):
+        for name in ("fractions", "statistics"):
+            assert name not in sys.modules, f"{step} loads {name}"
+
     sample, out = sys.argv[1], Path(sys.argv[2])
     assert not numpy_loaded(), "import scimap.cli"
     assert not etree_loaded(), "import scimap.cli"
     no_dataclasses("import scimap.cli")
+    no_exact_ratios("import scimap.cli")
     corpus = str(out / "corpus.dat")
     run("ingest", "--format", "plaintext", sample, "--reference-year", "2023",
         "-o", corpus)
     run("coverage", "--corpus", corpus, "--out", str(out / "coverage"))
     assert not numpy_loaded(), "coverage"
     no_dataclasses("coverage")
-    (out / "triangle.tsv").write_text("a b 1\\nb c 1\\nc a 1\\n")
-    run("mfas", "--graph", str(out / "triangle.tsv"), "-t", "5", "--seed", "7",
-        "--out", str(out / "mfas"))
-    assert not numpy_loaded(), "mfas"
-    no_dataclasses("mfas")
+    no_exact_ratios("coverage")
     run("cooccur", "--corpus", corpus, "--min-occurrence", "1",
         "--out", str(out / "cooccur"))
     assert not numpy_loaded(), "cooccur without --cluster"
     assert not etree_loaded(), "cooccur"
     no_dataclasses("cooccur")
+    no_exact_ratios("cooccur")
+    (out / "triangle.tsv").write_text("a b 1\\nb c 1\\nc a 1\\n")
+    run("mfas", "--graph", str(out / "triangle.tsv"), "-t", "5", "--seed", "7",
+        "--out", str(out / "mfas"))
+    assert not numpy_loaded(), "mfas"
+    no_dataclasses("mfas")
+    assert "statistics" not in sys.modules, "mfas loads statistics"
+    run("mfas-calibrate", "--graph", str(out / "triangle.tsv"), "-t", "3",
+        "--trials", "2", "--seed", "7", "--out", str(out / "calibrate"))
+    assert "statistics" in sys.modules, "mfas-calibrate"
+    assert not numpy_loaded(), "mfas-calibrate"
     run("pagerank", "--graph", str(out / "cooccur" / "cooccurrence.graphml"),
         "--out", str(out / "pagerank"))
     assert etree_loaded(), "pagerank --graph"
