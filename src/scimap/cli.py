@@ -39,7 +39,7 @@ from .metrics import (
     term_frequencies, trending_terms,
 )
 from .normalize import LEVEL_TAGS, REFERENCE_TAGS, field_values, to_document
-from .parsing import ExportParseError, parse_bibtex_export, parse_plaintext_export
+from .parsing import parse_bibtex_export, parse_plaintext_export
 from .records import Corpus, MAX_PLAUSIBLE_YEAR, MIN_PLAUSIBLE_YEAR
 from .tables import config_hash, fmt, ranked, write_table
 from .themes import thematic_evolution
@@ -88,8 +88,7 @@ def _run(argv: list[str]) -> int:
         args.handler(args, _resolve_config(args))
     except SystemExit as exc:  # argparse: usage errors, --help, --version
         return int(exc.code or 0)
-    except (DataError, ExportParseError, PageRankDivergence, ValueError,
-            OSError) as exc:
+    except (DataError, PageRankDivergence, ValueError, OSError) as exc:
         print(f"scimap: error: {exc}", file=sys.stderr)
         return 1
     finally:
@@ -684,6 +683,13 @@ def _count(text: str) -> int:
     return value
 
 
+def _separator(text: str) -> str:
+    """An argparse type: a string of at least one character."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _year(text: str) -> int:
     """An argparse type: a year the normalizer accepts as plausible."""
     value = _int(text)
@@ -725,7 +731,7 @@ def _ingest_args(p):
     p.add_argument("--reference-year", type=_year, default=None)
     p.add_argument("--retracted", default=None,
                    help="file listing retracted ids or DOIs, one per line")
-    p.add_argument("--cr-separator", default="\n",
+    p.add_argument("--cr-separator", type=_separator, default="\n",
                    help="cited-references separator for the BibTeX flavor")
     p.add_argument("--output", "-o", required=True,
                    help="corpus file to write (screening ledger lands beside it)")

@@ -139,12 +139,22 @@ _BIBTEX_AUX_TAGS = {
     "note": "NT",
 }
 
-# Fields whose value is a list; the splitting separator per tag.
-_MULTI_VALUE_SEPS = {"AU": " and ", "DE": "; ", "ID": "; "}
+# Fields whose value is a list; the splitting separator per tag.  One
+# affiliation per line: the bracketed author prefix of a C1 entry may hold
+# semicolons, so only newlines separate affiliations.
+_MULTI_VALUE_SEPS = {"AU": " and ", "DE": "; ", "ID": "; ", "C1": "\n"}
 
 # Tags with semantics Table-4 analyses rely on; synthetic fallback tags for
 # unknown fields must never collide with these.
 _RESERVED_TAGS = {tag for tag in _BIBTEX_FIELD_TAGS.values()} | {"ER", "EF", "FN", "VR", "PT"}
+
+# The BibTeX reader's patterns, compiled (and kept in re's cache) on the
+# first read: every command imports this module, few read BibTeX.
+_BRACES = r"[{}]"
+_BRACES_OR_COMMA = r"[{},]"
+_SPACE = r"[ \t\r\n]*"
+_SPACE_OR_COMMA = r"[ \t\r\n,]*"
+_BARE_TOKEN = r"[^,}\r\n]*"
 
 
 def parse_bibtex_export(data: bytes, source_file: str = "",
@@ -159,117 +169,100 @@ def parse_bibtex_export(data: bytes, source_file: str = "",
     text = _decode(data, source_file)
     records: list[RawRecord] = []
     pos = 0
-    index = 0
-    n = len(text)
     while True:
         at = text.find("@", pos)
         if at < 0:
-            break
+            return records
         brace = text.find("{", at)
         if brace < 0:
-            raise ExportParseError("entry has no opening brace",
-                                   source_file, record_index=index, offset=at)
-        entry_type = text[at + 1:brace].strip().lower()
-        if entry_type == "comment":
-            pos = _skip_braced(text, brace, source_file, index)
+            raise _error("entry has no opening brace", text, at,
+                         source_file, len(records))
+        if text[at + 1:brace].strip().lower() == "comment":
+            pos = _skip_braced(text, brace, source_file, len(records))
             continue
-        record = RawRecord(source_file=source_file, record_index=index)
-        end = _parse_entry_body(text, brace, record, source_file, index,
+        record = RawRecord(source_file=source_file, record_index=len(records))
+        pos = _parse_entry_body(text, brace, record, source_file,
                                 reference_separator)
         records.append(record)
-        index += 1
-        pos = end
-        if pos >= n:
-            break
-    return records
+
+
+def _error(message: str, text: str, at: int, source_file: str,
+           index: int) -> ExportParseError:
+    """``message`` at character ``at`` of ``text``, placed by its byte
+    offset, counted as ``_decode`` counts (after a stripped BOM)."""
+    return ExportParseError(message, source_file, record_index=index,
+                            offset=len(text[:at].encode("utf-8")))
+
+
+def _find_at_depth(text: str, start: int, needle: str) -> Optional[int]:
+    """The first ``needle`` (``"}"`` or ``","``) at brace depth 0 from
+    ``start``, jumping brace to brace; None if there is none or, for
+    ``","``, if the closing ``"}"`` comes first.  The one brace counter."""
+    depth = 0
+    stops = re.compile(_BRACES if needle == "}" else _BRACES_OR_COMMA)
+    for stop in stops.finditer(text, start):
+        char = stop.group()
+        if char == "{":
+            depth += 1
+        elif depth == 0:
+            return stop.start() if char == needle else None
+        elif char == "}":
+            depth -= 1
+    return None
 
 
 def _skip_braced(text: str, open_brace: int, source_file: str, index: int) -> int:
-    depth = 0
-    for i in range(open_brace, len(text)):
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    raise ExportParseError("unbalanced braces", source_file,
-                           record_index=index, offset=open_brace)
+    """The position after the brace that closes ``open_brace``."""
+    close = _find_at_depth(text, open_brace + 1, "}")
+    if close is None:
+        raise _error("unbalanced braces", text, open_brace, source_file, index)
+    return close + 1
 
 
 def _parse_entry_body(text: str, open_brace: int, record: RawRecord,
-                      source_file: str, index: int,
-                      reference_separator: str) -> int:
+                      source_file: str, reference_separator: str) -> int:
     """Parse ``{ key, name = {value}, ... }`` starting at ``open_brace``."""
-    i = open_brace + 1
-    n = len(text)
+    index = record.record_index
+    skip_space = re.compile(_SPACE).match
+    skip_separators = re.compile(_SPACE_OR_COMMA).match
+    bare_token = re.compile(_BARE_TOKEN).match
+    # An unclosed entry is refused before its fields are read.
+    end = _skip_braced(text, open_brace, source_file, index)
     # Citation key: up to the first comma at depth 1 (may be empty).
-    comma = _find_at_depth(text, i, ",")
-    close = _find_at_depth(text, i, "}")
-    if close is None:
-        raise ExportParseError("unbalanced braces", source_file,
-                               record_index=index, offset=open_brace)
-    if comma is None or comma > close:
-        return close + 1  # key-only entry, no fields
-    key = text[i:comma].strip()
+    comma = _find_at_depth(text, open_brace + 1, ",")
+    if comma is None:
+        return end  # key-only entry, no fields
+    key = text[open_brace + 1:comma].strip()
     if key:
         record.add("UT", key)
     i = comma + 1
     seen: set[str] = set()
-    while i < n:
-        while i < n and text[i] in " \t\r\n,":
-            i += 1
-        if i >= n:
-            raise ExportParseError("unbalanced braces", source_file,
-                                   record_index=index, offset=open_brace)
+    while True:
+        i = skip_separators(text, i).end()
+        if i == len(text):
+            raise _error("unbalanced braces", text, open_brace, source_file, index)
         if text[i] == "}":
             return i + 1
         eq = text.find("=", i)
-        if eq < 0:
-            raise ExportParseError("field without '='", source_file,
-                                   record_index=index, offset=i)
+        if eq < 0 or text.find("}", i, eq) >= 0:  # the name ends at a "}"
+            raise _error("field without '='", text, i, source_file, index)
         name = text[i:eq].strip().lower()
-        i = eq + 1
-        while i < n and text[i] in " \t\r\n":
-            i += 1
-        if i >= n:
-            raise ExportParseError("unbalanced braces", source_file,
-                                   record_index=index, offset=open_brace)
+        i = skip_space(text, eq + 1).end()
+        if i == len(text):
+            raise _error("unbalanced braces", text, open_brace, source_file, index)
         if text[i] == "{":
             end = _skip_braced(text, i, source_file, index)
             value = text[i + 1:end - 1]
-            i = end
         elif text[i] == '"':
-            end = text.find('"', i + 1)
-            if end < 0:
-                raise ExportParseError("unterminated quoted value", source_file,
-                                       record_index=index, offset=i)
-            value = text[i + 1:end]
-            i = end + 1
+            end = text.find('"', i + 1) + 1
+            if end == 0:
+                raise _error("unterminated quoted value", text, i, source_file, index)
+            value = text[i + 1:end - 1]
         else:  # bare token (numbers)
-            end = i
-            while end < n and text[end] not in ",}\r\n":
-                end += 1
+            end = bare_token(text, i).end()
             value = text[i:end]
-            i = end
+        i = end
         _store_field(record, name, value, seen, reference_separator)
-    raise ExportParseError("unbalanced braces", source_file,
-                           record_index=index, offset=open_brace)
-
-
-def _find_at_depth(text: str, start: int, needle: str) -> Optional[int]:
-    depth = 0
-    for i in range(start, len(text)):
-        ch = text[i]
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            if depth == 0:
-                return i if needle == "}" else None
-            depth -= 1
-        elif ch == needle and depth == 0:
-            return i
-    return None
 
 
 def _store_field(record: RawRecord, name: str, value: str, seen: set[str],
@@ -294,13 +287,6 @@ def _store_field(record: RawRecord, name: str, value: str, seen: set[str],
         for part in parts:
             if part:
                 record.add(tag, collapse_whitespace(part))
-    elif tag == "C1":
-        # one affiliation per line; the bracketed author prefix may hold
-        # semicolons, so only newlines separate entries
-        for part in value.split("\n"):
-            part = part.strip()
-            if part:
-                record.add(tag, collapse_whitespace(part))
     elif tag in _MULTI_VALUE_SEPS:
         for part in value.split(_MULTI_VALUE_SEPS[tag]):
             part = collapse_whitespace(part)
@@ -312,21 +298,9 @@ def _store_field(record: RawRecord, name: str, value: str, seen: set[str],
 
 def _strip_braces(value: str) -> str:
     value = value.strip()
-    while value.startswith("{") and value.endswith("}") and _balanced(value[1:-1]):
+    while value.startswith("{") and _find_at_depth(value, 1, "}") == len(value) - 1:
         value = value[1:-1].strip()
     for escaped, plain in (("\\&", "&"), ("\\%", "%"), ("\\_", "_"),
                            ("\\#", "#"), ("\\$", "$")):
         value = value.replace(escaped, plain)
     return value
-
-
-def _balanced(text: str) -> bool:
-    depth = 0
-    for ch in text:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth < 0:
-                return False
-    return depth == 0

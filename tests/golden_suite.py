@@ -4,7 +4,8 @@ The acceptance CLI suite plus one command per field path and one
 ``mfas`` run on a multigraph with many topological orders must write
 exactly the bytes recorded in ``data/golden_artifacts.sha256``.
 
-The extra commands reach every tag of the field accessor that the
+An ``ingest`` of the BibTeX sample pins that carrier's reader end to
+end.  The extra commands reach every tag of the field accessor that the
 acceptance suite leaves out (keyword and bigram terms, ID co-occurrence,
 author and institution collaboration, author h-index, sankey over AU,
 SO, CR, ID, CR_SO and CO).  The acceptance suite's triangle leaves a
@@ -58,6 +59,9 @@ FIELD_COMMANDS = {
     "sankey-ID-CR_SO-CO": ["sankey", "--left", "ID", "--middle", "CR_SO",
                            "--right", "CO"],
 }
+
+BIBTEX_INGEST = ["ingest", "--format", "bibtex", str(DATA / "sample_export.bib"),
+                 "--reference-year", "2023"]
 
 # Two cycles through d (one over a parallel pair) plus acyclic branches.
 MULTIGRAPH = "s d 1\nd x 2\nx d 1\nd b 1\nb c 1\nc d 1\ns a 1\na e 1\ns e 1\n"
@@ -140,6 +144,8 @@ def run_golden_suite(root: Path, with_numpy: bool = True,
     """Run the extended suite under ``root``, each command through
     ``run``; relative path -> SHA-256."""
     run_cli_suite(root, with_numpy, run)
+    _run(BIBTEX_INGEST + ["-o", str(root / "bibtex" / "corpus.dat")],
+         with_numpy, run)
     corpus = str(root / "corpus.dat")
     for name, argv in FIELD_COMMANDS.items():
         _run(argv + ["--corpus", corpus, "--out", str(root / "fields" / name)],

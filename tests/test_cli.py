@@ -520,6 +520,20 @@ def test_graph_count_below_one_exits_2_naming_the_flag(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_empty_cr_separator_exits_2_naming_the_flag(tmp_path, capsys):
+    bib = str(DATA / "sample_export.bib")
+    out = tmp_path / "bib.dat"
+    assert main(["ingest", "--format", "bibtex", "--cr-separator", "", bib,
+                 "-o", str(out)]) == 2
+    assert "argument --cr-separator: must not be empty" in capsys.readouterr().err
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"cr-separator": ""}))
+    assert main(["ingest", "--format", "bibtex", "--config", str(config), bib,
+                 "-o", str(out)]) == 2
+    assert "argument --cr-separator: must not be empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_switch_exits_2(corpus_file, tmp_path, capsys):
     config = tmp_path / "conf.json"
     config.write_text(json.dumps({"cluster": "yes"}))

@@ -54,7 +54,7 @@ def other_pythons() -> list[str]:
 
 def test_golden_artifacts(tmp_path):
     digests = run_golden_suite(tmp_path)
-    assert len(digests) == 66
+    assert len(digests) == 68
     assert_matches_golden(digests)
 
 
@@ -85,7 +85,7 @@ def test_golden_artifacts_on_other_pythons(tmp_path):
         assert done.returncode == 0, f"{exe}: {done.stderr[-2000:]}"
         digests = parse_table(done.stdout)
         # The twelve files of the commands that need numpy are left out.
-        assert len(digests) == 54, exe
+        assert len(digests) == 56, exe
         changed = sorted(name for name, digest in digests.items()
                          if expected.get(name) != digest)
         assert not changed, f"{exe}: artifacts differ from the golden table: {changed}"

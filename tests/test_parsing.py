@@ -219,6 +219,35 @@ def test_bibtex_unbalanced_braces_reports_offset():
     assert "bad.bib" in str(err.value)
 
 
+def test_bibtex_field_name_stops_at_a_closing_brace():
+    # "junk" has no "=" before the entry's "}"; the next entry's "=" must
+    # not end its name, which would file k2's title under k1.
+    data = ("@article{k1, Title = {First}, junk}\n"
+            "@article{k2, Title = {Second}, Year = {2001}}").encode()
+    with pytest.raises(ExportParseError) as err:
+        parse_bibtex_export(data, source_file="f.bib")
+    assert str(err.value) == "field without '=' (f.bib, record 1, byte 30)"
+    assert err.value.offset == data.index(b"junk")
+
+
+def test_bibtex_error_offset_counts_bytes():
+    # k2's opening brace is character 50 and byte 53: three of the
+    # characters before it take two bytes each.
+    data = ("@article{k1, Title = {Économie à Zürich}}\n"
+            "@article{k2, Title = {x}").encode()
+    assert data.index(b"{k2") == 53
+    with pytest.raises(ExportParseError) as err:
+        parse_bibtex_export(data, source_file="f.bib")
+    assert str(err.value) == "unbalanced braces (f.bib, record 2, byte 53)"
+    # counted after a stripped BOM, as the UTF-8 check counts
+    with pytest.raises(ExportParseError) as err:
+        parse_bibtex_export(b"\xef\xbb\xbf" + data)
+    assert err.value.offset == 53
+    with pytest.raises(ExportParseError) as err:
+        parse_bibtex_export(b"\xef\xbb\xbf@article{k1, Title = {\xff}}")
+    assert err.value.offset == 22
+
+
 def test_bibtex_totality_on_fuzz_input():
     rng = random.Random(424242)
     for _ in range(300):

@@ -48,7 +48,7 @@ def test_golden_artifacts_through_the_process_entry(tmp_path):
         return done.returncode
 
     digests = run_golden_suite(tmp_path, run=run)
-    assert len(digests) == 66
+    assert len(digests) == 68
     assert_matches_golden(digests)
 
 

@@ -1,7 +1,8 @@
 """Start-up cost: numpy loads only when a command clusters, ElementTree
 only when a command reads GraphML, ``fractions`` only when a command
 computes an exact ratio, ``statistics`` only when ``mfas-calibrate``
-runs, and ``dataclasses`` never.
+runs, ``dataclasses`` never, and the BibTeX reader's patterns only when
+a BibTeX export is read.
 
 Each command runs in a fresh process, so an import that a command does
 not use is paid on every command.  This runs, in one new interpreter,
@@ -10,7 +11,9 @@ GraphML (``cooccur`` writes it), checking that ``numpy``,
 ``xml.etree.ElementTree``, ``dataclasses`` and ``inspect`` (which
 ``dataclasses`` imports) stay out of ``sys.modules``, and that
 ``fractions`` and ``statistics`` stay out until ``mfas`` and
-``mfas-calibrate`` run.  A ``pagerank --graph`` command after them must
+``mfas-calibrate`` run.  Every pattern compiled is recorded: none of
+``parsing``'s BibTeX patterns may be among them until a BibTeX
+``ingest`` runs.  A ``pagerank --graph`` command after them must
 load ElementTree but not numpy, and a ``walktrap`` command must still
 import numpy and work without loading ``numpy.ma``.
 """
@@ -25,10 +28,25 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 
 SCRIPT = textwrap.dedent("""
+    import re
     import sys
     from pathlib import Path
 
+    compiled = set()
+    compile_pattern = re._compile
+
+    def recording_compile(pattern, flags):
+        compiled.add(pattern)
+        return compile_pattern(pattern, flags)
+
+    re._compile = recording_compile
+
     import scimap.cli
+    from scimap import parsing
+
+    bibtex_patterns = {parsing._BRACES, parsing._BRACES_OR_COMMA,
+                       parsing._SPACE, parsing._SPACE_OR_COMMA,
+                       parsing._BARE_TOKEN}
 
     def run(*argv):
         assert scimap.cli.main(list(argv)) == 0, argv
@@ -52,6 +70,7 @@ SCRIPT = textwrap.dedent("""
     assert not etree_loaded(), "import scimap.cli"
     no_dataclasses("import scimap.cli")
     no_exact_ratios("import scimap.cli")
+    assert not compiled & bibtex_patterns, "import scimap.cli"
     corpus = str(out / "corpus.dat")
     run("ingest", "--format", "plaintext", sample, "--reference-year", "2023",
         "-o", corpus)
@@ -59,6 +78,9 @@ SCRIPT = textwrap.dedent("""
     assert not numpy_loaded(), "coverage"
     no_dataclasses("coverage")
     no_exact_ratios("coverage")
+    assert not compiled & bibtex_patterns, "plaintext ingest"
+    run("ingest", "--format", "bibtex", sys.argv[3], "-o", str(out / "bib.dat"))
+    assert bibtex_patterns <= compiled, "bibtex ingest"
     run("cooccur", "--corpus", corpus, "--min-occurrence", "1",
         "--out", str(out / "cooccur"))
     assert not numpy_loaded(), "cooccur without --cluster"
@@ -93,7 +115,7 @@ def test_numpy_loads_only_for_clustering(tmp_path):
         [str(HERE.parent / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     done = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(HERE / "data" / "sample_export.txt"),
-         str(tmp_path)], env=env, capture_output=True, text=True)
+         str(tmp_path), str(HERE / "data" / "sample_export.bib")], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "ok"
     assert list(tmp_path.glob("walktrap/*"))
