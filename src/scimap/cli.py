@@ -132,12 +132,9 @@ def _config_flags(parser: argparse.ArgumentParser,
     flags.  A key is an option's long flag without its leading dashes,
     with ``-`` or ``_`` between words; keys the command lacks are
     ignored, so one file can serve every command."""
-    try:
-        file_config = json.loads(Path(args.config).read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read config: {exc}")
+    file_config = _read_input(args.config, _read_json, "config")
     if not isinstance(file_config, dict):
-        raise DataError("config file must hold a JSON object")
+        raise DataError(f"{args.config}: config file must hold a JSON object")
     command = _commands(parser)[args.command]
     options = {action.dest: action for action in command._actions
                if action.option_strings and action.dest not in ("help", "config")}
@@ -197,13 +194,34 @@ def _meta(config: dict, corpus: Optional[Corpus] = None, **extra) -> dict:
     return meta
 
 
+def _read_input(path, read, kind: str):
+    """``read(path)``; a missing file, or a ValueError the read raises
+    (text that is not UTF-8 and bad JSON included), is a DataError that
+    names ``path`` once."""
+    path = Path(path)
+    try:
+        return read(path)
+    except FileNotFoundError:
+        raise DataError(f"{kind} file not found: {path}") from None
+    except ValueError as exc:
+        named = str(path) in str(exc)
+        raise DataError(str(exc) if named else f"{path}: {exc}") from None
+
+
+def _read_text(path: Path) -> str:
+    return path.read_text("utf-8")
+
+
+def _read_json(path: Path):
+    return json.loads(path.read_text("utf-8"))
+
+
 def _load(args, references: bool = False) -> Corpus:
     """Load ``--corpus``; only commands that read cited references ask
     for them, since decoding them is most of a load."""
-    try:
-        return load_corpus(args.corpus, references=references)
-    except FileNotFoundError:
-        raise DataError(f"corpus file not found: {args.corpus}")
+    return _read_input(args.corpus,
+                       lambda path: load_corpus(path, references=references),
+                       "corpus")
 
 
 def _require_seed(args, config: dict) -> int:
@@ -250,7 +268,8 @@ def cmd_ingest(args, config):
     retracted = set()
     if args.retracted:
         retracted = {line.strip() for line in
-                     Path(args.retracted).read_text("utf-8").splitlines()
+                     _read_input(args.retracted, _read_text,
+                                 "retraction").splitlines()
                      if line.strip()}
     corpus = dedupe_and_screen(documents, retracted=retracted,
                                reference_year=args.reference_year,
@@ -370,7 +389,7 @@ def cmd_hindex(args, config):
 
 def cmd_amortize(args, config):
     rows_in = []
-    lines = Path(args.table).read_text("utf-8").splitlines()
+    lines = _read_input(args.table, _read_text, "table").splitlines()
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#") or line.lower().startswith("year"):
@@ -469,7 +488,7 @@ def cmd_collab(args, config):
 
 
 def cmd_pagerank(args, config):
-    graph = read_graph(args.graph)
+    graph = _read_input(args.graph, read_graph, "graph")
     scores = pagerank(graph, damping=args.damping)
     write_table([(n, repr(s)) for n, s in ranked(scores.items())],
                 ["node", "pagerank"], args.out / "pagerank.csv",
@@ -477,7 +496,7 @@ def cmd_pagerank(args, config):
 
 
 def cmd_betweenness(args, config):
-    graph = read_graph(args.graph)
+    graph = _read_input(args.graph, read_graph, "graph")
     scores = betweenness(graph)
     write_table([(n, repr(s)) for n, s in ranked(scores.items())],
                 ["node", "betweenness"], args.out / "betweenness.csv",
@@ -485,7 +504,7 @@ def cmd_betweenness(args, config):
 
 
 def cmd_walktrap(args, config):
-    graph = read_graph(args.graph)
+    graph = _read_input(args.graph, read_graph, "graph")
     clustering = walktrap(graph, walk_length=args.walk_length)
     rows = sorted(clustering.assignment.items())
     write_table(rows, ["node", "cluster"], args.out / "clusters.csv",
@@ -588,7 +607,7 @@ def cmd_rpys(args, config):
 
 def _term_lists(path: str) -> dict[str, list[str]]:
     """A JSON object mapping each name to a list of terms."""
-    data = json.loads(Path(path).read_text("utf-8"))
+    data = _read_input(path, _read_json, "term list")
     if not isinstance(data, dict):
         raise DataError(f"{path}: expected a JSON object")
     for key, terms in data.items():
@@ -615,11 +634,9 @@ def cmd_methods(args, config):
 
 
 def _load_multigraph(path: str) -> Multigraph:
-    try:
-        lines = Path(path).read_text("utf-8").splitlines()
-    except FileNotFoundError:
-        raise DataError(f"multigraph file not found: {path}")
-    return Multigraph.from_lines(lines)
+    return _read_input(
+        path, lambda path: Multigraph.from_lines(_read_text(path).splitlines()),
+        "multigraph")
 
 
 def cmd_mfas(args, config):

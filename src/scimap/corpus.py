@@ -21,7 +21,7 @@ from .records import (
 )
 from .tables import round_half_up
 
-CORPUS_SCHEMA = "scimap-corpus/5"
+CORPUS_SCHEMA = "scimap-corpus/6"
 _ALNUM_RUN = re.compile(r"[a-z0-9]+")
 
 
@@ -156,27 +156,25 @@ def coverage_report(corpus: Corpus) -> list[CoverageRow]:
 
 # Canonical corpus file ----------------------------------------------------
 #
-# Line 1 is a JSON header.  Line 2 is the reference table: a JSON array
-# with one positional array in REFERENCE_FIELDS order per distinct cited
-# reference, in the order the documents first cite them.  Each document
-# then takes two lines: its fields as a positional JSON array in
-# DOCUMENT_FIELDS order, and its cited references as a JSON array of
+# Line 1 is a JSON header: schema, reference year and provenance; the
+# screening ledger is not kept.  Line 2 is the reference table: a JSON
+# array with one positional array in REFERENCE_FIELDS order per distinct
+# cited reference, in the order the documents first cite them.  Each
+# document then takes two lines: its fields as a positional JSON array
+# in DOCUMENT_FIELDS order, and its cited references as a JSON array of
 # indices into the table.  Only the analyses of cited references decode
 # the table and the index lines; every other load skips them undecoded.
 # A load with references builds each table entry once, and every
 # document citing it shares that immutable CitedReference.
 
-REFERENCE_FIELDS = ("raw", "first_author", "year", "source", "volume",
-                    "page", "doi")
+REFERENCE_FIELDS = ("raw", "first_author", "year", "source", "doi")
 # The field types a reference array may have, in REFERENCE_FIELDS order:
 # raw a string, year an int or null, the rest strings or nulls.  Types
 # are matched exactly, so a bool year is refused.
 _TEXT = (str, type(None))
 _OPTIONAL_INT = (int, type(None))
 _REFERENCE_TYPES = frozenset(product((str,), _TEXT, _OPTIONAL_INT,
-                                     _TEXT, _TEXT, _TEXT, _TEXT))
-# Keys of a screening entry in the header, all holding strings.
-_SCREENING_KEYS = frozenset(ScreeningEntry._fields)
+                                     _TEXT, _TEXT))
 # The positions of a document line: Document's fields but cited_refs,
 # which the loader puts back at its place.
 DOCUMENT_FIELDS = tuple(name for name in Document._fields
@@ -244,7 +242,6 @@ def save_corpus(corpus: Corpus, path: str | Path) -> Path:
             "schema": CORPUS_SCHEMA,
             "reference_year": corpus.reference_year,
             "provenance": corpus.provenance,
-            "screening": [entry._asdict() for entry in corpus.screening],
         }))
         handle.write("\n")
         # A CitedReference is a tuple in REFERENCE_FIELDS order, so it
@@ -300,10 +297,9 @@ def _document(line: str, cited_refs: Optional[list[CitedReference]],
     return Document._make(values)
 
 
-def _header_fields(header: dict, path: Path,
-                   ) -> tuple[int, list[str], list[ScreeningEntry]]:
-    """The reference year, provenance and screening ledger of a corpus
-    header, each checked to have the type ``save_corpus`` writes."""
+def _header_fields(header: dict, path: Path) -> tuple[int, list[str]]:
+    """The reference year and provenance of a corpus header, each checked
+    to have the type ``save_corpus`` writes."""
     reference_year = header.get("reference_year")
     if type(reference_year) is not int:
         raise ValueError(f"{path}: header reference_year must be an "
@@ -313,20 +309,11 @@ def _header_fields(header: dict, path: Path,
             type(name) is str for name in provenance):
         raise ValueError(f"{path}: header provenance must be a list of "
                          f"strings, got {provenance!r}")
-    screening = header.get("screening")
-    if type(screening) is not list or not all(
-            type(entry) is dict and entry.keys() == _SCREENING_KEYS
-            and all(type(value) is str for value in entry.values())
-            for entry in screening):
-        raise ValueError(f"{path}: header screening must be a list of "
-                         f"objects with the string fields "
-                         f"{', '.join(ScreeningEntry._fields)}")
-    return (reference_year, provenance,
-            [ScreeningEntry(**entry) for entry in screening])
+    return reference_year, provenance
 
 
 def load_corpus(path: str | Path, references: bool = False) -> Corpus:
-    """Read a corpus file.
+    """Read a corpus file, with an empty screening ledger.
 
     Without ``references`` the reference table and each index line are
     skipped undecoded and every document's ``cited_refs`` is None, so
@@ -344,7 +331,7 @@ def load_corpus(path: str | Path, references: bool = False) -> Corpus:
             raise ValueError(f"unsupported corpus schema {schema!r} in {path} "
                              f"(expected {CORPUS_SCHEMA}): re-ingest with "
                              f"this version")
-        reference_year, provenance, screening = _header_fields(header, path)
+        reference_year, provenance = _header_fields(header, path)
         table_line = handle.readline()
         if not table_line:
             raise ValueError(f"{path}: line 2: no reference table")
@@ -372,4 +359,4 @@ def load_corpus(path: str | Path, references: bool = False) -> Corpus:
             documents.append(doc)
             lineno += 2
     return Corpus(documents=documents, reference_year=reference_year,
-                  provenance=provenance, screening=screening)
+                  provenance=provenance)

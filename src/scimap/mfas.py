@@ -55,9 +55,6 @@ class Multigraph:
     def total_arcs(self) -> int:
         return sum(self.bundles.values())
 
-    def copy(self) -> "Multigraph":
-        return Multigraph(nodes=set(self.nodes), bundles=dict(self.bundles))
-
     @classmethod
     def from_lines(cls, lines) -> "Multigraph":
         """Parse the delimited format: one bundle per line, ``u v mult``
@@ -76,13 +73,6 @@ class Multigraph:
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
         return mg
-
-    def successors(self) -> dict[str, list[str]]:
-        """Adjacency of the bundle digraph (multiplicities dropped)."""
-        out: dict[str, list[str]] = {node: [] for node in self.nodes}
-        for u, v in self.bundles:
-            out[u].append(v)
-        return out
 
 
 def _component_of(components: list[list[str]]) -> dict[str, set[str]]:

@@ -115,12 +115,14 @@ def parse_cited_reference(raw: str) -> CitedReference:
     """Classify the comma-separated segments of a cited-reference string.
 
     Segments are assigned positionally and by shape: leading name, 4-digit
-    year, venue, V-token, P-token, DOI token.  Whatever cannot be
+    year, venue, DOI token.  The first V- and P-token are claimed, so that
+    neither becomes the venue, and dropped.  Whatever cannot be
     classified stays in ``raw`` only; the function never fails.  A
     ``CitedReference`` cannot be edited, so each distinct string is
     parsed once and its reference shared by every document citing it.
     """
-    first_author = year = source = volume = page = doi = None
+    first_author = year = source = doi = None
+    volume = page = False
     if not raw.strip():
         return CitedReference(raw)
     segments = [seg.strip() for seg in raw.split(",")]
@@ -140,12 +142,10 @@ def parse_cited_reference(raw: str) -> CitedReference:
         elif year is None and len(seg) == 4 and _YEAR_SEG.match(seg):
             year = int(seg)
             claimed[i] = True
-        elif volume is None and head == "V" and _VOLUME_SEG.match(upper):
-            volume = upper
-            claimed[i] = True
-        elif page is None and head == "P" and _PAGE_SEG.match(upper):
-            page = upper
-            claimed[i] = True
+        elif not volume and head == "V" and _VOLUME_SEG.match(upper):
+            volume = claimed[i] = True
+        elif not page and head == "P" and _PAGE_SEG.match(upper):
+            page = claimed[i] = True
 
     if segments and not claimed[0] and segments[0]:
         first_author = collapse_whitespace(
@@ -157,13 +157,13 @@ def parse_cited_reference(raw: str) -> CitedReference:
         if not claimed[i] and seg and i > 0 and seg[0].isalpha():
             source = collapse_whitespace(fold_ascii(seg)).upper()
             break
-    return CitedReference(raw, first_author, year, source, volume, page, doi)
+    return CitedReference(raw, first_author, year, source, doi)
 
 
 def reference_key(ref: CitedReference) -> tuple:
     """Identity of a cited reference: the DOI when present, else the
-    (author, year, source) triple.  Volume and page never discriminate,
-    so two renderings differing only there merge."""
+    (author, year, source) triple.  Volume and page are not kept, so two
+    renderings differing only there merge."""
     if ref.doi:
         return ("doi", ref.doi)
     return ("meta", ref.first_author or "", ref.year or 0, ref.source or "")

@@ -144,6 +144,9 @@ _BIBTEX_AUX_TAGS = {
 # semicolons, so only newlines separate affiliations.
 _MULTI_VALUE_SEPS = {"AU": " and ", "DE": "; ", "ID": "; ", "C1": "\n"}
 
+# Entry types that hold no document.
+_SKIPPED_ENTRIES = ("comment", "string", "preamble")
+
 # Tags with semantics Table-4 analyses rely on; synthetic fallback tags for
 # unknown fields must never collide with these.
 _RESERVED_TAGS = {tag for tag in _BIBTEX_FIELD_TAGS.values()} | {"ER", "EF", "FN", "VR", "PT"}
@@ -163,8 +166,9 @@ def parse_bibtex_export(data: bytes, source_file: str = "",
 
     ``reference_separator`` splits the cited-references field (export
     tooling varies; the default is one reference per line).  Unbalanced
-    braces raise with a byte offset; a duplicated field within one entry
-    keeps the last value and flags the record.
+    braces raise with a byte offset; a later field for a tag an earlier
+    field of the entry filled keeps only its value and flags the record.
+    ``@comment``, ``@string`` and ``@preamble`` entries are skipped.
     """
     text = _decode(data, source_file)
     records: list[RawRecord] = []
@@ -177,7 +181,7 @@ def parse_bibtex_export(data: bytes, source_file: str = "",
         if brace < 0:
             raise _error("entry has no opening brace", text, at,
                          source_file, len(records))
-        if text[at + 1:brace].strip().lower() == "comment":
+        if text[at + 1:brace].strip().lower() in _SKIPPED_ENTRIES:
             pos = _skip_braced(text, brace, source_file, len(records))
             continue
         record = RawRecord(source_file=source_file, record_index=len(records))
@@ -230,13 +234,13 @@ def _parse_entry_body(text: str, open_brace: int, record: RawRecord,
     end = _skip_braced(text, open_brace, source_file, index)
     # Citation key: up to the first comma at depth 1 (may be empty).
     comma = _find_at_depth(text, open_brace + 1, ",")
-    if comma is None:
-        return end  # key-only entry, no fields
-    key = text[open_brace + 1:comma].strip()
+    key = text[open_brace + 1:end - 1 if comma is None else comma].strip()
     if key:
         record.add("UT", key)
+    if comma is None:
+        return end  # key-only entry, no fields
     i = comma + 1
-    seen: set[str] = set()
+    seen: set[str] = set()  # tags filled by a field
     while True:
         i = skip_separators(text, i).end()
         if i == len(text):
@@ -278,10 +282,10 @@ def _store_field(record: RawRecord, name: str, value: str, seen: set[str],
             record.flags.append(f"unmapped-field:{name}")
             return
     value = _strip_braces(value)
-    if name in seen:
+    if tag in seen:
         record.flags.append(f"duplicate-field:{name}")
         record.entries.pop(tag, None)
-    seen.add(name)
+    seen.add(tag)
     if tag == "CR":
         parts = [p.strip().rstrip(".") for p in value.split(reference_separator)]
         for part in parts:

@@ -66,8 +66,6 @@ class CitedReference(NamedTuple):
     first_author: Optional[str] = None
     year: Optional[int] = None
     source: Optional[str] = None
-    volume: Optional[str] = None
-    page: Optional[str] = None
     doi: Optional[str] = None
 
 
@@ -118,7 +116,8 @@ class Corpus:
 
     ``reference_year`` is the year used as "now" by every age computation;
     it defaults to the latest publication year present and must be pinned
-    explicitly for reproducible runs.
+    explicitly for reproducible runs.  The corpus file does not keep the
+    ``screening`` ledger, so a loaded corpus has none.
     """
 
     __slots__ = ("documents", "reference_year", "provenance", "screening")

@@ -1,11 +1,16 @@
 """Test-only oracle: the BibTeX reader that ``scimap.parsing`` shipped
-before it counted braces in one scanner, kept verbatim but for two
+before it counted braces in one scanner, kept verbatim but for five
 fixes, each marked by a ``Fix`` comment:
 
 1. a field name ends at the next ``}``, so a field without ``=`` no
    longer swallows the entries after it;
 2. error offsets count bytes of the decoded input (after a stripped
-   BOM), as ``_decode`` counts them, not characters.
+   BOM), as ``_decode`` counts them, not characters;
+3. ``@string`` and ``@preamble`` entries are skipped as ``@comment`` is,
+   so they are not records;
+4. a key-only entry keeps its key as ``UT``;
+5. a later field for a tag that an earlier field filled is the
+   duplicate, whatever its name, not only a repeated name.
 
 It counts braces one character at a time in three scanners
 (``_skip_braced``, ``_find_at_depth`` and ``_balanced``).
@@ -97,7 +102,8 @@ def parse_bibtex_export(data: bytes, source_file: str = "",
             raise ExportParseError("entry has no opening brace",
                                    source_file, record_index=index, offset=_byte_offset(text, at))
         entry_type = text[at + 1:brace].strip().lower()
-        if entry_type == "comment":
+        # Fix 3: @string and @preamble hold no document either.
+        if entry_type in ("comment", "string", "preamble"):
             pos = _skip_braced(text, brace, source_file, index)
             continue
         record = RawRecord(source_file=source_file, record_index=index)
@@ -137,6 +143,10 @@ def _parse_entry_body(text: str, open_brace: int, record: RawRecord,
         raise ExportParseError("unbalanced braces", source_file,
                                record_index=index, offset=_byte_offset(text, open_brace))
     if comma is None or comma > close:
+        # Fix 4: the key of a key-only entry is kept.
+        key = text[i:close].strip()
+        if key:
+            record.add("UT", key)
         return close + 1  # key-only entry, no fields
     key = text[i:comma].strip()
     if key:
@@ -213,10 +223,11 @@ def _store_field(record: RawRecord, name: str, value: str, seen: set[str],
             record.flags.append(f"unmapped-field:{name}")
             return
     value = _strip_braces(value)
-    if name in seen:
+    # Fix 5: seen holds tags, not field names.
+    if tag in seen:
         record.flags.append(f"duplicate-field:{name}")
         record.entries.pop(tag, None)
-    seen.add(name)
+    seen.add(tag)
     if tag == "CR":
         parts = [p.strip().rstrip(".") for p in value.split(reference_separator)]
         for part in parts:

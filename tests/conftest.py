@@ -66,3 +66,16 @@ def triangle_example() -> Multigraph:
 def to_lines(mg: Multigraph) -> list[str]:
     """``mg`` in the delimited format ``Multigraph.from_lines`` reads."""
     return [f"{u} {v} {m}" for (u, v), m in sorted(mg.bundles.items())]
+
+
+def copy_of(mg: Multigraph) -> Multigraph:
+    """A copy of ``mg`` whose bundles can be edited apart from it."""
+    return Multigraph(nodes=set(mg.nodes), bundles=dict(mg.bundles))
+
+
+def successors_of(mg: Multigraph) -> dict[str, list[str]]:
+    """Adjacency of the bundle digraph of ``mg`` (multiplicities dropped)."""
+    out: dict[str, list[str]] = {node: [] for node in mg.nodes}
+    for u, v in mg.bundles:
+        out[u].append(v)
+    return out

@@ -1,6 +1,9 @@
 """Test-only oracle: the MFAS sampler that ``scimap.mfas`` shipped before
 its incremental rewrite, kept verbatim except that it returns its own
-``ReferenceSolution`` with the witness order built at once.
+``ReferenceSolution`` with the witness order built at once, and that it
+copies a multigraph and lists its successors with the test helpers
+``copy_of`` and ``successors_of``, each call marked by an ``Edit``
+comment, since ``Multigraph`` no longer has those methods.
 
 After every single arc removal it reruns a full Tarjan over the working
 copy, sorts all on-cycle bundles and scans them linearly to map the
@@ -13,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from conftest import copy_of, successors_of
 from scimap.digraph import reaches, topological_order
 from scimap.mfas import Bundle, Multigraph
 
@@ -33,7 +37,7 @@ def _strongly_connected_components(mg: Multigraph) -> dict[str, int]:
     component: dict[str, int] = {}
     counter = [0]
     comp_counter = [0]
-    out = mg.successors()
+    out = successors_of(mg)  # Edit: was mg.successors()
 
     for root in sorted(mg.nodes):
         if root in index_of:
@@ -93,7 +97,7 @@ def run_once(mg: Multigraph, seed: int, check_support: bool = False,
     every removed arc lay on a cycle at its removal time.
     """
     rng = random.Random(seed)
-    work = mg.copy()
+    work = copy_of(mg)  # Edit: was mg.copy()
     removed: dict[Bundle, int] = {}
     while True:
         candidates = cycle_bundles(work)
@@ -106,7 +110,8 @@ def run_once(mg: Multigraph, seed: int, check_support: bool = False,
                 break
             pick -= mult
         if check_support:
-            assert reaches(work.successors(), bundle[1], bundle[0]), \
+            # Edit: was work.successors()
+            assert reaches(successors_of(work), bundle[1], bundle[0]), \
                 f"sampled off-cycle arc {bundle}"
         removed[bundle] = removed.get(bundle, 0) + 1
         if work.bundles[bundle] == 1:

@@ -6,8 +6,10 @@ methods, kept verbatim.
 and ``surname_of`` recompute on every call.  ``parse_cited_reference``
 fills a mutable copy of the reference, since ``CitedReference`` itself
 cannot be edited, and runs every segment's regex with no shape check in
-front.  ``normalize_author_name``, ``normalize_affiliation``,
-``_split_terms``, ``_joined`` and ``corpus.normalized_title`` collapse
+front.  Its one edit is marked by an ``Edit`` comment: it still fills
+the seven parts a reference had, volume and page included, and returns
+the five that ``CitedReference`` keeps.  ``normalize_author_name``,
+``normalize_affiliation``, ``_split_terms``, ``_joined`` and ``corpus.normalized_title`` collapse
 whitespace with one regex pass.  ``normalize_doi`` is a copy too, so
 no DOI goes through the shipped code on both sides of a check.
 ``tests/test_normalize_memo.py`` and
@@ -74,9 +76,12 @@ def parse_cited_reference(raw: str) -> CitedReference:
     classified stays in ``raw`` only; the function never fails.
     """
     # Filled in place as segments are classified, then frozen at the end.
-    ref = SimpleNamespace(**CitedReference(raw=raw)._asdict())
+    # Edit: volume and page are filled here but not returned.
+    ref = SimpleNamespace(**CitedReference(raw=raw)._asdict(),
+                          volume=None, page=None)
+    kept = CitedReference._fields
     if not raw.strip():
-        return CitedReference(**vars(ref))
+        return CitedReference(*(getattr(ref, name) for name in kept))
     segments = [seg.strip() for seg in raw.split(",")]
     claimed = [False] * len(segments)
 
@@ -106,7 +111,7 @@ def parse_cited_reference(raw: str) -> CitedReference:
         if not claimed[i] and seg and i > 0 and seg[0].isalpha():
             ref.source = re.sub(r"\s+", " ", fold_ascii(seg)).strip().upper()
             break
-    return CitedReference(**vars(ref))
+    return CitedReference(*(getattr(ref, name) for name in kept))
 
 
 def normalize_author_name(raw: str) -> str:

@@ -5,8 +5,8 @@
 record indexes) or raise an ``ExportParseError`` with the same message,
 offset included, on the sample export, on mutated copies of it and on
 soups of entries: nested and unbalanced braces, quoted values holding
-``}``, bare tokens, ``@comment``, fields without ``=`` and non-ASCII
-text.
+``}``, bare tokens, ``@comment``, ``@string`` and ``@preamble``, fields
+without ``=``, two field names for one tag and non-ASCII text.
 """
 from __future__ import annotations
 
@@ -60,10 +60,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 NAMES = ["Title", "author", "Year", "Cited-References", "Affiliation",
          "Keywords", "Keywords-Plus", "Times-Cited", "Foo-Bar", "x", "ER",
-         "unique-id", "Journal", "Zürich", ""]
+         "unique-id", "Journal", "Zürich", "", "Type", "DocType",
+         "Affiliations"]
 TOKENS = st.one_of(
     st.sampled_from(["{", "}", ",", "=", '"', "@", " ", "\n", "\t", "\r", "\r\n"]),
-    st.sampled_from(["@article{", "@comment{", "@Comment {", "@misc ", "k1,"]),
+    st.sampled_from(["@article{", "@comment{", "@Comment {", "@misc ", "k1,",
+                     "@string{", "@Preamble {"]),
     st.sampled_from(NAMES),
     st.sampled_from(["2001", "Économie à Zürich", "a and b", "a; b", "\\&",
                      '"q}uote"', "{{x}}", "{a}{b}", "junk", "[A; B] Inst",
@@ -91,7 +93,8 @@ def entries(draw):
     fields = draw(st.lists(
         st.tuples(st.sampled_from(NAMES), st.sampled_from([" = ", "=", " ", "= \n"]),
                   values()).map("".join), max_size=5))
-    kind = draw(st.sampled_from(["article", "comment", " article ", "misc"]))
+    kind = draw(st.sampled_from(["article", "comment", " article ", "misc",
+                                 "string", "preamble"]))
     key = draw(st.sampled_from(["WOS:1", "", " k ", "{k}", "k=1"]))
     separator = draw(st.sampled_from([",", ",\n", " , ", ",,"]))
     end = draw(st.sampled_from(["}", ",}", "\n}\n", "", "}}"]))

@@ -405,8 +405,51 @@ def test_mfas_input_error_names_the_line(tmp_path, capsys):
     assert main(["mfas", "--graph", str(graph), "-t", "3", "--seed", "1",
                  "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("scimap: error: line 3: ")
+    assert err.startswith(f"scimap: error: {graph}: line 3: ")
     assert not (tmp_path / "mfas_solution.csv").exists()
+
+
+NOT_UTF8 = b"\xff\n"
+DECODE_ERROR = "'utf-8' codec can't decode byte 0xff"
+DOT_NODE = b'  "a" [label="a", weight=1.0];\n'
+
+
+@pytest.mark.parametrize("argv, name, data, text", [
+    (["coverage", "--corpus", "{bad}"], "bad.dat", NOT_UTF8, DECODE_ERROR),
+    (["amortize", "--table", "{bad}"], "bad.csv", NOT_UTF8, DECODE_ERROR),
+    (["ingest", SAMPLE, "--retracted", "{bad}", "-o", "{out}/c.dat"],
+     "retracted.txt", NOT_UTF8, DECODE_ERROR),
+    (["mfas", "--graph", "{bad}", "--seed", "1"], "bad.tsv", NOT_UTF8,
+     DECODE_ERROR),
+    (["terms", "--corpus", "{corpus}", "--config", "{bad}"], "conf.json",
+     NOT_UTF8, DECODE_ERROR),
+    (["terms", "--corpus", "{corpus}", "--config", "{bad}"], "conf.json",
+     b"{bad", "Expecting property name"),
+    (["methods", "--corpus", "{corpus}", "--lexicon", "{bad}", "--niches",
+      "{good}"], "lexicon.json", b"{bad", "Expecting property name"),
+    (["methods", "--corpus", "{corpus}", "--lexicon", "{good}", "--niches",
+      "{bad}"], "niches.json", b"{bad", "Expecting property name"),
+    (["mfas", "--graph", "{bad}", "--seed", "1"], "bad.tsv", b"a b x\n",
+     "line 1: invalid literal for int()"),
+    (["pagerank", "--graph", "{bad}"], "bad.dot",
+     b"digraph G {\n" + DOT_NODE + DOT_NODE + b"}\n", "duplicate node ids"),
+    (["pagerank", "--graph", "{bad}"], "bad.dot",
+     b'digraph G {\n  "a" [label="a", weight=zz];\n}\n',
+     "could not convert string to float: 'zz'"),
+])
+def test_input_file_error_names_the_file_once(corpus_file, tmp_path, capsys,
+                                              argv, name, data, text):
+    bad = tmp_path / name
+    bad.write_bytes(data)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"x": ["machine learning"]}))
+    out = tmp_path / "out"
+    argv = [arg.format(bad=bad, good=good, corpus=corpus_file, out=out)
+            for arg in argv]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scimap: error: {bad}: {text}"), err
+    assert err.count(str(bad)) == 1
 
 
 def test_seed_synthesized_and_echoed(tmp_path, capsys):

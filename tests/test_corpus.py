@@ -334,7 +334,9 @@ def test_corpus_file_round_trip(tmp_path):
     assert loaded.reference_year == corpus.reference_year
     assert [d.id for d in loaded.documents] == [d.id for d in corpus.documents]
     assert loaded.documents[0] == corpus.documents[0]
-    assert [e.reason for e in loaded.screening] == ["duplicate-title-year"]
+    # the ledger is written beside the file by ingest, not kept in it
+    assert [e.reason for e in corpus.screening] == ["duplicate-title-year"]
+    assert loaded.screening == []
     # byte-stable re-serialization
     second = tmp_path / "again.dat"
     save_corpus(loaded, second)

@@ -1,5 +1,6 @@
-"""Corpus file schema 5: a reference table holding each distinct cited
-reference once, two lines per document (its fields as a positional
+"""Corpus file schema 6: a header without the screening ledger, a
+reference table holding each distinct cited reference once as a
+five-element array, two lines per document (its fields as a positional
 array, indices into the table), the table and the index lines decoded on
 request only, and malformed files rejected with a line number."""
 from __future__ import annotations
@@ -55,11 +56,16 @@ def test_document_fields_keep_their_file_order():
 
 def test_two_lines_per_document(tmp_path):
     path, lines = saved_lines(tmp_path)
-    assert json.loads(lines[0])["schema"] == CORPUS_SCHEMA == "scimap-corpus/5"
+    assert json.loads(lines[0]) == {"schema": CORPUS_SCHEMA,
+                                    "reference_year": 2023,
+                                    "provenance": ["test"]}
+    assert CORPUS_SCHEMA == "scimap-corpus/6"
     assert len(lines) == 2 + 2 * 2
-    assert json.loads(lines[1])[1] == ["OHLSON JA, 1980, J ACCOUNTING RES",
-                                       "OHLSON JA", 1980, "J ACCOUNTING RES",
-                                       None, None, None]
+    assert json.loads(lines[1]) == [
+        ["ALTMAN EI, 1968, J FINANC, V23, P589", "ALTMAN EI", 1968,
+         "J FINANC", None],
+        ["OHLSON JA, 1980, J ACCOUNTING RES", "OHLSON JA", 1980,
+         "J ACCOUNTING RES", None]]
     a = sample_corpus().documents[0]
     assert json.loads(lines[2]) == [getattr(a, name) for name in DOCUMENT_FIELDS]
     assert lines[2].startswith('["a",["KUMAR, PR"],"Review","EUR J OPER RES",'
@@ -146,14 +152,17 @@ def test_file_without_reference_table_names_line_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad", ['{"raw": "x"}', '["ALTMAN EI, 1968"]',
                                  '[["ALTMAN EI, 1968", "ALTMAN EI", 1968]]',
-                                 '[[1, 2, 3, 4, 5, 6, 7, 8]]'])
-def test_reference_line_must_hold_seven_element_arrays(tmp_path, capsys, bad):
+                                 '[[1, 2, 3, 4, 5, 6, 7, 8]]',
+                                 # a schema-5 entry, volume and page included
+                                 '[["A, 1968, J, V1, P2", "A", 1968, "J", '
+                                 '"V1", "P2", null]]'])
+def test_reference_line_must_hold_five_element_arrays(tmp_path, capsys, bad):
     path, lines = saved_lines(tmp_path)
     lines[1] = bad + "\n"
     path.write_text("".join(lines), encoding="utf-8")
     load_corpus(path)
     with pytest.raises(ValueError, match="line 2: reference table is not a "
-                                         "JSON array of 7-element arrays"):
+                                         "JSON array of 5-element arrays"):
         load_corpus(path, references=True)
     assert main(["stats", "--corpus", str(path), "--out", str(tmp_path / "o")]) == 1
     assert "line 2: reference table" in capsys.readouterr().err
@@ -284,7 +293,8 @@ def test_document_fields_must_have_their_types(tmp_path, capsys, field, value):
 
 
 @pytest.mark.parametrize("schema", ["scimap-corpus/1", "scimap-corpus/2",
-                                    "scimap-corpus/3", "scimap-corpus/4"])
+                                    "scimap-corpus/3", "scimap-corpus/4",
+                                    "scimap-corpus/5"])
 def test_version_1_file_asks_for_reingest(tmp_path, capsys, schema):
     path = tmp_path / "old.dat"
     path.write_text(json.dumps({"schema": schema,
@@ -300,12 +310,6 @@ def test_version_1_file_asks_for_reingest(tmp_path, capsys, schema):
     ("reference_year", None), ("reference_year", "abc"),
     ("reference_year", 2023.0), ("reference_year", True),
     ("provenance", "sample.txt"), ("provenance", [1]), ("provenance", None),
-    ("screening", [{"removed_id": "x", "reason": "retracted", "kept_id": "",
-                    "detail": "", "extra": ""}]),
-    ("screening", [{"removed_id": "x", "reason": "retracted"}]),
-    ("screening", [{"removed_id": "x", "reason": 1, "kept_id": "",
-                    "detail": ""}]),
-    ("screening", ["x"]), ("screening", {}),
 ])
 def test_malformed_header_names_the_file(tmp_path, capsys, key, value):
     path, lines = saved_lines(tmp_path)
@@ -320,14 +324,15 @@ def test_malformed_header_names_the_file(tmp_path, capsys, key, value):
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert f"{path}: header {key}" in err
+    assert err.count(str(path)) == 1
 
 
 def test_reference_table_is_written_in_slices(tmp_path):
     # 10,000 distinct references of about 270 bytes: a 2.7 MB table line.
     # Encoded whole, the save peaked at 6 MB under tracemalloc; a slice
     # at a time it peaks at 1.5 MB.
-    refs = [CitedReference(f"AUTHOR{i} X, 2001, {'LONG ' * 20}{i}",
-                           f"AUTHOR{i} X", 2001, f"{'LONG ' * 20}{i}")
+    refs = [CitedReference(f"AUTHOR{i} X, 2001, {'LONG ' * 21}{i}",
+                           f"AUTHOR{i} X", 2001, f"{'LONG ' * 21}{i}")
             for i in range(10_000)]
     docs = [make_document(f"d{j}", title=f"t{j}", pub_year=2000,
                           cited_refs=refs[j::20]) for j in range(20)]
@@ -408,7 +413,7 @@ REFERENCE = st.sampled_from([
     raw=st.one_of(TEXT, st.sampled_from(['A "quoted" ref\nsplit',
                                          "KUDELIĆ R, 2019, ÜBER, V1, P2"])),
     first_author=OPTIONAL_TEXT, year=OPTIONAL_INT, source=OPTIONAL_TEXT,
-    volume=OPTIONAL_TEXT, page=OPTIONAL_TEXT, doi=OPTIONAL_TEXT)
+    doi=OPTIONAL_TEXT)
 DOCUMENT = st.builds(
     Document, id=TEXT, authors=TEXTS, title=TEXT, source=TEXT,
     pub_year=OPTIONAL_INT, total_citations=st.integers(0, 10**6),
@@ -443,11 +448,13 @@ def test_round_trip_with_and_without_references(tmp_path_factory, corpus,
                                   for ref in doc.cited_refs))
     table_line = path.read_text("utf-8").splitlines()[1]
     assert table_line == _dump(distinct)
-    assert load_corpus(path, references=True) == corpus
+    # The file does not keep the screening ledger.
+    assert load_corpus(path, references=True) == Corpus(
+        corpus.documents, corpus.reference_year, corpus.provenance)
     without = load_corpus(path)
     assert without == Corpus(
         [_without_references(doc) for doc in corpus.documents],
-        corpus.reference_year, corpus.provenance, corpus.screening)
+        corpus.reference_year, corpus.provenance)
     again = path.with_name("again.dat")
     save_corpus(load_corpus(path, references=True), again)
     assert again.read_bytes() == path.read_bytes()

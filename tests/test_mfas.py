@@ -14,7 +14,7 @@ from scimap.mfas import (
     ConfidenceReport, Multigraph, brute_force_optimum, calibration_harness,
     run_once, solve, success_lower_bound, wilson_interval,
 )
-from conftest import to_lines, triangle_example
+from conftest import copy_of, to_lines, triangle_example
 from golden_suite import SCC_MULTIGRAPH
 
 
@@ -133,7 +133,7 @@ def test_run_once_soundness_and_support_on_random_instances():
     for trial in range(100):
         mg = random_multigraph(rng)
         solution = run_once(mg, seed=trial)
-        residual = mg.copy()
+        residual = copy_of(mg)
         for bundle, count in solution.removed.items():
             residual.bundles[bundle] -= count
             assert residual.bundles[bundle] >= 0
@@ -338,7 +338,7 @@ def test_oracle_witness_is_feasible_and_minimal_on_random_instances():
     for _ in range(40):
         mg = random_multigraph(rng)
         size, witness = brute_force_optimum(mg)
-        residual = mg.copy()
+        residual = copy_of(mg)
         for bundle, count in witness.items():
             assert residual.bundles[bundle] == count  # whole bundles only
             del residual.bundles[bundle]

@@ -10,7 +10,7 @@ from scimap.normalize import (
     normalize_doi, parse_cited_reference, to_document,
 )
 from scimap.parsing import parse_plaintext_export
-from scimap.records import FIELD_ROLES
+from scimap.records import FIELD_ROLES, CitedReference
 
 
 def test_full_given_name_reduced_to_initials():
@@ -52,9 +52,20 @@ def test_cited_reference_classic_segments():
     assert ref.first_author == "ALTMAN EI"
     assert ref.year == 1968
     assert ref.source == "J FINANC"
-    assert ref.volume == "V23"
-    assert ref.page == "P589"
+    assert ref.doi is None
     assert ref.raw == "ALTMAN EI, 1968, J FINANC, V23, P589"
+    assert ref._fields == ("raw", "first_author", "year", "source", "doi")
+
+
+@pytest.mark.parametrize("raw, source", [
+    ("A B, 2001, V1, V2, J X", "V2"),
+    ("A B, 2001, p3, P4, J X", "P4"),
+    ("A B, 2001, v1, p2, J X", "J X"),
+    ("A B, 2001, P2, V1A, J X", "J X"),
+])
+def test_cited_reference_claims_only_the_first_volume_and_page(raw, source):
+    # A later V- or P-token is unclaimed, so it can become the venue.
+    assert parse_cited_reference(raw) == CitedReference(raw, "A B", 2001, source)
 
 
 def test_cited_reference_empty_string():

@@ -211,6 +211,33 @@ def test_bibtex_duplicate_field_last_wins_and_flags():
     assert any(flag.startswith("duplicate-field:year") for flag in records[0].flags)
 
 
+@pytest.mark.parametrize("fields, tag, value, flag", [
+    ("Type = {Article}, DocType = {Review}", "DT", ["Review"],
+     "duplicate-field:doctype"),
+    ("Affiliation = {A}, Affiliations = {B\nC}", "C1", ["B", "C"],
+     "duplicate-field:affiliations"),
+])
+def test_bibtex_two_names_for_one_tag_are_a_duplicate(fields, tag, value, flag):
+    # The citation key is not a field: a Unique-ID field adds to it.
+    entry = f"@article{{k, Unique-ID = {{WOS:2}}, {fields}}}"
+    [record] = parse_bibtex_export(entry.encode())
+    assert record.entries[tag] == value
+    assert record.entries["UT"] == ["k", "WOS:2"]
+    assert record.flags == [flag]
+
+
+def test_bibtex_string_and_preamble_are_not_records():
+    data = b'@article{WOS:1}\n@string{jfe = "J"}\n@preamble{"x"}\n@article{k2,}'
+    records = parse_bibtex_export(data)
+    assert [(r.entries, r.record_index) for r in records] == \
+        [({"UT": ["WOS:1"]}, 0), ({"UT": ["k2"]}, 1)]
+
+
+def test_bibtex_key_only_entry_keeps_its_key():
+    [record] = parse_bibtex_export(b"@article{ WOS:000123 }")
+    assert record.entries == {"UT": ["WOS:000123"]}
+
+
 def test_bibtex_unbalanced_braces_reports_offset():
     entry = "@article{X,\nTitle = {{broken},\n}\n"
     with pytest.raises(ExportParseError) as err:
