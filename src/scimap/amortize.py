@@ -7,6 +7,7 @@ is exact rational arithmetic; decimals appear only at presentation.
 """
 from __future__ import annotations
 
+from math import lcm
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 if TYPE_CHECKING:
@@ -92,19 +93,36 @@ def amortized_h_index(items: Sequence[tuple[str, int, int]],
     """Amortize h-indexes of items with differing track-record start years.
 
     ``items`` are (id, h, first_year) triples; normalization runs across
-    the item set, so the item with the shortest record keeps its raw h.
-    Returns the items ranked by descending amortized value (ties keep
-    input order; resolve them with :func:`resolve_amortized_ties`).
+    the item set, so the item with the shortest record keeps its raw h:
+    the normalized scalar is the shortest record's citable years over
+    the item's own, as :func:`amortize` normalizes.  Returns the items
+    ranked by descending amortized value (ties keep input order; resolve
+    them with :func:`resolve_amortized_ties`).
     """
-    rows = amortize([(first_year, h) for _, h, first_year in items], reference_year)
+    cys = [citable_years(first_year, reference_year) for _, _, first_year in items]
+    if not items:
+        return []
+    from fractions import Fraction  # deferred: only amortizing commands pay for it
+    shortest = min(cys)
     out = []
-    for (item_id, h, first_year), row in zip(items, rows):
+    for (item_id, h, first_year), cy in zip(items, cys):
         if h < 0:
             raise ValueError(f"negative h for {item_id}")
-        out.append(AmortizedItem(item_id, h, first_year, row.citable_years,
-                                 row.normalized_ps, row.amortized))
-    out.sort(key=lambda item: (-item.amortized, item.id))
-    return out
+        nps = Fraction(shortest, cy)
+        out.append(AmortizedItem(item_id, h, first_year, cy, nps, nps * h))
+    units = _units(out)
+    order = sorted(range(len(out)), key=lambda i: (-out[i].h * units[i], out[i].id))
+    return [out[i] for i in order]
+
+
+def _units(items: Sequence[AmortizedItem]) -> list[int]:
+    """Each item's normalized scalar times ``L``, the lcm of the scalars'
+    denominators: ``numerator * (L // denominator)``, an integer.  Times
+    ``h`` it is the amortized value times ``L``, so it groups and ranks
+    items as their values do, without a ``Fraction`` operation."""
+    scale = lcm(*{item.normalized_ps.denominator for item in items})
+    return [item.normalized_ps.numerator * (scale // item.normalized_ps.denominator)
+            for item in items]
 
 
 def resolve_amortized_ties(items: Sequence[AmortizedItem]) -> list[AmortizedItem]:
@@ -115,24 +133,37 @@ def resolve_amortized_ties(items: Sequence[AmortizedItem]) -> list[AmortizedItem
     above zero; a tie at zero cannot be resolved, so it is broken in
     favor of the earlier first year and flagged.  Returns the re-ranked
     items; their ``h`` is the raw h less the decrements applied.
+
+    An item's amortized value is its normalized scalar times its h, and
+    items are grouped on that value scaled to an integer (``_units``).
+    A round moves only tied items, so a tie in the next round holds at
+    least one of them: only their new values are looked up.
     """
-    working = list(items)
+    units = _units(items)
+    hs = [item.h for item in items]
+    keys = [h * unit for h, unit in zip(hs, units)]
+    groups: dict[int, list[int]] = {}
+    for index, key in enumerate(keys):
+        groups.setdefault(key, []).append(index)
+    candidates = set(groups)
     while True:
-        groups: dict[Fraction, list[int]] = {}
-        for index, item in enumerate(working):
-            groups.setdefault(item.amortized, []).append(index)
         # A value above zero means h > 0, the normalized scalar being positive.
-        tied = [i for value, group in groups.items() if value and len(group) > 1
-                for i in group]
+        tied = [i for key in candidates if key and len(groups[key]) > 1
+                for i in groups.pop(key)]
         if not tied:
             break
         for i in tied:
-            item = working[i]
-            working[i] = item._replace(h=item.h - 1,
-                                       amortized=item.normalized_ps * (item.h - 1))
+            hs[i] -= 1
+            keys[i] -= units[i]
+            groups.setdefault(keys[i], []).append(i)
+        candidates = {keys[i] for i in tied}
+    working = [item if item.h == h else
+               item._replace(h=h, amortized=item.normalized_ps * h)
+               for item, h in zip(items, hs)]
     at_zero = groups.get(0, [])
     if len(at_zero) > 1:
         for i in at_zero:
             working[i] = working[i]._replace(tie_flag="tie-at-zero-broken-by-first-year")
-    working.sort(key=lambda item: (-item.amortized, item.first_year, item.id))
-    return working
+    order = sorted(range(len(working)),
+                   key=lambda i: (-keys[i], working[i].first_year, working[i].id))
+    return [working[i] for i in order]

@@ -39,7 +39,7 @@ from .metrics import (
     term_frequencies, trending_terms,
 )
 from .normalize import LEVEL_TAGS, REFERENCE_TAGS, field_values, to_document
-from .parsing import parse_bibtex_export, parse_plaintext_export
+from .parsing import ExportParseError, parse_bibtex_export, parse_plaintext_export
 from .records import Corpus, MAX_PLAUSIBLE_YEAR, MIN_PLAUSIBLE_YEAR
 from .tables import config_hash, fmt, ranked, write_table
 from .themes import thematic_evolution
@@ -237,15 +237,24 @@ def _require_seed(args, config: dict) -> int:
 
 def _export_documents(args, name: str) -> list:
     """The documents of one export.  Its bytes and raw records are freed
-    on return, before the next export is read.  A record that cannot be
-    normalized stops the ingest with an error naming the export and the
-    record's 1-based number."""
-    data = Path(name).read_bytes()
-    if args.format == "bibtex":
-        records = parse_bibtex_export(data, source_file=Path(name).name,
-                                      reference_separator=args.cr_separator)
-    else:
-        records = parse_plaintext_export(data, source_file=Path(name).name)
+    on return, before the next export is read.  A missing export, or one
+    that is not UTF-8, stops the ingest with an error naming its path; a
+    record that cannot be normalized, with an error naming the export and
+    the record's 1-based number."""
+    data = _read_input(name, Path.read_bytes, "export")
+    # The basename is data: it prefixes the fallback ids of the records.
+    source_file = Path(name).name
+    try:
+        if args.format == "bibtex":
+            records = parse_bibtex_export(data, source_file=source_file,
+                                          reference_separator=args.cr_separator)
+        else:
+            records = parse_plaintext_export(data, source_file=source_file)
+    except ExportParseError as exc:
+        if exc.record_index is not None:
+            raise
+        # Only the UTF-8 check places its error in no record.
+        raise DataError(f"{name}: {exc}") from None
     del data
     year_cap = MAX_PLAUSIBLE_YEAR if args.reference_year is None \
         else args.reference_year
@@ -411,12 +420,23 @@ def cmd_amortize(args, config):
     out_rows = [(r.year, fmt(float(r.metric), 4), r.citable_years,
                  fmt(float(r.pondering_scalar), 4),
                  fmt(float(r.normalized_ps), 4), fmt(float(r.amortized), 4),
-                 fmt(float(r.display), 4)) for r in rows]
+                 fmt(_display_value(r, args.table), 4)) for r in rows]
     write_table(out_rows, ["year", "metric", "citable_years",
                            "pondering_scalar", "normalized_ps", "amortized",
                            "display"],
                 args.out / "amortized.csv",
                 _meta(config, **{"reference-year": reference_year}))
+
+
+def _display_value(row, table) -> float:
+    """The row's display value as a float; past the float range (a
+    large metric times a large ``--display-scale``) a DataError."""
+    try:
+        return float(row.display)
+    except OverflowError:
+        raise DataError(f"{table}: year {row.year}: the display value "
+                        f"(amortized times --display-scale) exceeds the "
+                        f"float range") from None
 
 
 def cmd_terms(args, config):

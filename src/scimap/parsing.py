@@ -65,17 +65,19 @@ def parse_plaintext_export(data: bytes, source_file: str = "") -> list[RawRecord
     text = _decode(data, source_file)
     records: list[RawRecord] = []
     current: Optional[RawRecord] = None
-    last_tag = ""
+    values: list[str] = []  # the value list of the record's last tag
 
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+        stripped = line.strip()
+        if not stripped:
             continue
-        if not _TAG.match(line):
+        # A line led by a space cannot hold a tag: it is a continuation.
+        if line[0] == " " or not _TAG.match(line):
             # inside a record a lenient continuation, not a failed file
             if current is not None:
-                current.add(last_tag, line.strip())
+                values.append(stripped)
             continue
-        tag, value = line[:2], line[3:].strip()
+        tag = line[:2]
         if tag == "EF":
             break
         if tag == "ER":
@@ -90,9 +92,9 @@ def parse_plaintext_export(data: bytes, source_file: str = "") -> list[RawRecord
                 current = RawRecord(source_file=source_file,
                                     record_index=len(records))
             values = current.entries.setdefault(tag, [])
+            value = line[3:].strip()
             if value:
                 values.append(value)
-            last_tag = tag
 
     if current is not None:
         raise ExportParseError("unterminated record (missing ER)",
@@ -240,7 +242,7 @@ def _parse_entry_body(text: str, open_brace: int, record: RawRecord,
     if comma is None:
         return end  # key-only entry, no fields
     i = comma + 1
-    seen: set[str] = set()  # tags filled by a field
+    seen: dict[str, int] = {}  # tag filled by a field -> values before it
     while True:
         i = skip_separators(text, i).end()
         if i == len(text):
@@ -269,7 +271,7 @@ def _parse_entry_body(text: str, open_brace: int, record: RawRecord,
         _store_field(record, name, value, seen, reference_separator)
 
 
-def _store_field(record: RawRecord, name: str, value: str, seen: set[str],
+def _store_field(record: RawRecord, name: str, value: str, seen: dict[str, int],
                  reference_separator: str) -> None:
     tag = _BIBTEX_FIELD_TAGS.get(name) or _BIBTEX_AUX_TAGS.get(name)
     if tag is None:
@@ -284,8 +286,12 @@ def _store_field(record: RawRecord, name: str, value: str, seen: set[str],
     value = _strip_braces(value)
     if tag in seen:
         record.flags.append(f"duplicate-field:{name}")
-        record.entries.pop(tag, None)
-    seen.add(tag)
+        # Only the earlier field's values go: a citation key in UT stays.
+        if seen[tag]:
+            del record.entries[tag][seen[tag]:]
+        else:
+            record.entries.pop(tag, None)
+    seen[tag] = len(record.entries.get(tag, ()))
     if tag == "CR":
         parts = [p.strip().rstrip(".") for p in value.split(reference_separator)]
         for part in parts:

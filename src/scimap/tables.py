@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from decimal import Decimal, ROUND_HALF_UP
+import math
 from heapq import nsmallest
 from operator import itemgetter
 from pathlib import Path
@@ -19,13 +19,34 @@ from . import ENGINE_VERSION
 
 
 def round_half_up(value: float, places: int = 2) -> float:
-    """Round with ties away from zero (the documented printing convention)."""
-    quantum = Decimal(1).scaleb(-places)
-    return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    """Round with ties away from zero (the documented printing convention).
+
+    The decimal digits of ``repr(value)`` are rounded at ``places`` (0
+    or more) as one integer, so the result is the float nearest that
+    decimal, as ``Decimal(repr(value)).quantize`` with ``ROUND_HALF_UP``
+    gives it, sign of zero included, but with no limit on the digits.
+    NaN and infinities pass through."""
+    if not math.isfinite(value):
+        return value
+    text = repr(value)
+    negative = text[0] == "-"
+    mantissa, _, exponent = text.lstrip("-").partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    # |value| * 10**places = int(whole + fraction) / 10**dropped
+    dropped = len(fraction) - places - int(exponent or 0)
+    if dropped <= 0:  # already exact at ``places``
+        return float(value)
+    unit = 10 ** dropped
+    rounded, rest = divmod(int(whole + fraction), unit)
+    if 2 * rest >= unit:
+        rounded += 1
+    result = rounded / 10 ** places  # int division rounds correctly
+    return -result if negative else result
 
 
 def fmt(value: Any, places: int = 2) -> str:
-    """Render a cell: floats at fixed places (round-half-up), rest as str."""
+    """Render a cell: floats at fixed places (round-half-up; ``nan`` and
+    ``inf`` as such), rest as str."""
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):

@@ -1,5 +1,5 @@
 """Test-only oracle: the BibTeX reader that ``scimap.parsing`` shipped
-before it counted braces in one scanner, kept verbatim but for five
+before it counted braces in one scanner, kept verbatim but for six
 fixes, each marked by a ``Fix`` comment:
 
 1. a field name ends at the next ``}``, so a field without ``=`` no
@@ -10,7 +10,9 @@ fixes, each marked by a ``Fix`` comment:
    so they are not records;
 4. a key-only entry keeps its key as ``UT``;
 5. a later field for a tag that an earlier field filled is the
-   duplicate, whatever its name, not only a repeated name.
+   duplicate, whatever its name, not only a repeated name;
+6. such a duplicate drops only the earlier field's values, so a
+   repeated ``Unique-ID`` keeps the citation key in ``UT``.
 
 It counts braces one character at a time in three scanners
 (``_skip_braced``, ``_find_at_depth`` and ``_balanced``).
@@ -152,7 +154,7 @@ def _parse_entry_body(text: str, open_brace: int, record: RawRecord,
     if key:
         record.add("UT", key)
     i = comma + 1
-    seen: set[str] = set()
+    seen: dict[str, int] = {}
     while i < n:
         while i < n and text[i] in " \t\r\n,":
             i += 1
@@ -210,7 +212,7 @@ def _find_at_depth(text: str, start: int, needle: str) -> Optional[int]:
     return None
 
 
-def _store_field(record: RawRecord, name: str, value: str, seen: set[str],
+def _store_field(record: RawRecord, name: str, value: str, seen: dict[str, int],
                  reference_separator: str) -> None:
     tag = _BIBTEX_FIELD_TAGS.get(name) or _BIBTEX_AUX_TAGS.get(name)
     if tag is None:
@@ -226,8 +228,12 @@ def _store_field(record: RawRecord, name: str, value: str, seen: set[str],
     # Fix 5: seen holds tags, not field names.
     if tag in seen:
         record.flags.append(f"duplicate-field:{name}")
-        record.entries.pop(tag, None)
-    seen.add(tag)
+        # Fix 6: drop only the earlier field's values, not the citation key.
+        if seen[tag]:
+            del record.entries[tag][seen[tag]:]
+        else:
+            record.entries.pop(tag, None)
+    seen[tag] = len(record.entries.get(tag, ()))
     if tag == "CR":
         parts = [p.strip().rstrip(".") for p in value.split(reference_separator)]
         for part in parts:

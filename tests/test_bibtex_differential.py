@@ -6,7 +6,8 @@ record indexes) or raise an ``ExportParseError`` with the same message,
 offset included, on the sample export, on mutated copies of it and on
 soups of entries: nested and unbalanced braces, quoted values holding
 ``}``, bare tokens, ``@comment``, ``@string`` and ``@preamble``, fields
-without ``=``, two field names for one tag and non-ASCII text.
+without ``=``, two field names for one tag, repeated ``Unique-ID``
+fields after a citation key and non-ASCII text.
 """
 from __future__ import annotations
 
@@ -61,7 +62,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 NAMES = ["Title", "author", "Year", "Cited-References", "Affiliation",
          "Keywords", "Keywords-Plus", "Times-Cited", "Foo-Bar", "x", "ER",
          "unique-id", "Journal", "Zürich", "", "Type", "DocType",
-         "Affiliations"]
+         "Affiliations", "Unique-ID"]
 TOKENS = st.one_of(
     st.sampled_from(["{", "}", ",", "=", '"', "@", " ", "\n", "\t", "\r", "\r\n"]),
     st.sampled_from(["@article{", "@comment{", "@Comment {", "@misc ", "k1,",
@@ -93,6 +94,10 @@ def entries(draw):
     fields = draw(st.lists(
         st.tuples(st.sampled_from(NAMES), st.sampled_from([" = ", "=", " ", "= \n"]),
                   values()).map("".join), max_size=5))
+    # Repeated Unique-ID fields, which share UT with the citation key.
+    fields += draw(st.lists(st.sampled_from(
+        ["Unique-ID = {WOS:2}", "unique-id={}", 'Unique-ID = "WOS:3"']), max_size=3))
+    fields = draw(st.permutations(fields))
     kind = draw(st.sampled_from(["article", "comment", " article ", "misc",
                                  "string", "preamble"]))
     key = draw(st.sampled_from(["WOS:1", "", " k ", "{k}", "k=1"]))

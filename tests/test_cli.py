@@ -77,6 +77,33 @@ def test_missing_terminator_names_the_record_as_a_bad_record_does(tmp_path, caps
     assert not corpus.exists()
 
 
+def test_missing_export_names_its_path(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    corpus = tmp_path / "corpus.dat"
+    assert main(["ingest", SAMPLE, str(missing), "-o", str(corpus)]) == 1
+    assert capsys.readouterr().err == \
+        f"scimap: error: export file not found: {missing}\n"
+    assert not corpus.exists()
+
+
+@pytest.mark.parametrize("fmt, sample", [("plaintext", SAMPLE),
+                                         ("bibtex", DATA / "sample_export.bib")])
+def test_non_utf8_export_names_its_full_path_once(tmp_path, capsys, fmt, sample):
+    # Two exports share a basename; the error tells them apart.
+    good, bad = tmp_path / "d1" / "a.txt", tmp_path / "d2" / "a.txt"
+    good.parent.mkdir()
+    bad.parent.mkdir()
+    good.write_bytes(Path(sample).read_bytes())
+    bad.write_bytes(b"PT J\n\xff\n")
+    assert main(["ingest", "--format", fmt, str(good), str(bad),
+                 "-o", str(tmp_path / "corpus.dat")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scimap: error: {bad}: input is not valid UTF-8: "
+                          "invalid start byte"), err
+    assert err.count(str(bad)) == 1
+    assert str(good) not in err
+
+
 def test_ingest_retracted_file(tmp_path):
     bad = tmp_path / "retracted.txt"
     bad.write_text("10.1016/j.eswa.2022.117000\n")
@@ -156,6 +183,27 @@ def test_amortize_reference_table(tmp_path):
     assert by_year["1991"][5] == "5.1000"
     assert by_year["1997"][5] == "5.2500"
     assert by_year["2000"][5] == "5.0000"
+
+
+def test_amortize_prints_a_metric_past_decimal_precision(tmp_path):
+    table = tmp_path / "big.csv"
+    table.write_text("year,metric\n2000,1\n2001,1e30\n")
+    assert main(["amortize", "--table", str(table), "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "amortized.csv")
+    big = "1000000000000000019884624838656.0000"
+    assert rows[2].split(",") == ["2001", big, "1", "2.0000", "1.0000", big, big]
+
+
+def test_amortize_display_past_the_float_range_exits_1(tmp_path, capsys):
+    table = tmp_path / "huge.csv"
+    table.write_text("year,metric\n2000,1e300\n2001,1\n")
+    out = tmp_path / "out"
+    assert main(["amortize", "--table", str(table), "--display-scale", "1e300",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scimap: error: {table}: year 2000: "), err
+    assert "float range" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("row", ["2020", "2020,abc", "MMXX,5", "2020,inf", "2020,nan"])

@@ -226,6 +226,16 @@ def test_bibtex_two_names_for_one_tag_are_a_duplicate(fields, tag, value, flag):
     assert record.flags == [flag]
 
 
+@pytest.mark.parametrize("key, ut", [("k", ["k", "B"]), ("", ["B"])])
+def test_bibtex_repeated_unique_id_keeps_the_citation_key(key, ut):
+    # Only the earlier field's value is dropped; the key stays the first UT,
+    # which to_document takes as the document id.
+    entry = f"@article{{{key}, Unique-ID={{A}}, Unique-ID={{B}}}}"
+    [record] = parse_bibtex_export(entry.encode())
+    assert record.entries["UT"] == ut
+    assert record.flags == ["duplicate-field:unique-id"]
+
+
 def test_bibtex_string_and_preamble_are_not_records():
     data = b'@article{WOS:1}\n@string{jfe = "J"}\n@preamble{"x"}\n@article{k2,}'
     records = parse_bibtex_export(data)

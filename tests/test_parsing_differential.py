@@ -3,8 +3,10 @@
 ``parse_plaintext_export`` must return the same records as
 ``plaintext_reference.parse_plaintext_export`` (equal entries, flags and
 record indexes) or raise an ``ExportParseError`` with the same message,
-on the sample export, on byte-mutated copies of it and on line soups
-built from tags, ``ER``/``EF``, indents, junk and blank lines.
+on the sample export, on byte-mutated copies of it, on line soups
+built from tags, ``ER``/``EF``, indents, junk and blank lines, and on
+records whose lines between a tag and ``ER`` are led by spaces or tabs
+or are ``FN``/``VR`` envelope lines.
 """
 from __future__ import annotations
 
@@ -74,3 +76,29 @@ LINES = st.one_of(
        ending=st.sampled_from(["\n", "\r\n", "\r"]))
 def test_line_soups_parse_as_before(lines, ending):
     assert_same_outcome(ending.join(lines).encode())
+
+
+INSIDE = st.one_of(
+    st.tuples(st.sampled_from(["AU", "CR", "DE", "TI", "Z9"]),
+              st.sampled_from([" ", " Alpha, B", "  x ", " \t"])).map("".join),
+    st.tuples(st.sampled_from([" ", "   ", "  \t", "\t", "\t ", " \x0b"]),
+              st.sampled_from(["", "cont", "Beta, C ", "AU x", "ER", "FN y"]))
+    .map("".join),
+    st.sampled_from(["FN Clarivate", "VR 1.0", "FN", "VR", "", " "]),
+)
+
+
+@st.composite
+def records(draw):
+    head = draw(st.sampled_from(["PT J", "AU Alpha, B", "TI x"]))
+    body = draw(st.lists(INSIDE, max_size=8))
+    end = draw(st.sampled_from(["ER", "ER", "ER ", ""]))
+    return [head, *body, end]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(parts=st.lists(records(), max_size=4),
+       ending=st.sampled_from(["\n", "\r\n"]))
+def test_continuation_and_envelope_lines_inside_records_parse_as_before(parts, ending):
+    lines = ["FN Clarivate", "VR 1.0"] + [line for part in parts for line in part]
+    assert_same_outcome(ending.join(lines + ["EF"]).encode())

@@ -1,21 +1,24 @@
 """Start-up cost: numpy loads only when a command clusters, ElementTree
 only when a command reads GraphML, ``fractions`` only when a command
-computes an exact ratio, ``statistics`` only when ``mfas-calibrate``
-runs, ``dataclasses`` never, and the BibTeX reader's patterns only when
-a BibTeX export is read.
+computes an exact ratio, ``decimal`` only through ``fractions``,
+``statistics`` only when ``mfas-calibrate`` runs, ``dataclasses``
+never, and the BibTeX reader's patterns only when a BibTeX export is
+read.
 
 Each command runs in a fresh process, so an import that a command does
 not use is paid on every command.  This runs, in one new interpreter,
 ``import scimap.cli`` and then commands that neither cluster nor read
 GraphML (``cooccur`` writes it), checking that ``numpy``,
 ``xml.etree.ElementTree``, ``dataclasses`` and ``inspect`` (which
-``dataclasses`` imports) stay out of ``sys.modules``, and that
-``fractions`` and ``statistics`` stay out until ``mfas`` and
-``mfas-calibrate`` run.  Every pattern compiled is recorded: none of
-``parsing``'s BibTeX patterns may be among them until a BibTeX
-``ingest`` runs.  A ``pagerank --graph`` command after them must
-load ElementTree but not numpy, and a ``walktrap`` command must still
-import numpy and work without loading ``numpy.ma``.
+``dataclasses`` imports) stay out of ``sys.modules``, that
+``fractions`` and ``decimal`` stay out until ``stats`` builds a
+``Fraction`` (their load there shows the probe sees them), and that
+``statistics`` stays out until ``mfas-calibrate`` runs.  Every pattern
+compiled is recorded: none of ``parsing``'s BibTeX patterns may be
+among them until a BibTeX ``ingest`` runs.  A ``pagerank --graph``
+command after them must load ElementTree but not numpy, and a
+``walktrap`` command must still import numpy and work without loading
+``numpy.ma``.
 """
 from __future__ import annotations
 
@@ -62,7 +65,7 @@ SCRIPT = textwrap.dedent("""
             assert name not in sys.modules, f"{step} loads {name}"
 
     def no_exact_ratios(step):
-        for name in ("fractions", "statistics"):
+        for name in ("fractions", "statistics", "decimal"):
             assert name not in sys.modules, f"{step} loads {name}"
 
     sample, out = sys.argv[1], Path(sys.argv[2])
@@ -74,6 +77,7 @@ SCRIPT = textwrap.dedent("""
     corpus = str(out / "corpus.dat")
     run("ingest", "--format", "plaintext", sample, "--reference-year", "2023",
         "-o", corpus)
+    no_exact_ratios("ingest")
     run("coverage", "--corpus", corpus, "--out", str(out / "coverage"))
     assert not numpy_loaded(), "coverage"
     no_dataclasses("coverage")
@@ -87,6 +91,8 @@ SCRIPT = textwrap.dedent("""
     assert not etree_loaded(), "cooccur"
     no_dataclasses("cooccur")
     no_exact_ratios("cooccur")
+    run("stats", "--corpus", corpus, "--out", str(out / "stats"))
+    assert {"fractions", "decimal"} <= set(sys.modules), "stats"
     (out / "triangle.tsv").write_text("a b 1\\nb c 1\\nc a 1\\n")
     run("mfas", "--graph", str(out / "triangle.tsv"), "-t", "5", "--seed", "7",
         "--out", str(out / "mfas"))
