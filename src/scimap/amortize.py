@@ -50,12 +50,12 @@ def amortize(points: Sequence[tuple[int, Metric]], reference_year: int,
     cys = {year: citable_years(year, reference_year) for year, _ in points}
     max_cy = max(cys.values())
     max_ps = Fraction(max_cy, min(cys.values()))
-    scale = Fraction(display_scale).limit_denominator(10**9) \
-        if isinstance(display_scale, float) else Fraction(display_scale)
+    # A float is the decimal its repr (and str) shows: 0.1 is 1/10.
+    scale = Fraction(str(display_scale) if isinstance(display_scale, float)
+                     else display_scale)
     rows = []
     for year, metric in points:
-        value = Fraction(metric).limit_denominator(10**9) \
-            if isinstance(metric, float) else Fraction(metric)
+        value = Fraction(str(metric) if isinstance(metric, float) else metric)
         ps = Fraction(max_cy, cys[year])
         nps = ps / max_ps
         amortized = nps * value

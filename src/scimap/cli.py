@@ -39,7 +39,7 @@ from .metrics import (
     term_frequencies, trending_terms,
 )
 from .normalize import LEVEL_TAGS, REFERENCE_TAGS, field_values, to_document
-from .parsing import ExportParseError, parse_bibtex_export, parse_plaintext_export
+from .parsing import parse_bibtex_export, parse_plaintext_export
 from .records import Corpus, MAX_PLAUSIBLE_YEAR, MIN_PLAUSIBLE_YEAR
 from .tables import config_hash, fmt, ranked, write_table
 from .themes import thematic_evolution
@@ -48,10 +48,6 @@ from .mfas import GENERATOR_ID, Multigraph, calibration_harness, solve
 
 # A third-generation threshold no count of young collections reaches.
 _NO_FULL_COLLECTION = 2**31 - 1
-
-
-class DataError(Exception):
-    """User-facing data problem: reported on stderr with exit status 1."""
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -88,7 +84,7 @@ def _run(argv: list[str]) -> int:
         args.handler(args, _resolve_config(args))
     except SystemExit as exc:  # argparse: usage errors, --help, --version
         return int(exc.code or 0)
-    except (DataError, PageRankDivergence, ValueError, OSError) as exc:
+    except (PageRankDivergence, ValueError, OSError) as exc:
         print(f"scimap: error: {exc}", file=sys.stderr)
         return 1
     finally:
@@ -132,9 +128,7 @@ def _config_flags(parser: argparse.ArgumentParser,
     flags.  A key is an option's long flag without its leading dashes,
     with ``-`` or ``_`` between words; keys the command lacks are
     ignored, so one file can serve every command."""
-    file_config = _read_input(args.config, _read_json, "config")
-    if not isinstance(file_config, dict):
-        raise DataError(f"{args.config}: config file must hold a JSON object")
+    file_config = _read_input(args.config, _read_json_object, "config")
     command = _commands(parser)[args.command]
     options = {action.dest: action for action in command._actions
                if action.option_strings and action.dest not in ("help", "config")}
@@ -195,25 +189,27 @@ def _meta(config: dict, corpus: Optional[Corpus] = None, **extra) -> dict:
 
 
 def _read_input(path, read, kind: str):
-    """``read(path)``; a missing file, or a ValueError the read raises
-    (text that is not UTF-8 and bad JSON included), is a DataError that
-    names ``path`` once."""
+    """``read(path)``, the one place an input error names its file: a
+    missing file, or a ValueError the read raises, is a ValueError that
+    reads ``PATH: `` and then the read's message, which places the problem."""
     path = Path(path)
     try:
         return read(path)
     except FileNotFoundError:
-        raise DataError(f"{kind} file not found: {path}") from None
+        raise ValueError(f"{kind} file not found: {path}") from None
     except ValueError as exc:
-        named = str(path) in str(exc)
-        raise DataError(str(exc) if named else f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_text(path: Path) -> str:
     return path.read_text("utf-8")
 
 
-def _read_json(path: Path):
-    return json.loads(path.read_text("utf-8"))
+def _read_json_object(path: Path) -> dict:
+    data = json.loads(path.read_text("utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object")
+    return data
 
 
 def _load(args, references: bool = False) -> Corpus:
@@ -235,26 +231,17 @@ def _require_seed(args, config: dict) -> int:
 
 # Command handlers -----------------------------------------------------------
 
-def _export_documents(args, name: str) -> list:
-    """The documents of one export.  Its bytes and raw records are freed
-    on return, before the next export is read.  A missing export, or one
-    that is not UTF-8, stops the ingest with an error naming its path; a
-    record that cannot be normalized, with an error naming the export and
-    the record's 1-based number."""
-    data = _read_input(name, Path.read_bytes, "export")
+def _export_documents(args, path: Path) -> list:
+    """One export's documents, read through ``_read_input``; its bytes and
+    raw records are freed before the next export is read.  A record that
+    cannot be normalized raises placing it by its 1-based number."""
+    data = path.read_bytes()
     # The basename is data: it prefixes the fallback ids of the records.
-    source_file = Path(name).name
-    try:
-        if args.format == "bibtex":
-            records = parse_bibtex_export(data, source_file=source_file,
-                                          reference_separator=args.cr_separator)
-        else:
-            records = parse_plaintext_export(data, source_file=source_file)
-    except ExportParseError as exc:
-        if exc.record_index is not None:
-            raise
-        # Only the UTF-8 check places its error in no record.
-        raise DataError(f"{name}: {exc}") from None
+    if args.format == "bibtex":
+        records = parse_bibtex_export(data, source_file=path.name,
+                                      reference_separator=args.cr_separator)
+    else:
+        records = parse_plaintext_export(data, source_file=path.name)
     del data
     year_cap = MAX_PLAUSIBLE_YEAR if args.reference_year is None \
         else args.reference_year
@@ -263,8 +250,7 @@ def _export_documents(args, name: str) -> list:
         try:
             documents.append(to_document(record, year_cap))
         except ValueError as exc:
-            raise DataError(f"{name}, record {record.record_index + 1}: "
-                            f"{exc}") from None
+            raise ValueError(f"record {record.record_index + 1}: {exc}") from None
     return documents
 
 
@@ -272,7 +258,8 @@ def cmd_ingest(args, config):
     documents = []
     provenance = []
     for name in args.inputs:
-        documents.extend(_export_documents(args, name))
+        documents.extend(_read_input(
+            name, lambda path: _export_documents(args, path), "export"))
         provenance.append(Path(name).name)
     retracted = set()
     if args.retracted:
@@ -383,7 +370,7 @@ def cmd_hindex(args, config):
         return
     dated = [(e, h, y) for e, h, y in plain if y is not None]
     if not dated:
-        raise DataError("amortized h-index needs dated documents")
+        raise ValueError("amortized h-index needs dated documents")
     items = amortized_h_index(dated, corpus.reference_year)
     if args.resolve_ties:
         items = resolve_amortized_ties(items)
@@ -396,10 +383,11 @@ def cmd_hindex(args, config):
                 _meta(config, corpus))
 
 
-def cmd_amortize(args, config):
-    rows_in = []
-    lines = _read_input(args.table, _read_text, "table").splitlines()
-    for lineno, line in enumerate(lines, start=1):
+def _year_metric_rows(path: Path) -> list[tuple[int, float]]:
+    """The (year, metric) rows of an ``amortize`` table; blank lines,
+    ``#`` comments and a ``year`` header line are skipped."""
+    rows = []
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#") or line.lower().startswith("year"):
             continue
@@ -408,12 +396,17 @@ def cmd_amortize(args, config):
             metric = float(metric_text)
             if not math.isfinite(metric):
                 raise ValueError(metric)
-            rows_in.append((int(year_text), metric))
+            rows.append((int(year_text), metric))
         except ValueError:
-            raise DataError(f"{args.table} line {lineno}: expected an integer "
-                            f"year and a finite number, got {line!r}") from None
-    if not rows_in:
-        raise DataError(f"no (year, metric) rows in {args.table}")
+            raise ValueError(f"line {lineno}: expected an integer year and "
+                             f"a finite number, got {line!r}") from None
+    if not rows:
+        raise ValueError("no (year, metric) rows")
+    return rows
+
+
+def cmd_amortize(args, config):
+    rows_in = _read_input(args.table, _year_metric_rows, "table")
     reference_year = max(year for year, _ in rows_in) \
         if args.reference_year is None else args.reference_year
     rows = amortize(rows_in, reference_year, display_scale=args.display_scale)
@@ -430,11 +423,11 @@ def cmd_amortize(args, config):
 
 def _display_value(row, table) -> float:
     """The row's display value as a float; past the float range (a
-    large metric times a large ``--display-scale``) a DataError."""
+    large metric times a large ``--display-scale``) a ValueError."""
     try:
         return float(row.display)
     except OverflowError:
-        raise DataError(f"{table}: year {row.year}: the display value "
+        raise ValueError(f"{table}: year {row.year}: the display value "
                         f"(amortized times --display-scale) exceeds the "
                         f"float range") from None
 
@@ -586,7 +579,7 @@ def _parse_slices(text: str) -> list[tuple[int, int]]:
             start, end = chunk.split("-")
             out.append((int(start), int(end)))
         except ValueError:
-            raise DataError(f"bad slice {chunk!r}: expected START-END")
+            raise ValueError(f"bad slice {chunk!r}: expected START-END")
     return out
 
 
@@ -625,22 +618,20 @@ def cmd_rpys(args, config):
                 _meta(config, corpus, undated_mentions=undated))
 
 
-def _term_lists(path: str) -> dict[str, list[str]]:
+def _term_lists(path: Path) -> dict[str, list[str]]:
     """A JSON object mapping each name to a list of terms."""
-    data = _read_input(path, _read_json, "term list")
-    if not isinstance(data, dict):
-        raise DataError(f"{path}: expected a JSON object")
+    data = _read_json_object(path)
     for key, terms in data.items():
         if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
-            raise DataError(f"{path}: {key!r} must map to a list of strings")
+            raise ValueError(f"{key!r} must map to a list of strings")
     return data
 
 
 def cmd_methods(args, config):
     corpus = _load(args)
-    lexicon = _term_lists(args.lexicon)
-    result = method_occurrence(corpus, _term_lists(args.niches), lexicon,
-                               min_occ=args.min_occ)
+    lexicon = _read_input(args.lexicon, _term_lists, "term list")
+    niches = _read_input(args.niches, _term_lists, "term list")
+    result = method_occurrence(corpus, niches, lexicon, min_occ=args.min_occ)
     header = ["niche"] + result.methods + ["total"]
     rows = []
     for niche in result.niches:

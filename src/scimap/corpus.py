@@ -46,10 +46,11 @@ def dedupe_and_screen(documents: Iterable[Document],
     first document, which absorbs the others in input order, and every
     removal lands in the screening ledger with its reason.
 
-    Applying the function to its own result removes nothing when every
-    document passed in has a title and a year; a merge that fills an
-    empty title or year can make a match the first pass did not see.
-    No document passed in is edited: a merge keeps a new one.
+    A merge that fills an empty title or year can make a match the pass
+    did not see; after one, the pass runs again on the kept documents,
+    its ledger rows following, so applying the function to its own
+    result removes nothing.  No document passed in is edited: a merge
+    keeps a new one.
     """
     retracted_keys = set()
     for key in retracted:
@@ -70,6 +71,7 @@ def dedupe_and_screen(documents: Iterable[Document],
 
     kept: list[Document] = []
     screening: list[ScreeningEntry] = []
+    filled = False
     position: dict[object, int] = {}   # work -> position in kept
     for index, (doc, key, alive) in enumerate(zip(documents, title_keys, live)):
         if not alive:
@@ -89,7 +91,14 @@ def dedupe_and_screen(documents: Iterable[Document],
                   f"smallest ({work})" if not doc.doi and len(dois) > 1 else "")
         screening.append(ScreeningEntry(removed_id=doc.id, reason=reason,
                                         kept_id=target.id, detail=detail))
-        kept[position[work]] = _merged(target, doc)
+        merged = kept[position[work]] = _merged(target, doc)
+        filled |= (merged.title, merged.pub_year) != (target.title, target.pub_year)
+
+    if filled:
+        again = dedupe_and_screen(kept, reference_year=reference_year,
+                                  provenance=provenance)
+        again.screening[:0] = screening
+        return again
 
     if reference_year is None:
         dated = [d.pub_year for d in kept if d.pub_year is not None]
@@ -297,18 +306,18 @@ def _document(line: str, cited_refs: Optional[list[CitedReference]],
     return Document._make(values)
 
 
-def _header_fields(header: dict, path: Path) -> tuple[int, list[str]]:
+def _header_fields(header: dict) -> tuple[int, list[str]]:
     """The reference year and provenance of a corpus header, each checked
     to have the type ``save_corpus`` writes."""
     reference_year = header.get("reference_year")
     if type(reference_year) is not int:
-        raise ValueError(f"{path}: header reference_year must be an "
-                         f"integer, got {reference_year!r}")
+        raise ValueError(f"header reference_year must be an integer, "
+                         f"got {reference_year!r}")
     provenance = header.get("provenance")
     if type(provenance) is not list or not all(
             type(name) is str for name in provenance):
-        raise ValueError(f"{path}: header provenance must be a list of "
-                         f"strings, got {provenance!r}")
+        raise ValueError(f"header provenance must be a list of strings, "
+                         f"got {provenance!r}")
     return reference_year, provenance
 
 
@@ -325,22 +334,21 @@ def load_corpus(path: str | Path, references: bool = False) -> Corpus:
     with path.open(encoding="utf-8") as handle:
         header = _decoded(handle.readline())
         if header is None:
-            raise ValueError(f"not a corpus file: {path}")
+            raise ValueError("not a corpus file")
         schema = header.get("schema") if type(header) is dict else None
         if schema != CORPUS_SCHEMA:
-            raise ValueError(f"unsupported corpus schema {schema!r} in {path} "
-                             f"(expected {CORPUS_SCHEMA}): re-ingest with "
-                             f"this version")
-        reference_year, provenance = _header_fields(header, path)
+            raise ValueError(f"unsupported corpus schema {schema!r} (expected "
+                             f"{CORPUS_SCHEMA}): re-ingest with this version")
+        reference_year, provenance = _header_fields(header)
         table_line = handle.readline()
         if not table_line:
-            raise ValueError(f"{path}: line 2: no reference table")
+            raise ValueError("line 2: no reference table")
         table = _reference_table(table_line) if references else None
         if references and table is None:
-            raise ValueError(f"{path}: line 2: reference table is not a JSON "
-                             f"array of {len(REFERENCE_FIELDS)}-element "
-                             f"arrays (raw a string, year an integer or "
-                             f"null, the rest strings or null)")
+            raise ValueError(f"line 2: reference table is not a JSON array "
+                             f"of {len(REFERENCE_FIELDS)}-element arrays "
+                             f"(raw a string, year an integer or null, "
+                             f"the rest strings or null)")
         lineno = 3
         while line := handle.readline():
             index_line = handle.readline()
@@ -348,14 +356,13 @@ def load_corpus(path: str | Path, references: bool = False) -> Corpus:
                 if references and index_line else None
             doc = _document(line, cited_refs)
             if doc is None:
-                raise ValueError(f"{path}: line {lineno}: not a document")
+                raise ValueError(f"line {lineno}: not a document")
             if not index_line:
-                raise ValueError(f"{path}: line {lineno}: document has no "
-                                 f"index line")
+                raise ValueError(f"line {lineno}: document has no index line")
             if references and cited_refs is None:
-                raise ValueError(f"{path}: line {lineno + 1}: index line is "
-                                 f"not a JSON array of reference table "
-                                 f"indices, integers in [0, {len(table)})")
+                raise ValueError(f"line {lineno + 1}: index line is not a "
+                                 f"JSON array of reference table indices, "
+                                 f"integers in [0, {len(table)})")
             documents.append(doc)
             lineno += 2
     return Corpus(documents=documents, reference_year=reference_year,

@@ -128,6 +128,7 @@ def write_graphml(graph: Graph, path: str | Path,
 
 
 def read_graphml(path: str | Path) -> Graph:
+    """Read GraphML; an error places its problem, as ``node 2: no id``."""
     # Only commands that read GraphML load ElementTree; the writer above
     # does without it.
     import xml.etree.ElementTree as ET
@@ -135,30 +136,37 @@ def read_graphml(path: str | Path) -> Graph:
     try:
         root = ET.parse(Path(path)).getroot()
     except ET.ParseError as exc:
-        raise ValueError(f"{path} is not well-formed GraphML: {exc}") from None
+        raise ValueError(f"not well-formed GraphML: {exc}") from None
     ns = {"g": GRAPHML_NS}
     container = root.find("g:graph", ns)
     if container is None:
-        raise ValueError(f"no <graph> element in {path}")
+        raise ValueError("no <graph> element")
     directed = container.get("edgedefault") == "directed"
     nodes = []
-    for element in container.findall("g:node", ns):
-        values = {data.get("key"): data.text or ""
-                  for data in element.findall("g:data", ns)}
+    for number, element in enumerate(container.findall("g:node", ns), start=1):
+        (node_id,), values = _element(element, ns, f"node {number}", "id")
         cluster = values.get("d_cluster")
         nodes.append(GraphNode(
-            id=element.get("id"), label=values.get("d_label", element.get("id")),
+            id=node_id, label=values.get("d_label", node_id),
             weight=float(values.get("d_weight", 0.0)),
             cluster=int(cluster) if cluster is not None else None))
     edges = []
-    for element in container.findall("g:edge", ns):
-        values = {data.get("key"): data.text or ""
-                  for data in element.findall("g:data", ns)}
-        edges.append((element.get("source"), element.get("target"),
-                      float(values.get("d_edge_weight", 1.0))))
+    for number, element in enumerate(container.findall("g:edge", ns), start=1):
+        (u, v), values = _element(element, ns, f"edge {number}", "source", "target")
+        edges.append((u, v, float(values.get("d_edge_weight", 1.0))))
     graph = Graph(nodes=nodes, edges=edges, directed=directed)
     graph.validate()
     return graph
+
+
+def _element(element, ns: dict, where: str, *names: str) -> tuple[list, dict]:
+    """The attributes ``names`` of a GraphML element, each required, and
+    its data values by key."""
+    for name in names:
+        if element.get(name) is None:
+            raise ValueError(f"{where}: no {name}")
+    return ([element.get(name) for name in names],
+            {data.get("key"): data.text or "" for data in element.findall("g:data", ns)})
 
 
 def _dot_quote(text: str) -> str:
@@ -201,7 +209,7 @@ def read_dot(path: str | Path) -> Graph:
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines or not lines[0].startswith(("graph ", "digraph ")):
-        raise ValueError(f"not a DOT graph: {path}")
+        raise ValueError("not a DOT graph")
     directed = lines[0].startswith("digraph")
     match_edge = re.compile(_DOT_EDGE).match
     match_node = re.compile(_DOT_NODE).match

@@ -7,6 +7,7 @@ each edge once with the endpoint ids ordered.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from itertools import combinations, product
 from typing import Iterable, NamedTuple, Optional
@@ -43,8 +44,9 @@ class Graph(NamedTuple):
         for u, v, w in self.edges:
             if u not in known or v not in known:
                 raise ValueError(f"edge endpoint missing: {u!r}-{v!r}")
-            if w <= 0:
-                raise ValueError(f"non-positive edge weight on {u!r}-{v!r}")
+            if not 0 < w < math.inf:  # NaN fails this too
+                raise ValueError(f"edge weight {w!r} on {u!r}-{v!r} is not "
+                                 f"positive and finite")
             if u == v:
                 raise ValueError(f"self-loop on {u!r}")
             if not self.directed and u > v:

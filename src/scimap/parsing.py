@@ -20,37 +20,32 @@ _TAG = re.compile(r"[A-Z][A-Z0-9](?: |$)")
 
 
 class ExportParseError(ValueError):
-    """Raised when an export file cannot be parsed; carries a position.
+    """Raised when an export cannot be parsed; carries a position inside
+    it, never the file's name, which the caller adds.
 
     ``record_index`` counts records from 0, as ``RawRecord.record_index``
     does; the message counts them from 1, as the command line does."""
 
-    def __init__(self, message: str, source_file: str = "",
-                 record_index: Optional[int] = None,
+    def __init__(self, message: str, record_index: Optional[int] = None,
                  line: Optional[int] = None, offset: Optional[int] = None):
-        where = source_file or "<input>"
-        if record_index is not None:
-            where += f", record {record_index + 1}"
-        if line is not None:
-            where += f", line {line}"
-        if offset is not None:
-            where += f", byte {offset}"
-        super().__init__(f"{message} ({where})")
-        self.source_file = source_file
+        places = (("record", None if record_index is None else record_index + 1),
+                  ("line", line), ("byte", offset))
+        where = ", ".join(f"{name} {value}" for name, value in places
+                          if value is not None)
+        super().__init__(f"{where}: {message}" if where else message)
         self.record_index = record_index
         self.line = line
         self.offset = offset
 
 
-def _decode(data: bytes, source_file: str) -> str:
+def _decode(data: bytes) -> str:
     if data.startswith(b"\xef\xbb\xbf"):
         data = data[3:]
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ExportParseError(
-            f"input is not valid UTF-8: {exc.reason}",
-            source_file=source_file, offset=exc.start) from None
+        raise ExportParseError(f"input is not valid UTF-8: {exc.reason}",
+                               offset=exc.start) from None
 
 
 def parse_plaintext_export(data: bytes, source_file: str = "") -> list[RawRecord]:
@@ -62,7 +57,7 @@ def parse_plaintext_export(data: bytes, source_file: str = "") -> list[RawRecord
     tag's value list.  ``FN`` / ``VR`` header lines and non-tag lines
     outside records are ignored, and the ``EF`` trailer ends the file.
     """
-    text = _decode(data, source_file)
+    text = _decode(data)
     records: list[RawRecord] = []
     current: Optional[RawRecord] = None
     values: list[str] = []  # the value list of the record's last tag
@@ -83,8 +78,7 @@ def parse_plaintext_export(data: bytes, source_file: str = "") -> list[RawRecord
         if tag == "ER":
             if current is None:
                 raise ExportParseError("record terminator without record",
-                                       source_file, record_index=len(records),
-                                       line=lineno)
+                                       record_index=len(records), line=lineno)
             records.append(current)
             current = None
         elif tag not in _FILE_TAGS:
@@ -98,7 +92,7 @@ def parse_plaintext_export(data: bytes, source_file: str = "") -> list[RawRecord
 
     if current is not None:
         raise ExportParseError("unterminated record (missing ER)",
-                               source_file, record_index=len(records))
+                               record_index=len(records))
     return records
 
 
@@ -172,7 +166,7 @@ def parse_bibtex_export(data: bytes, source_file: str = "",
     field of the entry filled keeps only its value and flags the record.
     ``@comment``, ``@string`` and ``@preamble`` entries are skipped.
     """
-    text = _decode(data, source_file)
+    text = _decode(data)
     records: list[RawRecord] = []
     pos = 0
     while True:
@@ -181,22 +175,19 @@ def parse_bibtex_export(data: bytes, source_file: str = "",
             return records
         brace = text.find("{", at)
         if brace < 0:
-            raise _error("entry has no opening brace", text, at,
-                         source_file, len(records))
+            raise _error("entry has no opening brace", text, at, len(records))
         if text[at + 1:brace].strip().lower() in _SKIPPED_ENTRIES:
-            pos = _skip_braced(text, brace, source_file, len(records))
+            pos = _skip_braced(text, brace, len(records))
             continue
         record = RawRecord(source_file=source_file, record_index=len(records))
-        pos = _parse_entry_body(text, brace, record, source_file,
-                                reference_separator)
+        pos = _parse_entry_body(text, brace, record, reference_separator)
         records.append(record)
 
 
-def _error(message: str, text: str, at: int, source_file: str,
-           index: int) -> ExportParseError:
+def _error(message: str, text: str, at: int, index: int) -> ExportParseError:
     """``message`` at character ``at`` of ``text``, placed by its byte
     offset, counted as ``_decode`` counts (after a stripped BOM)."""
-    return ExportParseError(message, source_file, record_index=index,
+    return ExportParseError(message, record_index=index,
                             offset=len(text[:at].encode("utf-8")))
 
 
@@ -217,23 +208,23 @@ def _find_at_depth(text: str, start: int, needle: str) -> Optional[int]:
     return None
 
 
-def _skip_braced(text: str, open_brace: int, source_file: str, index: int) -> int:
+def _skip_braced(text: str, open_brace: int, index: int) -> int:
     """The position after the brace that closes ``open_brace``."""
     close = _find_at_depth(text, open_brace + 1, "}")
     if close is None:
-        raise _error("unbalanced braces", text, open_brace, source_file, index)
+        raise _error("unbalanced braces", text, open_brace, index)
     return close + 1
 
 
 def _parse_entry_body(text: str, open_brace: int, record: RawRecord,
-                      source_file: str, reference_separator: str) -> int:
+                      reference_separator: str) -> int:
     """Parse ``{ key, name = {value}, ... }`` starting at ``open_brace``."""
     index = record.record_index
     skip_space = re.compile(_SPACE).match
     skip_separators = re.compile(_SPACE_OR_COMMA).match
     bare_token = re.compile(_BARE_TOKEN).match
     # An unclosed entry is refused before its fields are read.
-    end = _skip_braced(text, open_brace, source_file, index)
+    end = _skip_braced(text, open_brace, index)
     # Citation key: up to the first comma at depth 1 (may be empty).
     comma = _find_at_depth(text, open_brace + 1, ",")
     key = text[open_brace + 1:end - 1 if comma is None else comma].strip()
@@ -246,23 +237,23 @@ def _parse_entry_body(text: str, open_brace: int, record: RawRecord,
     while True:
         i = skip_separators(text, i).end()
         if i == len(text):
-            raise _error("unbalanced braces", text, open_brace, source_file, index)
+            raise _error("unbalanced braces", text, open_brace, index)
         if text[i] == "}":
             return i + 1
         eq = text.find("=", i)
         if eq < 0 or text.find("}", i, eq) >= 0:  # the name ends at a "}"
-            raise _error("field without '='", text, i, source_file, index)
+            raise _error("field without '='", text, i, index)
         name = text[i:eq].strip().lower()
         i = skip_space(text, eq + 1).end()
         if i == len(text):
-            raise _error("unbalanced braces", text, open_brace, source_file, index)
+            raise _error("unbalanced braces", text, open_brace, index)
         if text[i] == "{":
-            end = _skip_braced(text, i, source_file, index)
+            end = _skip_braced(text, i, index)
             value = text[i + 1:end - 1]
         elif text[i] == '"':
             end = text.find('"', i + 1) + 1
             if end == 0:
-                raise _error("unterminated quoted value", text, i, source_file, index)
+                raise _error("unterminated quoted value", text, i, index)
             value = text[i + 1:end - 1]
         else:  # bare token (numbers)
             end = bare_token(text, i).end()

@@ -90,7 +90,7 @@ def parse_bibtex_export(data: bytes, source_file: str = "",
     braces raise with a byte offset; a duplicated field within one entry
     keeps the last value and flags the record.
     """
-    text = _decode(data, source_file)
+    text = _decode(data)
     records: list[RawRecord] = []
     pos = 0
     index = 0
@@ -102,7 +102,7 @@ def parse_bibtex_export(data: bytes, source_file: str = "",
         brace = text.find("{", at)
         if brace < 0:
             raise ExportParseError("entry has no opening brace",
-                                   source_file, record_index=index, offset=_byte_offset(text, at))
+                                   record_index=index, offset=_byte_offset(text, at))
         entry_type = text[at + 1:brace].strip().lower()
         # Fix 3: @string and @preamble hold no document either.
         if entry_type in ("comment", "string", "preamble"):
@@ -128,7 +128,7 @@ def _skip_braced(text: str, open_brace: int, source_file: str, index: int) -> in
             depth -= 1
             if depth == 0:
                 return i + 1
-    raise ExportParseError("unbalanced braces", source_file,
+    raise ExportParseError("unbalanced braces",
                            record_index=index, offset=_byte_offset(text, open_brace))
 
 
@@ -142,7 +142,7 @@ def _parse_entry_body(text: str, open_brace: int, record: RawRecord,
     comma = _find_at_depth(text, i, ",")
     close = _find_at_depth(text, i, "}")
     if close is None:
-        raise ExportParseError("unbalanced braces", source_file,
+        raise ExportParseError("unbalanced braces",
                                record_index=index, offset=_byte_offset(text, open_brace))
     if comma is None or comma > close:
         # Fix 4: the key of a key-only entry is kept.
@@ -159,21 +159,21 @@ def _parse_entry_body(text: str, open_brace: int, record: RawRecord,
         while i < n and text[i] in " \t\r\n,":
             i += 1
         if i >= n:
-            raise ExportParseError("unbalanced braces", source_file,
+            raise ExportParseError("unbalanced braces",
                                    record_index=index, offset=_byte_offset(text, open_brace))
         if text[i] == "}":
             return i + 1
         eq = text.find("=", i)
         # Fix 1: the field name may not run past the next "}".
         if eq < 0 or text.find("}", i, eq) >= 0:
-            raise ExportParseError("field without '='", source_file,
+            raise ExportParseError("field without '='",
                                    record_index=index, offset=_byte_offset(text, i))
         name = text[i:eq].strip().lower()
         i = eq + 1
         while i < n and text[i] in " \t\r\n":
             i += 1
         if i >= n:
-            raise ExportParseError("unbalanced braces", source_file,
+            raise ExportParseError("unbalanced braces",
                                    record_index=index, offset=_byte_offset(text, open_brace))
         if text[i] == "{":
             end = _skip_braced(text, i, source_file, index)
@@ -182,7 +182,7 @@ def _parse_entry_body(text: str, open_brace: int, record: RawRecord,
         elif text[i] == '"':
             end = text.find('"', i + 1)
             if end < 0:
-                raise ExportParseError("unterminated quoted value", source_file,
+                raise ExportParseError("unterminated quoted value",
                                        record_index=index, offset=_byte_offset(text, i))
             value = text[i + 1:end]
             i = end + 1
@@ -193,7 +193,7 @@ def _parse_entry_body(text: str, open_brace: int, record: RawRecord,
             value = text[i:end]
             i = end
         _store_field(record, name, value, seen, reference_separator)
-    raise ExportParseError("unbalanced braces", source_file,
+    raise ExportParseError("unbalanced braces",
                            record_index=index, offset=_byte_offset(text, open_brace))
 
 

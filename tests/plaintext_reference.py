@@ -32,7 +32,7 @@ def parse_plaintext_export(data: bytes, source_file: str = "") -> list[RawRecord
     preceding tag's value list.  ``FN`` / ``VR`` header lines and the final
     ``EF`` trailer are ignored.
     """
-    text = _decode(data, source_file)
+    text = _decode(data)
     records: list[RawRecord] = []
     current: Optional[RawRecord] = None
     last_tag: Optional[str] = None
@@ -51,7 +51,7 @@ def parse_plaintext_export(data: bytes, source_file: str = "") -> list[RawRecord
         if tag == "ER":
             if current is None:
                 raise ExportParseError("record terminator without record",
-                                       source_file, record_index=index, line=lineno)
+                                       record_index=index, line=lineno)
             records.append(current)
             current, last_tag = None, None
             index += 1
@@ -80,5 +80,5 @@ def parse_plaintext_export(data: bytes, source_file: str = "") -> list[RawRecord
 
     if current is not None:
         raise ExportParseError("unterminated record (missing ER)",
-                               source_file, record_index=index)
+                               record_index=index)
     return records

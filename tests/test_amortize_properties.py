@@ -1,12 +1,15 @@
-"""Property test of the amortized h-index and its tie resolution.
+"""Property tests of the amortized h-index and its tie resolution, and
+of ``amortize`` on float metrics.
 
 The expected values come from the closed form amortized = h * min_cy / cy,
 where cy is an item's citable years and min_cy the smallest in the item
-set, computed here without ``amortize``.
+set, computed here without ``amortize``.  A float metric or display
+scale counts as the exact decimal its ``repr`` shows.
 """
 from __future__ import annotations
 
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -14,7 +17,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from scimap.amortize import amortized_h_index, resolve_amortized_ties  # noqa: E402
+from scimap.amortize import (  # noqa: E402
+    amortize, amortized_h_index, resolve_amortized_ties,
+)
 
 REFERENCE_YEAR = 2023
 FLAG = "tie-at-zero-broken-by-first-year"
@@ -60,3 +65,22 @@ def test_amortized_h_index_and_ties_match_closed_form(items):
     for item in resolved:
         if counts[item.amortized] > 1:
             assert item.tie_flag == FLAG
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(points=st.lists(st.tuples(st.integers(2000, REFERENCE_YEAR), FINITE),
+                       min_size=1, max_size=6),
+       scale=FINITE)
+def test_amortize_reads_a_float_as_the_decimal_it_prints(points, scale):
+    def decimal(value):
+        return Fraction(Decimal(repr(value)))
+
+    cy = [REFERENCE_YEAR - year + 1 for year, _ in points]
+    rows = amortize(points, REFERENCE_YEAR, display_scale=scale)
+    for (year, metric), own_cy, row in zip(points, cy, rows):
+        assert row.metric == decimal(metric)
+        assert row.amortized == Fraction(min(cy), own_cy) * decimal(metric)
+        assert row.display == row.amortized * decimal(scale)

@@ -58,7 +58,7 @@ def test_bad_record_names_the_export_and_record(tmp_path, capsys, line,
     assert main(["ingest", str(export), "--reference-year", "2023",
                  "-o", str(corpus)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"scimap: error: {export}, record 3: {reason}")
+    assert err.startswith(f"scimap: error: {export}: record 3: {reason}")
     assert not corpus.exists()
     assert not corpus.with_suffix(".screening.csv").exists()
 
@@ -72,8 +72,8 @@ def test_missing_terminator_names_the_record_as_a_bad_record_does(tmp_path, caps
     corpus = tmp_path / "corpus.dat"
     assert main(["ingest", str(export), "--reference-year", "2023",
                  "-o", str(corpus)]) == 1
-    assert capsys.readouterr().err == ("scimap: error: unterminated record "
-                                       "(missing ER) (bad.txt, record 3)\n")
+    assert capsys.readouterr().err == (f"scimap: error: {export}: record 3: "
+                                       "unterminated record (missing ER)\n")
     assert not corpus.exists()
 
 
@@ -98,8 +98,8 @@ def test_non_utf8_export_names_its_full_path_once(tmp_path, capsys, fmt, sample)
     assert main(["ingest", "--format", fmt, str(good), str(bad),
                  "-o", str(tmp_path / "corpus.dat")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"scimap: error: {bad}: input is not valid UTF-8: "
-                          "invalid start byte"), err
+    assert err.startswith(f"scimap: error: {bad}: byte 5: input is not valid "
+                          "UTF-8: invalid start byte"), err
     assert err.count(str(bad)) == 1
     assert str(good) not in err
 
@@ -194,6 +194,15 @@ def test_amortize_prints_a_metric_past_decimal_precision(tmp_path):
     assert rows[2].split(",") == ["2001", big, "1", "2.0000", "1.0000", big, big]
 
 
+def test_amortize_keeps_a_metric_below_one_billionth(tmp_path):
+    table = tmp_path / "small.csv"
+    table.write_text("2000,1e-12\n2001,3e-10\n")
+    assert main(["amortize", "--table", str(table), "--display-scale", "1e12",
+                 "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "amortized.csv")
+    assert [row.split(",")[-1] for row in rows[1:]] == ["0.5000", "300.0000"]
+
+
 def test_amortize_display_past_the_float_range_exits_1(tmp_path, capsys):
     table = tmp_path / "huge.csv"
     table.write_text("year,metric\n2000,1e300\n2001,1\n")
@@ -213,7 +222,7 @@ def test_amortize_malformed_row_names_file_and_line(tmp_path, capsys, row):
     out = tmp_path / "out"
     assert main(["amortize", "--table", str(table), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"scimap: error: {table} line 4: " in err
+    assert f"scimap: error: {table}: line 4: " in err
     assert repr(row) in err
     assert not out.exists()
 

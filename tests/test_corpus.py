@@ -232,21 +232,19 @@ def test_dedupe_idempotent():
 
 
 def test_second_pass_merges_what_a_filled_title_and_year_match():
-    # The docstring's exception: k takes its title from d, so only then
-    # does k share l's (title, year) key.
+    # k takes its title from d, so only then does k share l's (title,
+    # year) key; the second pass merges l, and a third call removes nothing.
     docs = [_document("k", pub_year=2001, doi="10.1/x"),
             _document("d", title="T", doi="10.1/x"),
             _document("l", title="T", pub_year=2001)]
     corpus = dedupe_and_screen(docs, reference_year=2001)
     assert [(doc.id, doc.title, doc.pub_year, doc.doi)
-            for doc in corpus.documents] == [("k", "T", 2001, "10.1/x"),
-                                             ("l", "T", 2001, None)]
+            for doc in corpus.documents] == [("k", "T", 2001, "10.1/x")]
     assert [(e.removed_id, e.reason, e.kept_id) for e in corpus.screening] == \
-        [("d", "duplicate-doi", "k")]
+        [("d", "duplicate-doi", "k"), ("l", "duplicate-title-year", "k")]
     again = dedupe_and_screen(corpus.documents, reference_year=2001)
     assert [doc.id for doc in again.documents] == ["k"]
-    assert [(e.removed_id, e.reason, e.kept_id) for e in again.screening] == \
-        [("l", "duplicate-title-year", "k")]
+    assert again.screening == []
 
 
 def test_reference_year_defaults_to_latest_pub_year():

@@ -8,8 +8,9 @@ For every multiset of documents, and every order of it:
 - no two kept documents share a title key unless both DOIs are set and
   differ.
 
-Every document has a title and a year: a merge that fills an empty title
-or year can make a match that the first pass did not see.
+The first property draws every document with a title and a year; the
+second lets both be empty, so a merge can fill them and only the passes
+that follow such a merge find what it made match.
 """
 from __future__ import annotations
 
@@ -56,3 +57,22 @@ def test_dedupe_is_order_free_and_leaves_nothing_to_merge(fields, data):
                 (normalized_title(second.title), second.pub_year)
             assert not same_key or (first.doi and second.doi
                                     and first.doi != second.doi)
+
+
+# Titles and years may be empty here, so a merge can fill them.
+SPARSE_DOCUMENTS = st.lists(
+    st.tuples(st.sampled_from(["", "T", "U"]),
+              st.sampled_from([None, "10.1/x", "10.1/y"]),
+              st.sampled_from([None, 2001])),
+    min_size=1, max_size=7)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(fields=SPARSE_DOCUMENTS)
+def test_dedupe_of_its_own_result_removes_nothing(fields):
+    docs = [make_document(f"d{i}", title=title, doi=doi, pub_year=year)
+            for i, (title, doi, year) in enumerate(fields)]
+    corpus = build_corpus(docs, reference_year=2001)
+    again = dedupe_and_screen(corpus.documents, reference_year=2001)
+    assert again.screening == []
+    assert again.documents == corpus.documents

@@ -155,8 +155,26 @@ def test_malformed_graphml_exits_1_naming_the_file(tmp_path, capsys):
                    "<graphml><!-- a -- b --></graphml>\n")
     assert main(["pagerank", "--graph", str(bad), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"scimap: error: {bad} is not well-formed GraphML:")
+    assert err.startswith(f"scimap: error: {bad}: not well-formed GraphML:")
     assert "Traceback" not in err
+
+
+GRAPHML_HEAD = ("<?xml version='1.0' encoding='utf-8'?>\n"
+                '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+                '<graph edgedefault="directed">\n<node id="a" />\n')
+
+
+@pytest.mark.parametrize("body, where", [
+    ("<node />\n", "node 2: no id"),
+    ('<node id="b" />\n<edge source="a" />\n', "edge 1: no target"),
+    ('<node id="b" />\n<edge target="b" />\n', "edge 1: no source"),
+])
+def test_graphml_element_without_its_id_exits_1_naming_it(tmp_path, capsys,
+                                                          body, where):
+    bad = tmp_path / "partial.graphml"
+    bad.write_text(GRAPHML_HEAD + body + "</graph>\n</graphml>\n")
+    assert main(["pagerank", "--graph", str(bad), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"scimap: error: {bad}: {where}\n"
 
 
 def test_large_graph_is_written_without_holding_the_file(tmp_path):

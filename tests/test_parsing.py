@@ -77,16 +77,16 @@ def test_unterminated_record_names_file_and_index():
     data = (HEADER + "PT J\nTI No terminator\n").encode()
     with pytest.raises(ExportParseError) as err:
         parse_plaintext_export(data, source_file="broken.txt")
-    assert "broken.txt" in str(err.value)
-    assert "record 1" in str(err.value)
+    assert "broken.txt" not in str(err.value)  # the caller names the file
+    assert "record 1: " in str(err.value)
 
 
 def test_terminator_without_record_names_its_line():
     data = (HEADER + MINIMAL_RECORD + "\nER\nEF\n").encode()
     with pytest.raises(ExportParseError) as err:
         parse_plaintext_export(data, source_file="stray.txt")
-    assert str(err.value) == ("record terminator without record "
-                              "(stray.txt, record 2, line 11)")
+    assert str(err.value) == ("record 2, line 11: record terminator "
+                              "without record")
     assert err.value.line == 11
 
 
@@ -253,7 +253,7 @@ def test_bibtex_unbalanced_braces_reports_offset():
     with pytest.raises(ExportParseError) as err:
         parse_bibtex_export(entry.encode(), source_file="bad.bib")
     assert err.value.offset is not None
-    assert "bad.bib" in str(err.value)
+    assert "record 1, byte " in str(err.value)
 
 
 def test_bibtex_field_name_stops_at_a_closing_brace():
@@ -263,7 +263,7 @@ def test_bibtex_field_name_stops_at_a_closing_brace():
             "@article{k2, Title = {Second}, Year = {2001}}").encode()
     with pytest.raises(ExportParseError) as err:
         parse_bibtex_export(data, source_file="f.bib")
-    assert str(err.value) == "field without '=' (f.bib, record 1, byte 30)"
+    assert str(err.value) == "record 1, byte 30: field without '='"
     assert err.value.offset == data.index(b"junk")
 
 
@@ -275,7 +275,7 @@ def test_bibtex_error_offset_counts_bytes():
     assert data.index(b"{k2") == 53
     with pytest.raises(ExportParseError) as err:
         parse_bibtex_export(data, source_file="f.bib")
-    assert str(err.value) == "unbalanced braces (f.bib, record 2, byte 53)"
+    assert str(err.value) == "record 2, byte 53: unbalanced braces"
     # counted after a stripped BOM, as the UTF-8 check counts
     with pytest.raises(ExportParseError) as err:
         parse_bibtex_export(b"\xef\xbb\xbf" + data)
