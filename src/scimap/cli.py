@@ -138,15 +138,21 @@ def _config_flags(parser: argparse.ArgumentParser,
         if action is None:
             continue
         flag = max(action.option_strings, key=len)
+        # A refused value is a usage error that names the file and the key.
+        where = f"{args.config}: config key {key!r}"
         if action.nargs == 0:  # a switch such as --cluster
             if not isinstance(value, bool):
-                command.error(f"config key {key!r}: {flag} takes true or false")
+                command.error(f"{where}: {flag} takes true or false")
             if value:
                 flags.append(flag)
         elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            try:  # argparse's own conversion and choice check
+                command._get_values(action, [str(value)])
+            except argparse.ArgumentError as exc:
+                command.error(f"{where}: {exc}")
             flags.append(f"{flag}={value}")
         else:
-            command.error(f"config key {key!r}: {flag} takes a string or a number")
+            command.error(f"{where}: {flag} takes a string or a number")
     return flags
 
 
@@ -517,8 +523,9 @@ def cmd_betweenness(args, config):
 
 
 def cmd_walktrap(args, config):
-    graph = _read_input(args.graph, read_graph, "graph")
-    clustering = walktrap(graph, walk_length=args.walk_length)
+    # A graph that walktrap refuses is an input error, so it names the file.
+    clustering = _read_input(
+        args.graph, lambda path: walktrap(read_graph(path), args.walk_length), "graph")
     rows = sorted(clustering.assignment.items())
     write_table(rows, ["node", "cluster"], args.out / "clusters.csv",
                 _meta(config, modularity=repr(clustering.modularity),

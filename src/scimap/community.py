@@ -18,6 +18,16 @@ computes the costs from the new community to all its neighbours in one
 batched ``np.vecdot``, which runs the same BLAS dot per row that
 ``np.dot`` runs on a single pair, so every cost keeps its bits.
 
+Edge weights between slots live in an n x n matrix on dense graphs and
+in one dict per slot, adjacent slot -> weight, on sparse ones.  Both sum
+the same floats in the same order: each pair's edges in edge order from
+0.0, then at each merge "older slot + newer slot" per neighbour, kept
+symmetric.  The side is the one with the fewer estimated bytes: 8 n^2
+for the matrix, and for the dicts a per-entry and a per-slot constant
+fitted to tracemalloc peaks, with two entries per adjacent pair.  No
+option chooses it.  The walk power and the Ward costs are the other two
+n x n arrays, so a sparse graph holds two and a dense graph three.
+
 Merge order.  A pair's cost depends only on its two communities, so the
 next merge is the live adjacent pair that minimises (cost, older
 creation id, newer creation id).  Each slot keeps the partner that
@@ -37,7 +47,14 @@ from .graphs import Graph
 if TYPE_CHECKING:
     import numpy as np
 
-_ROW_BLOCK = 64  # rows per batched cost or minimum evaluation
+# Entries per block of rows in a batched cost or minimum evaluation: its
+# temporaries stay at 128 KiB however large n is.
+_BLOCK_ITEMS = 1 << 14
+# Bytes per entry and per slot of the per-slot weight dicts: a least-squares
+# fit to tracemalloc peaks of building them for 24 graphs of 50 to 3,000
+# nodes and mean degree 1 to 117 (Python 3.11).
+_LINK_BYTES = 100
+_SLOT_BYTES = 220
 
 
 class Clustering(NamedTuple):
@@ -84,6 +101,71 @@ def _weight_matrix(n: int, heads: np.ndarray, tails: np.ndarray,
     return out
 
 
+def _weight_links(n: int, heads: np.ndarray, tails: np.ndarray,
+                  weights: np.ndarray) -> list[dict[int, float]]:
+    """Per slot, each adjacent slot's edge weight, summed as the entries
+    of ``_weight_matrix`` are; self-loops count in degrees only."""
+    links: list[dict[int, float]] = [{} for _ in range(n)]
+    for head, tail, weight in zip(heads.tolist(), tails.tolist(), weights.tolist()):
+        if head != tail:
+            row, col = links[head], links[tail]
+            row[tail] = row.get(tail, 0.0) + weight
+            col[head] = col.get(head, 0.0) + weight
+    return links
+
+
+def _dense_weights(n: int, n_pairs: int) -> bool:
+    """Whether the n x n weight matrix takes fewer bytes than per-slot
+    dicts holding both directions of ``n_pairs`` adjacent pairs."""
+    return 8 * n * n <= _LINK_BYTES * 2 * n_pairs + _SLOT_BYTES * n
+
+
+def _walks(ids: list[str], heads: np.ndarray, tails: np.ndarray,
+           weights: np.ndarray, walk_length: int):
+    """Weighted degrees, their reciprocals (0.0 for an isolated vertex)
+    and the ``walk_length``-th power of the transition matrix.
+
+    The power takes numpy's own products in numpy's own order
+    (``np.linalg.matrix_power``: ``(t @ t) @ t`` for length 3, otherwise
+    squarings over the bits from the lowest), so every entry keeps its
+    bits, and drops each factor as soon as that order no longer needs
+    it: a power of two holds at most two n x n arrays at once.
+    """
+    import numpy as np
+
+    n = len(ids)
+    with np.errstate(over="ignore"):
+        transition = _weight_matrix(n, heads, tails, weights)
+        degree = transition.sum(axis=1)
+        total = degree.sum()
+        # No Ward cost exceeds n / (the smallest positive degree).
+        cost_bound = np.divide(float(n), degree, out=np.zeros(n), where=degree > 0)
+    if not np.isfinite(total):
+        node = int(degree.argmax())
+        raise ValueError(f"node {ids[node]!r}: weighted degree {float(degree[node])!r} "
+                         f"is too large for walktrap: the total edge weight "
+                         f"overflows a float")
+    small = np.flatnonzero(~np.isfinite(cost_bound))
+    if len(small):
+        node = int(small[0])
+        raise ValueError(f"node {ids[node]!r}: weighted degree {float(degree[node])!r} "
+                         f"is too small for walktrap: {n} / degree overflows a float")
+    inv_degree = np.divide(1.0, degree, out=np.zeros(n), where=degree > 0)
+    transition *= inv_degree[:, None]
+    isolated = np.flatnonzero(degree == 0.0)
+    transition[isolated, isolated] = 1.0  # isolated vertex: walk stays put
+    if walk_length == 3:
+        return degree, inv_degree, (transition @ transition) @ transition
+    power = None
+    while True:
+        walk_length, bit = divmod(walk_length, 2)
+        if bit:
+            power = transition if power is None else power @ transition
+        if not walk_length:
+            return degree, inv_degree, power
+        transition = transition @ transition  # the next power of two
+
+
 def walktrap(graph: Graph, walk_length: int = 4) -> Clustering:
     """Cluster an undirected weighted graph by short random-walk distance.
 
@@ -91,7 +173,9 @@ def walktrap(graph: Graph, walk_length: int = 4) -> Clustering:
     likely to share a community; merging greedily on that distance and
     cutting the merge sequence at maximum modularity follows the method's
     standard form.  Ties in merge priority break deterministically on
-    community creation order.
+    community creation order.  A directed graph, or a weighted degree
+    whose reciprocal or whose sum with the others leaves the float range,
+    raises ``ValueError``.
     """
     import numpy as np  # deferred: only clustering commands pay for numpy
 
@@ -111,21 +195,44 @@ def walktrap(graph: Graph, walk_length: int = 4) -> Clustering:
     tails = np.array([index[v] for _, v, _ in graph.edges], dtype=np.intp)
     edge_weights = np.array([w for _, _, w in graph.edges], dtype=float)
 
-    transition = _weight_matrix(n, heads, tails, edge_weights)
-    degree = transition.sum(axis=1)
-    inv_degree = np.divide(1.0, degree, out=np.zeros(n), where=degree > 0)
-    transition *= inv_degree[:, None]
-    isolated = np.flatnonzero(degree == 0.0)
-    transition[isolated, isolated] = 1.0  # isolated vertex: walk stays put
-    walks = np.linalg.matrix_power(transition, walk_length)
-    del transition
+    degree, inv_degree, walks = _walks(ids, heads, tails, edge_weights, walk_length)
 
-    # Slot state.  weight[s, t] is the edge weight between the communities
-    # in slots s and t; cost[s, t] is their Ward merge cost, inf when they
-    # are not adjacent.  The weights are rebuilt rather than copied before
-    # the matrix power, so that no more than three n x n arrays are live
-    # at once.
-    weight = _weight_matrix(n, heads, tails, edge_weights)
+    # Distinct pairs, sorted; np.unique would give the same array but
+    # imports numpy.ma on every call.
+    keys = np.sort(np.minimum(heads, tails) * n + np.maximum(heads, tails))
+    pairs = keys[np.diff(keys, prepend=-1) != 0]
+    lo, hi = np.divmod(pairs, n)
+    lo, hi = lo[lo != hi], hi[lo != hi]  # self-loops count in degrees only
+
+    # Slot state.  join(sa, sb, others) merges slot sb's edge weights into
+    # slot sa's and returns the weight between them: from an n x n matrix
+    # on dense graphs, rebuilt rather than copied before the walk power,
+    # and from per-slot dicts on sparse ones.  cost[s, t] is the Ward
+    # merge cost of the communities in slots s and t, inf when they are
+    # not adjacent.
+    if _dense_weights(n, len(lo)):
+        weight = _weight_matrix(n, heads, tails, edge_weights)
+
+        def join(sa: int, sb: int, others: np.ndarray) -> float:
+            between = float(weight[sa, sb])
+            weight[sa] += weight[sb]
+            weight[others, sa] = weight[sa, others]
+            return between
+    else:
+        links = _weight_links(n, heads, tails, edge_weights)
+
+        def join(sa: int, sb: int, others: np.ndarray) -> float:
+            kept, gone = links[sa], links[sb]
+            links[sb] = {}
+            between = kept.pop(sb)
+            del gone[sa]
+            for slot, value in gone.items():
+                kept[slot] = kept.get(slot, 0.0) + value
+            for slot, value in kept.items():
+                row = links[slot]
+                row.pop(sb, None)
+                row[sa] = value
+            return between
     cost = np.full((n, n), np.inf)
     cid = np.arange(n)
     size = np.ones(n, dtype=np.int64)
@@ -134,39 +241,38 @@ def walktrap(graph: Graph, walk_length: int = 4) -> Clustering:
     best_cost = np.full(n, np.inf)
     best_partner = np.zeros(n, dtype=np.intp)
 
-    gap_rows = np.empty((min(n, _ROW_BLOCK), n))
+    rows_per_block = max(1, min(n, _BLOCK_ITEMS // n))
+    gap_rows = np.empty((rows_per_block, n))
 
     def ward_costs(slot: int, others: np.ndarray) -> np.ndarray:
         """Costs of merging the community in ``slot`` with each of ``others``."""
         r2 = np.empty(len(others))
-        for start in range(0, len(others), _ROW_BLOCK):
-            block = others[start:start + _ROW_BLOCK]
+        for start in range(0, len(others), rows_per_block):
+            block = others[start:start + rows_per_block]
             gap = gap_rows[:len(block)]
             # mode="clip" lets take write straight into ``out``; the
             # indices are valid, so it clips nothing.
             np.take(walks, block, axis=0, out=gap, mode="clip")
             gap -= walks[slot]
             gap *= gap
-            r2[start:start + _ROW_BLOCK] = np.vecdot(gap, inv_degree)
+            r2[start:start + rows_per_block] = np.vecdot(gap, inv_degree)
         sizes = size[others]
         return (size[slot] * sizes) / (size[slot] + sizes) * r2 / n
 
     def refresh(rows: np.ndarray) -> None:
         """Cheapest partner of each row, ties to the oldest partner."""
-        for start in range(0, len(rows), _ROW_BLOCK):
-            block_rows = rows[start:start + _ROW_BLOCK]
+        for start in range(0, len(rows), rows_per_block):
+            block_rows = rows[start:start + rows_per_block]
             block = cost[block_rows]
             low = block.min(axis=1)
-            tied = np.where(block == low[:, None], cid, 2 * n)
-            best_partner[block_rows] = tied.argmin(axis=1)
+            # The block now holds each tied partner's creation id, and 2n
+            # elsewhere; the ids are exact as floats.
+            tied = block == low[:, None]
+            block.fill(2 * n)
+            np.copyto(block, cid, where=tied)
+            best_partner[block_rows] = block.argmin(axis=1)
             best_cost[block_rows] = low
 
-    # Distinct pairs, sorted; np.unique would give the same array but
-    # imports numpy.ma on every call.
-    keys = np.sort(np.minimum(heads, tails) * n + np.maximum(heads, tails))
-    pairs = keys[np.diff(keys, prepend=-1) != 0]
-    lo, hi = np.divmod(pairs, n)
-    lo, hi = lo[lo != hi], hi[lo != hi]  # self-loops count in degrees only
     bounds = np.searchsorted(lo, np.arange(n + 1))
     for a in np.flatnonzero(np.diff(bounds)).tolist():
         later = hi[bounds[a]:bounds[a + 1]]
@@ -204,7 +310,6 @@ def walktrap(graph: Graph, walk_length: int = 4) -> Clustering:
 
         merged_size = size[sa] + size[sb]
         walks[sa] = (size[sa] * walks[sa] + size[sb] * walks[sb]) / merged_size
-        internal[sa] = internal[sa] + internal[sb] + float(weight[sa, sb])
         comm_degree[sa] = comm_degree[sa] + comm_degree[sb]
         size[sa], size[sb] = merged_size, 0
         cid[sa] = merged_id
@@ -215,8 +320,7 @@ def walktrap(graph: Graph, walk_length: int = 4) -> Clustering:
         adjacent = (cost[sa] < np.inf) | (cost[sb] < np.inf)
         adjacent[[sa, sb]] = False
         others = np.flatnonzero(adjacent)
-        weight[sa] += weight[sb]
-        weight[others, sa] = weight[sa, others]
+        internal[sa] = internal[sa] + internal[sb] + join(sa, sb, others)
         cost[sa] = np.inf
         cost[others, sb] = np.inf
         best_cost[sb] = np.inf

@@ -229,6 +229,17 @@ FORMS = [
      b'  "a" -- "b" [weight=nan];\n}\n',
      "edge weight nan on 'a'-'b' is not positive and finite"),
 ]
+# Positive weights at the ends of the float range: walktrap needs each
+# n / degree and the total weight to be finite floats.
+FORMS += [
+    (["walktrap", "--graph", "{file}", "--out", "{out}"], f"w{weight}.dot",
+     b'graph G {\n  "a" [weight=1.0];\n  "b" [weight=1.0];\n  "c" [weight=1.0];\n'
+     b'  "a" -- "b" [weight=%s];\n  "b" -- "c" [weight=1.0];\n}\n' % weight.encode(),
+     f"node 'a': weighted degree {degree} is too {side} for walktrap: {why}")
+    for weight, degree, side, why in [
+        ("1e-320", "1e-320", "small", "3 / degree overflows a float"),
+        ("5e-324", "5e-324", "small", "3 / degree overflows a float"),
+        ("1e308", "1e+308", "large", "the total edge weight overflows a float")]]
 
 
 @pytest.mark.parametrize("argv, name, content, error", FORMS,

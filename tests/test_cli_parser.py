@@ -108,6 +108,22 @@ def test_config_run_parses_alike(tmp_path, monkeypatch):
     assert (one.min_occurrence, one.cluster, one.flavor) == (4, True, "dot")
 
 
+def test_refused_config_value_names_the_file_and_key(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"top-n": 0}))
+    argv = ["terms", "--corpus", "c.dat", "--config", str(config)]
+    one = _outcome(argv, capsys)
+    use_the_full_parser(monkeypatch)
+    assert _outcome(argv, capsys) == one
+    status, (out, err) = one
+    assert status == 2 and out == ""
+    assert err.splitlines()[-1] == (
+        f"scimap terms: error: {config}: config key 'top-n': "
+        "argument --top-n: must be at least 1, got 0")
+
+
 def _outcome(argv, capsys):
     status = main(argv)
     return status, capsys.readouterr()

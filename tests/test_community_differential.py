@@ -7,14 +7,21 @@ dense, several components and isolated vertices, exact ties from integer
 weights (cliques, a ring of cliques, a star), parallel edges and
 self-loops, each with walk lengths 1 to 5.  ``community.modularity`` of each returned
 partition must also agree with networkx within 1e-12.
+
+Walktrap keeps community edge weights in an n x n matrix on dense graphs
+and in per-slot dicts on sparse ones; ``SIDES`` names the side each graph
+takes, and a test holds walktrap to it, so both stay covered.  A
+tracemalloc test bounds the peak of the sparse side.
 """
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
+from scimap import community
 from scimap.community import modularity, walktrap
 from scimap.graphs import Graph, GraphNode
 from walktrap_reference import walktrap as reference_walktrap
@@ -97,6 +104,26 @@ def self_loops():
         for u in graph.node_ids() if rng.random() < 0.3])
 
 
+def sparse_mix(seed, n, isolated=5):
+    """Several components, each a random tree plus a few chords, with
+    float weights; some edges repeat, reversed, with a new weight; some
+    vertices carry self-loops, and ``isolated`` have no edge."""
+    rng = random.Random(seed)
+    ids = names("s", n)
+    order = ids[:n - isolated]
+    rng.shuffle(order)
+    edges = []
+    cuts = sorted(rng.sample(range(2, len(order) - 1), 3))
+    for members in (order[i:j] for i, j in zip([0] + cuts, cuts + [len(order)])):
+        edges += [(members[i], rng.choice(members[:i]), rng.uniform(0.1, 5.0))
+                  for i in range(1, len(members))]
+        edges += [(*rng.sample(members, 2), rng.uniform(0.1, 5.0))
+                  for _ in range(len(members) // 4)]
+    edges += [(v, u, rng.uniform(0.1, 1.0)) for u, v, _ in rng.sample(edges, n // 5)]
+    edges += [(u, u, rng.uniform(0.1, 2.0)) for u in rng.sample(order, n // 10)]
+    return build_graph(ids, edges)
+
+
 GRAPHS = {
     "sparse-int": lambda: random_graph(1, 60, 0.06, integer=True),
     "sparse-float": lambda: random_graph(2, 60, 0.06, integer=False),
@@ -109,7 +136,15 @@ GRAPHS = {
     "star": star,
     "parallel-edges": parallel_edges,
     "self-loops": self_loops,
+    "sparse-mix-200": lambda: sparse_mix(31, 200),
+    "sparse-mix-320": lambda: sparse_mix(37, 320, isolated=12),
+    "ring-of-60-cliques": lambda: ring_of_cliques(count=60),
+    "star-250": lambda: star(leaves=250),
 }
+# Whether each graph keeps its community weights in the n x n matrix.
+SIDES = {name: not (name.startswith("sparse-mix") or name in
+                    ("ring-of-60-cliques", "star-250"))
+         for name in GRAPHS}
 CASES = [(name, length) for name in GRAPHS for length in range(1, 6)]
 
 
@@ -121,6 +156,33 @@ def test_walktrap_matches_reference(name, walk_length):
     assert list(got.assignment.items()) == list(want.assignment.items())
     assert got.n_clusters == want.n_clusters
     assert repr(got.modularity) == repr(want.modularity)
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_each_graph_takes_its_side(name, monkeypatch):
+    sides = []
+
+    def spy(n, n_pairs):
+        sides.append(dense_weights(n, n_pairs))
+        return sides[-1]
+
+    dense_weights = community._dense_weights
+    monkeypatch.setattr(community, "_dense_weights", spy)
+    walktrap(GRAPHS[name]())
+    assert sides == ([SIDES[name]] if len(GRAPHS[name]().nodes) > 1 else [])
+
+
+def test_sparse_walktrap_peaks_below_2_3_matrices():
+    # 640 vertices in four components, about 1.5 edges per vertex: the
+    # walk power and the Ward costs are the only n x n arrays.
+    graph = sparse_mix(41, 640)
+    tracemalloc.start()
+    try:
+        walktrap(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.3 * 8 * 640 ** 2
 
 
 @pytest.mark.parametrize("name, walk_length", CASES)
