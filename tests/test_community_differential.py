@@ -9,8 +9,8 @@ self-loops, each with walk lengths 1 to 5.  ``community.modularity`` of each ret
 partition must also agree with networkx within 1e-12.
 
 Walktrap keeps community edge weights in an n x n matrix on dense graphs
-and in per-slot dicts on sparse ones; ``SIDES`` names the side each graph
-takes, and a test holds walktrap to it, so both stay covered.  A
+and in per-slot dicts on sparse ones; ``SPARSE`` names the graphs that
+take the dicts, and a test holds walktrap to it, so both stay covered.  A
 tracemalloc test bounds the peak of the sparse side.
 """
 from __future__ import annotations
@@ -141,10 +141,9 @@ GRAPHS = {
     "ring-of-60-cliques": lambda: ring_of_cliques(count=60),
     "star-250": lambda: star(leaves=250),
 }
-# Whether each graph keeps its community weights in the n x n matrix.
-SIDES = {name: not (name.startswith("sparse-mix") or name in
-                    ("ring-of-60-cliques", "star-250"))
-         for name in GRAPHS}
+# The graphs whose community weights live in per-slot dicts; the others
+# keep the n x n matrix.
+SPARSE = {"sparse-mix-200", "sparse-mix-320", "ring-of-60-cliques", "star-250"}
 CASES = [(name, length) for name in GRAPHS for length in range(1, 6)]
 
 
@@ -169,7 +168,7 @@ def test_each_graph_takes_its_side(name, monkeypatch):
     dense_weights = community._dense_weights
     monkeypatch.setattr(community, "_dense_weights", spy)
     walktrap(GRAPHS[name]())
-    assert sides == ([SIDES[name]] if len(GRAPHS[name]().nodes) > 1 else [])
+    assert sides == [name not in SPARSE]
 
 
 def test_sparse_walktrap_peaks_below_2_3_matrices():
