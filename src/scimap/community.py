@@ -7,36 +7,37 @@ distance, merging adjacent communities only, and the merge stage with
 the highest modularity is returned.  Connected components never mix, so
 they are effectively handled independently.
 
-Slot layout.  Community state lives in fixed arrays of n slots, one per
-vertex at the start.  Slot i's row of the walk matrix holds the walk
-distribution of the community in that slot; a merge writes the
-size-weighted mean of the two rows into the slot of the older community
-and retires the other slot.  Per slot the code also keeps the creation
-id, size, internal and total degree weight, the edge weight and the Ward
-cost to each adjacent slot, and the slot's cheapest partner.  A merge
-computes the costs from the new community to all its neighbours in one
-batched ``np.vecdot``, which runs the same BLAS dot per row that
-``np.dot`` runs on a single pair, so every cost keeps its bits.
+Merge loop, then replay.  The merge order depends only on the walk
+rows, community sizes and degrees, never on edge weights, so walktrap
+runs in two passes.  The merge loop keeps community state in fixed
+arrays of n slots, one per vertex at the start.  Slot i's row of the
+walk matrix holds the walk distribution of the community in that slot;
+a merge writes the size-weighted mean of the two rows into the slot of
+the older community and retires the other slot.  Per slot the loop also
+keeps the creation id, the size, the Ward cost to each adjacent slot
+and the slot's cheapest partner, and it records each merge as its two
+slots.  A merge computes the costs from the new community to all its
+neighbours in one batched ``np.vecdot``, which runs the same BLAS dot
+per row that ``np.dot`` runs on a single pair, so every cost keeps its
+bits.
 
-Edge weights between slots live in an n x n matrix on dense graphs and
-in one dict per slot, adjacent slot -> weight, on sparse ones.  Both sum
-the same floats in the same order: each pair's edges in edge order from
-0.0, then at each merge "older slot + newer slot" per neighbour, kept
-symmetric.  The side is the one with the fewer estimated bytes: 8 n^2
-for the matrix, and for the dicts a per-entry and a per-slot constant
-fitted to tracemalloc peaks, with two entries per adjacent pair.  No
-option chooses it.  The walk power and the Ward costs are the other two
-n x n arrays, so a sparse graph holds two and a dense graph three.
+Once the loop ends, the walk power and the Ward costs are freed, and the
+replay runs the merge list over an n x n edge-weight matrix: each pair's
+edges summed in edge order from 0.0, then at each merge "older slot +
+newer slot", kept symmetric.  A community's internal weight starts at
+its vertex's self-loop weights and gains the weight between the two
+communities at each merge.  Modularity after each merge is summed over
+the live communities in creation order, as a running Python-float sum
+would, and the best cut is kept as a merge count: the partition is built
+once, at the end, by replaying the merge list up to it.  So walktrap
+holds at most two n x n arrays at once on every graph: the walk power
+and the Ward costs in the loop, the weight matrix alone in the replay.
 
 Merge order.  A pair's cost depends only on its two communities, so the
 next merge is the live adjacent pair that minimises (cost, older
 creation id, newer creation id).  Each slot keeps the partner that
 minimises (cost, partner creation id); the minimum of those per-slot
-entries under the pair key is that same pair.  Modularity after each
-merge is summed over the live communities in creation order, as a
-running Python-float sum would, and the best cut is kept as a merge
-count: the partition is built once, at the end, by replaying the merge
-list up to it.
+entries under the pair key is that same pair.
 """
 from __future__ import annotations
 
@@ -50,11 +51,6 @@ if TYPE_CHECKING:
 # Entries per block of rows in a batched cost or minimum evaluation: its
 # temporaries stay at 128 KiB however large n is.
 _BLOCK_ITEMS = 1 << 14
-# Bytes per entry and per slot of the per-slot weight dicts: a least-squares
-# fit to tracemalloc peaks of building them for 24 graphs of 50 to 3,000
-# nodes and mean degree 1 to 117 (Python 3.11).
-_LINK_BYTES = 100
-_SLOT_BYTES = 220
 
 
 class Clustering(NamedTuple):
@@ -99,25 +95,6 @@ def _weight_matrix(n: int, heads: np.ndarray, tails: np.ndarray,
     out = np.zeros((n, n))
     np.add.at(out, (first, second), np.repeat(weights, 2))
     return out
-
-
-def _weight_links(n: int, heads: np.ndarray, tails: np.ndarray,
-                  weights: np.ndarray) -> list[dict[int, float]]:
-    """Per slot, each adjacent slot's edge weight, summed as the entries
-    of ``_weight_matrix`` are; self-loops count in degrees only."""
-    links: list[dict[int, float]] = [{} for _ in range(n)]
-    for head, tail, weight in zip(heads.tolist(), tails.tolist(), weights.tolist()):
-        if head != tail:
-            row, col = links[head], links[tail]
-            row[tail] = row.get(tail, 0.0) + weight
-            col[head] = col.get(head, 0.0) + weight
-    return links
-
-
-def _dense_weights(n: int, n_pairs: int) -> bool:
-    """Whether the n x n weight matrix takes fewer bytes than per-slot
-    dicts holding both directions of ``n_pairs`` adjacent pairs."""
-    return 8 * n * n <= _LINK_BYTES * 2 * n_pairs + _SLOT_BYTES * n
 
 
 def _walks(ids: list[str], heads: np.ndarray, tails: np.ndarray,
@@ -166,78 +143,26 @@ def _walks(ids: list[str], heads: np.ndarray, tails: np.ndarray,
         transition = transition @ transition  # the next power of two
 
 
-def walktrap(graph: Graph, walk_length: int = 4) -> Clustering:
-    """Cluster an undirected weighted graph by short random-walk distance.
+def _merge_order(walks: np.ndarray, inv_degree: np.ndarray, heads: np.ndarray,
+                 tails: np.ndarray) -> list[tuple[int, int]]:
+    """Walktrap's merges, each as (slot of the older community, which
+    keeps the merged one, slot of the newer).  ``walks`` is overwritten
+    with the communities' walk rows."""
+    import numpy as np
 
-    Vertices whose ``walk_length``-step walk distributions look alike are
-    likely to share a community; merging greedily on that distance and
-    cutting the merge sequence at maximum modularity follows the method's
-    standard form.  Ties in merge priority break deterministically on
-    community creation order.  A directed graph, or a weighted degree
-    whose reciprocal or whose sum with the others leaves the float range,
-    raises ``ValueError``.
-    """
-    import numpy as np  # deferred: only clustering commands pay for numpy
-
-    if walk_length < 1:
-        raise ValueError(f"walk length must be at least 1, got {walk_length}")
-    if graph.directed:
-        raise ValueError("walktrap needs an undirected graph; "
-                         "this graph's arcs are directed")
-    ids = sorted(graph.node_ids())
-    n = len(ids)
-    if n == 0:
-        return Clustering(assignment={}, modularity=0.0, n_clusters=0)
-    if n == 1:
-        return Clustering(assignment={ids[0]: 0}, modularity=0.0, n_clusters=1)
-    index = {nid: i for i, nid in enumerate(ids)}
-    heads = np.array([index[u] for u, _, _ in graph.edges], dtype=np.intp)
-    tails = np.array([index[v] for _, v, _ in graph.edges], dtype=np.intp)
-    edge_weights = np.array([w for _, _, w in graph.edges], dtype=float)
-
-    degree, inv_degree, walks = _walks(ids, heads, tails, edge_weights, walk_length)
-
+    n = len(inv_degree)
     # Distinct pairs, sorted; np.unique would give the same array but
     # imports numpy.ma on every call.
     keys = np.sort(np.minimum(heads, tails) * n + np.maximum(heads, tails))
     pairs = keys[np.diff(keys, prepend=-1) != 0]
     lo, hi = np.divmod(pairs, n)
-    lo, hi = lo[lo != hi], hi[lo != hi]  # self-loops count in degrees only
+    lo, hi = lo[lo != hi], hi[lo != hi]  # a self-loop joins no two communities
 
-    # Slot state.  join(sa, sb, others) merges slot sb's edge weights into
-    # slot sa's and returns the weight between them: from an n x n matrix
-    # on dense graphs, rebuilt rather than copied before the walk power,
-    # and from per-slot dicts on sparse ones.  cost[s, t] is the Ward
-    # merge cost of the communities in slots s and t, inf when they are
-    # not adjacent.
-    if _dense_weights(n, len(lo)):
-        weight = _weight_matrix(n, heads, tails, edge_weights)
-
-        def join(sa: int, sb: int, others: np.ndarray) -> float:
-            between = float(weight[sa, sb])
-            weight[sa] += weight[sb]
-            weight[others, sa] = weight[sa, others]
-            return between
-    else:
-        links = _weight_links(n, heads, tails, edge_weights)
-
-        def join(sa: int, sb: int, others: np.ndarray) -> float:
-            kept, gone = links[sa], links[sb]
-            links[sb] = {}
-            between = kept.pop(sb)
-            del gone[sa]
-            for slot, value in gone.items():
-                kept[slot] = kept.get(slot, 0.0) + value
-            for slot, value in kept.items():
-                row = links[slot]
-                row.pop(sb, None)
-                row[sa] = value
-            return between
+    # cost[s, t] is the Ward merge cost of the communities in slots s and
+    # t, inf when they are not adjacent.
     cost = np.full((n, n), np.inf)
     cid = np.arange(n)
     size = np.ones(n, dtype=np.int64)
-    internal = [0.0] * n
-    comm_degree = degree.tolist()
     best_cost = np.full(n, np.inf)
     best_partner = np.zeros(n, dtype=np.intp)
 
@@ -279,24 +204,11 @@ def walktrap(graph: Graph, walk_length: int = 4) -> Clustering:
         cost[a, later] = cost[later, a] = ward_costs(a, later)
     refresh(np.arange(n))
 
-    m = float(degree.sum()) / 2.0
-
-    def term(slot: int) -> float:
-        return internal[slot] / m - (comm_degree[slot] / (2.0 * m)) ** 2
-
-    # terms[c + 1] is community c's modularity term while it is live and
-    # 0.0 after it merged; the leading 0.0 starts the running sum.
-    terms = np.zeros(2 * n)
-    if m != 0:
-        terms[1:n + 1] = [term(a) for a in range(n)]
-    best_q = float(np.cumsum(terms[:n + 1])[-1])
-    best_step = 0
     merges: list[tuple[int, int]] = []
-
     while True:
         low = best_cost.min()
         if low == np.inf:
-            break
+            return merges
         rows = np.flatnonzero(best_cost == low)
         if len(rows) > 1:
             own, other = cid[rows], cid[best_partner[rows]]
@@ -304,15 +216,12 @@ def walktrap(graph: Graph, walk_length: int = 4) -> Clustering:
         sa, sb = int(rows[0]), int(best_partner[rows[0]])
         if cid[sb] < cid[sa]:
             sa, sb = sb, sa
-        a_id, b_id = int(cid[sa]), int(cid[sb])
-        merged_id = n + len(merges)
-        merges.append((a_id, b_id))
+        cid[sa] = n + len(merges)
+        merges.append((sa, sb))
 
         merged_size = size[sa] + size[sb]
         walks[sa] = (size[sa] * walks[sa] + size[sb] * walks[sb]) / merged_size
-        comm_degree[sa] = comm_degree[sa] + comm_degree[sb]
         size[sa], size[sb] = merged_size, 0
-        cid[sa] = merged_id
 
         # Only rows adjacent to a or b hold entries in columns sa and sb.
         # Slot sb is never read again, and neither is the diagonal; but
@@ -320,7 +229,6 @@ def walktrap(graph: Graph, walk_length: int = 4) -> Clustering:
         adjacent = (cost[sa] < np.inf) | (cost[sb] < np.inf)
         adjacent[[sa, sb]] = False
         others = np.flatnonzero(adjacent)
-        internal[sa] = internal[sa] + internal[sb] + join(sa, sb, others)
         cost[sa] = np.inf
         cost[others, sb] = np.inf
         best_cost[sb] = np.inf
@@ -338,18 +246,92 @@ def walktrap(graph: Graph, walk_length: int = 4) -> Clustering:
             refresh(others[stale])
         refresh(np.array([sa]))
 
-        if m != 0:
-            terms[a_id + 1] = terms[b_id + 1] = 0.0
-            terms[merged_id + 1] = term(sa)
-            q = float(np.cumsum(terms[:merged_id + 2])[-1])
-            if q > best_q:
-                best_q, best_step = q, len(merges)
 
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    for step, (a_id, b_id) in enumerate(merges[:best_step]):
-        members[n + step] = members.pop(a_id) + members.pop(b_id)
+def _best_cut(heads: np.ndarray, tails: np.ndarray, weights: np.ndarray,
+              degree: np.ndarray, merges: list[tuple[int, int]]) -> tuple[int, float]:
+    """Replay ``merges`` over the edge weights: the number of merges whose
+    partition has the highest modularity (the fewest on ties), and that
+    modularity."""
+    import numpy as np
+
+    n = len(degree)
+    m = float(degree.sum()) / 2.0
+    if m == 0:
+        return 0, 0.0
+    internal = [0.0] * n
+    loops = heads == tails  # a self-loop is internal weight from the start
+    for head, w in zip(heads[loops].tolist(), weights[loops].tolist()):
+        internal[head] += w
+    comm_degree = degree.tolist()
+
+    def term(slot: int) -> float:
+        return internal[slot] / m - (comm_degree[slot] / (2.0 * m)) ** 2
+
+    # terms[c + 1] is community c's modularity term while it is live and
+    # 0.0 after it merged; the leading 0.0 starts the running sum.
+    terms = np.zeros(2 * n)
+    terms[1:n + 1] = [term(a) for a in range(n)]
+    best_q, best_step = float(np.cumsum(terms[:n + 1])[-1]), 0
+    cid = list(range(n))
+    weight = _weight_matrix(n, heads, tails, weights)
+    for step, (sa, sb) in enumerate(merges, 1):
+        internal[sa] = internal[sa] + internal[sb] + float(weight[sa, sb])
+        comm_degree[sa] = comm_degree[sa] + comm_degree[sb]
+        # Row sa becomes older + newer; only the entries where row sb is
+        # nonzero change, and they are copied to column sa.
+        changed = np.flatnonzero(weight[sb])
+        weight[sa] += weight[sb]
+        weight[changed, sa] = weight[sa, changed]
+        terms[cid[sa] + 1] = terms[cid[sb] + 1] = 0.0
+        cid[sa] = n + step - 1
+        terms[cid[sa] + 1] = term(sa)
+        q = float(np.cumsum(terms[:cid[sa] + 2])[-1])
+        if q > best_q:
+            best_q, best_step = q, step
+    return best_step, best_q
+
+
+def walktrap(graph: Graph, walk_length: int = 4) -> Clustering:
+    """Cluster an undirected weighted graph by short random-walk distance.
+
+    Vertices whose ``walk_length``-step walk distributions look alike are
+    likely to share a community; merging greedily on that distance and
+    cutting the merge sequence at maximum modularity follows the method's
+    standard form.  Ties in merge priority break deterministically on
+    community creation order.  A directed graph, or a weighted degree
+    whose reciprocal or whose sum with the others leaves the float range,
+    raises ``ValueError``.
+    """
+    import numpy as np  # deferred: only clustering commands pay for numpy
+
+    if walk_length < 1:
+        raise ValueError(f"walk length must be at least 1, got {walk_length}")
+    if graph.directed:
+        raise ValueError("walktrap needs an undirected graph; "
+                         "this graph's arcs are directed")
+    ids = sorted(graph.node_ids())
+    n = len(ids)
+    if n == 0:
+        return Clustering(assignment={}, modularity=0.0, n_clusters=0)
+    if n == 1:
+        return Clustering(assignment={ids[0]: 0}, modularity=0.0, n_clusters=1)
+    index = {nid: i for i, nid in enumerate(ids)}
+    heads = np.array([index[u] for u, _, _ in graph.edges], dtype=np.intp)
+    tails = np.array([index[v] for _, v, _ in graph.edges], dtype=np.intp)
+    edge_weights = np.array([w for _, _, w in graph.edges], dtype=float)
+
+    degree, inv_degree, walks = _walks(ids, heads, tails, edge_weights, walk_length)
+    merges = _merge_order(walks, inv_degree, heads, tails)
+    del walks  # the replay's weight matrix takes its place
+    best_step, best_q = _best_cut(heads, tails, edge_weights, degree, merges)
+
+    members: dict[int, list[int]] = {slot: [slot] for slot in range(n)}
+    cid = list(range(n))
+    for step, (sa, sb) in enumerate(merges[:best_step]):
+        members[sa] += members.pop(sb)
+        cid[sa] = n + step
     assignment = {ids[vertex]: order
-                  for order, comm in enumerate(sorted(members))
-                  for vertex in members[comm]}
+                  for order, slot in enumerate(sorted(members, key=cid.__getitem__))
+                  for vertex in members[slot]}
     return Clustering(assignment=assignment, modularity=best_q,
                       n_clusters=len(members))

@@ -5,13 +5,12 @@ count and modularity bits as ``walktrap_reference.walktrap`` on seeded
 graphs of every shape its merge order has to get right: sparse and
 dense, several components and isolated vertices, exact ties from integer
 weights (cliques, a ring of cliques, a star), parallel edges and
-self-loops, each with walk lengths 1 to 5.  ``community.modularity`` of each returned
-partition must also agree with networkx within 1e-12.
+self-loops, each with walk lengths 1 to 5.  ``community.modularity`` of
+each returned partition, and the modularity walktrap reports for it, must
+also agree with networkx within 1e-12.
 
-Walktrap keeps community edge weights in an n x n matrix on dense graphs
-and in per-slot dicts on sparse ones; ``SPARSE`` names the graphs that
-take the dicts, and a test holds walktrap to it, so both stay covered.  A
-tracemalloc test bounds the peak of the sparse side.
+Walktrap holds at most two n x n arrays at once on every graph; two
+tracemalloc tests bound its peak, on a sparse and on a dense graph.
 """
 from __future__ import annotations
 
@@ -21,7 +20,6 @@ from itertools import combinations
 
 import pytest
 
-from scimap import community
 from scimap.community import modularity, walktrap
 from scimap.graphs import Graph, GraphNode
 from walktrap_reference import walktrap as reference_walktrap
@@ -141,9 +139,6 @@ GRAPHS = {
     "ring-of-60-cliques": lambda: ring_of_cliques(count=60),
     "star-250": lambda: star(leaves=250),
 }
-# The graphs whose community weights live in per-slot dicts; the others
-# keep the n x n matrix.
-SPARSE = {"sparse-mix-200", "sparse-mix-320", "ring-of-60-cliques", "star-250"}
 CASES = [(name, length) for name in GRAPHS for length in range(1, 6)]
 
 
@@ -157,31 +152,25 @@ def test_walktrap_matches_reference(name, walk_length):
     assert repr(got.modularity) == repr(want.modularity)
 
 
-@pytest.mark.parametrize("name", GRAPHS)
-def test_each_graph_takes_its_side(name, monkeypatch):
-    sides = []
-
-    def spy(n, n_pairs):
-        sides.append(dense_weights(n, n_pairs))
-        return sides[-1]
-
-    dense_weights = community._dense_weights
-    monkeypatch.setattr(community, "_dense_weights", spy)
-    walktrap(GRAPHS[name]())
-    assert sides == [name not in SPARSE]
-
-
-def test_sparse_walktrap_peaks_below_2_3_matrices():
-    # 640 vertices in four components, about 1.5 edges per vertex: the
-    # walk power and the Ward costs are the only n x n arrays.
-    graph = sparse_mix(41, 640)
+def walktrap_peak(graph):
+    """Peak traced bytes of one walktrap call."""
     tracemalloc.start()
     try:
         walktrap(graph)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.3 * 8 * 640 ** 2
+
+
+def test_sparse_walktrap_peaks_below_2_3_matrices():
+    # 640 vertices in four components, about 1.5 edges per vertex.
+    assert walktrap_peak(sparse_mix(41, 640)) < 2.3 * 8 * 640 ** 2
+
+
+def test_dense_walktrap_peaks_below_3_9_matrices():
+    # 400 vertices, about 24,000 adjacent pairs: the walk power and the
+    # Ward costs are freed before the replay builds its weight matrix.
+    assert walktrap_peak(random_graph(43, 400, 0.3, integer=False)) < 3.9 * 8 * 400 ** 2
 
 
 @pytest.mark.parametrize("name, walk_length", CASES)
@@ -201,3 +190,5 @@ def test_modularity_matches_networkx(name, walk_length):
         blocks.setdefault(cluster, set()).add(node)
     expected = nx.community.modularity(nx_graph, blocks.values(), weight="weight")
     assert abs(modularity(graph, result.assignment) - expected) <= 1e-12
+    # The reported value counts self-loops as internal weight too.
+    assert abs(result.modularity - expected) <= 1e-12

@@ -1,5 +1,7 @@
 """Test-only oracle: the heap-based walktrap that ``scimap.community``
-shipped before its slot-array rewrite, kept verbatim.
+shipped before its slot-array rewrite, kept verbatim but for one fix: a
+self-loop counts as internal weight from the start, as in
+``scimap.community.modularity`` and networkx.
 
 It pops one heap entry per live adjacent pair, calls ``merge_cost`` once
 per pair, and recomputes the partition and its modularity after every
@@ -58,6 +60,8 @@ def walktrap(graph: Graph, walk_length: int = 4) -> Clustering:
         a, b = index[u], index[v]
         neighbor_weight[a][b] = neighbor_weight[a].get(b, 0.0) + w
         neighbor_weight[b][a] = neighbor_weight[b].get(a, 0.0) + w
+        if a == b:  # a self-loop is internal weight from the start
+            internal[a] += w
 
     m = float(degree.sum()) / 2.0
 
