@@ -43,7 +43,9 @@ from .parsing import parse_bibtex_export, parse_plaintext_export
 from .records import Corpus, MAX_PLAUSIBLE_YEAR, MIN_PLAUSIBLE_YEAR
 from .tables import config_hash, fmt, ranked, write_table
 from .themes import thematic_evolution
-from .mfas import GENERATOR_ID, Multigraph, calibration_harness, solve
+from .mfas import (
+    GENERATOR_ID, Multigraph, calibration_harness, solve, witness_order,
+)
 
 
 # A third-generation threshold no count of young collections reaches.
@@ -665,7 +667,7 @@ def cmd_mfas(args, config):
                  runs=report.runs, best_size=report.best_size,
                  reference_bound=f"{report.reference_bound.numerator}"
                                  f"/{report.reference_bound.denominator}",
-                 witness_order=" ".join(best.witness_order))
+                 witness_order=" ".join(witness_order(mg, best.removed)))
     write_table([(u, v, count) for (u, v), count in sorted(best.removed.items())],
                 ["from", "to", "removed"], args.out / "mfas_solution.csv",
                 meta)

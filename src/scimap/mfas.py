@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from functools import cached_property
-from itertools import compress
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .digraph import reaches, strongly_connected_components, topological_order
 
@@ -86,33 +84,23 @@ def _component_of(components: list[list[str]]) -> dict[str, set[str]]:
     return component
 
 
-class McSolution:
-    """The arcs one run removed.
+class McSolution(NamedTuple):
+    """The arcs one run removed, per bundle, and how many in all."""
 
-    ``witness_order``, the topological order of the arcs the run left, is
-    built on first read: a caller that compares sizes never pays for it.
-    Two solutions are equal when they removed the same arcs.
+    removed: dict[Bundle, int]
+    size: int
+
+
+def witness_order(mg: Multigraph, removed: dict[Bundle, int]) -> list[str]:
+    """The topological order of the arcs that ``removed`` leaves in ``mg``.
+
+    Raises ValueError when those arcs still close a cycle.
     """
-
-    def __init__(self, removed: dict[Bundle, int], size: int, nodes: set[str],
-                 residual: Iterator[Bundle]) -> None:
-        self.removed = removed
-        self.size = size
-        self.nodes = nodes
-        # The bundles the run left arcs in, as a one-shot iterator over its
-        # own remaining multiplicities; only witness_order reads it.
-        self.residual = residual
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not McSolution:
-            return NotImplemented
-        return (self.removed, self.size) == (other.removed, other.size)
-
-    @cached_property
-    def witness_order(self) -> list[str]:
-        order = topological_order(self.nodes, self.residual)
-        assert order is not None, "a run leaves an acyclic residual"
-        return order
+    left = (bundle for bundle, m in mg.bundles.items() if m > removed.get(bundle, 0))
+    order = topological_order(mg.nodes, left)
+    if order is None:
+        raise ValueError("the arcs left after the removal still close a cycle")
+    return order
 
 
 # What emptying one bundle does to its component: None when the tail still
@@ -244,8 +232,7 @@ def run_once(mg: Multigraph, seed: int, *,
                 _fenwick_add(tree, j, -left[j])
     removed = {bundle: m - k for bundle, m, k in zip(bundles, start.multiplicity, left)
                if k < m}
-    return McSolution(removed=removed, size=sum(removed.values()),
-                      nodes=mg.nodes, residual=compress(bundles, left))
+    return McSolution(removed=removed, size=sum(removed.values()))
 
 
 def _split(out: dict[str, dict[str, int]], members: set[str], u: str, v: str,
@@ -274,6 +261,21 @@ class ConfidenceReport(NamedTuple):
     reference_bound: Fraction
 
 
+def _runs(mg: Multigraph, start: _RunStart, t: int, *seed_parts,
+          ) -> tuple[McSolution, list[int]]:
+    """Runs r = 0 .. t-1 under the seeds ``_derive_seed(*seed_parts, r)``:
+    the first smallest solution, and every run's size in run order."""
+    best: Optional[McSolution] = None
+    sizes = []
+    for r in range(t):
+        solution = run_once(mg, _derive_seed(*seed_parts, r), start=start)
+        sizes.append(solution.size)
+        if best is None or solution.size < best.size:
+            best = solution
+    assert best is not None
+    return best, sizes
+
+
 def solve(mg: Multigraph, t: int, seed: int) -> tuple[McSolution, ConfidenceReport]:
     """Best of ``t`` independent runs under split seeds.
 
@@ -282,13 +284,7 @@ def solve(mg: Multigraph, t: int, seed: int) -> tuple[McSolution, ConfidenceRepo
     """
     if t < 1:
         raise ValueError("at least one run is required")
-    start = _run_start(mg)
-    best: Optional[McSolution] = None
-    for i in range(t):
-        solution = run_once(mg, _derive_seed(seed, i), start=start)
-        if best is None or solution.size < best.size:
-            best = solution
-    assert best is not None
+    best, _ = _runs(mg, _run_start(mg), t, seed)
     return best, ConfidenceReport(runs=t, best_size=best.size,
                                   reference_bound=success_lower_bound(t))
 
@@ -379,22 +375,14 @@ def calibration_harness(mg: Multigraph, t: int, trials: int, seed: int,
     cumulative_hits = [0] * t
     run_successes = 0
     for j in range(trials):
-        best_size: Optional[int] = None
-        first_success: Optional[int] = None
-        successes = 0
-        for r in range(t):
-            solution = run_once(mg, _derive_seed(seed, j, r), start=start)
-            if best_size is None or solution.size < best_size:
-                best_size = solution.size
-            if solution.size == optimum:
-                successes += 1
-                if first_success is None:
-                    first_success = r + 1
+        best, sizes = _runs(mg, start, t, seed, j)
+        successes = sizes.count(optimum)
+        first_success = sizes.index(optimum) + 1 if successes else None
         if first_success is not None:
             for r in range(first_success - 1, t):
                 cumulative_hits[r] += 1
         run_successes += successes
-        records.append(TrialRecord(trial=j, best_size=best_size,
+        records.append(TrialRecord(trial=j, best_size=best.size,
                                    first_success_run=first_success,
                                    successes=successes))
     rate = run_successes / (trials * t)

@@ -136,7 +136,7 @@ def parse_cited_reference(raw: str) -> CitedReference:
         tagged = upper.startswith("DOI")
         if doi is None and (tagged or (
                 seg[:1] == "1" and _DOI_RE.match(seg.rstrip(".;")))):
-            doi = normalize_doi(seg[3:] if tagged else seg)
+            doi = normalize_doi(seg[3:].removeprefix(":") if tagged else seg)
             if doi:
                 claimed[i] = True
         elif year is None and len(seg) == 4 and _YEAR_SEG.match(seg):

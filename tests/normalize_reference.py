@@ -6,9 +6,10 @@ methods, kept verbatim.
 and ``surname_of`` recompute on every call.  ``parse_cited_reference``
 fills a mutable copy of the reference, since ``CitedReference`` itself
 cannot be edited, and runs every segment's regex with no shape check in
-front.  Its one edit is marked by an ``Edit`` comment: it still fills
+front.  Its two edits are marked by ``Edit`` comments: it still fills
 the seven parts a reference had, volume and page included, and returns
-the five that ``CitedReference`` keeps.  ``normalize_author_name``,
+the five that ``CitedReference`` keeps; and it drops the colon of a
+``DOI:`` tag before the DOI is read.  ``normalize_author_name``,
 ``normalize_affiliation``, ``_split_terms``, ``_joined`` and ``corpus.normalized_title`` collapse
 whitespace with one regex pass.  ``normalize_doi`` is a copy too, so
 no DOI goes through the shipped code on both sides of a check.
@@ -88,7 +89,8 @@ def parse_cited_reference(raw: str) -> CitedReference:
     for i, seg in enumerate(segments):
         upper = seg.upper()
         if ref.doi is None and (upper.startswith("DOI") or _DOI_RE.match(seg.rstrip(".;"))):
-            doi = normalize_doi(seg if not upper.startswith("DOI") else seg[3:])
+            # Edit: was seg[3:], which left the colon of a "DOI:" tag
+            doi = normalize_doi(seg if not upper.startswith("DOI") else seg[3:].removeprefix(":"))
             if doi:
                 ref.doi = doi
                 claimed[i] = True

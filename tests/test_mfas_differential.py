@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import mfas_reference  # noqa: E402
 from scimap import mfas  # noqa: E402
 from scimap.mfas import (  # noqa: E402
-    Multigraph, calibration_harness, run_once, solve,
+    Multigraph, calibration_harness, run_once, solve, witness_order,
 )
 
 SEEDS = range(12)
@@ -53,7 +53,7 @@ def assert_same_runs(mg, seeds):
         want = mfas_reference.run_once(mg, seed, check_support=True)
         assert list(got.removed.items()) == list(want.removed.items()), seed
         assert got.size == want.size
-        assert got.witness_order == want.witness_order
+        assert witness_order(mg, got.removed) == want.witness_order
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -97,7 +97,7 @@ def test_solve_equals_reference_driven_solve(mg, seed):
     want, want_report = reference_driven(solve, mg, t=6, seed=seed)
     assert list(best.removed.items()) == list(want.removed.items())
     assert best.size == want.size
-    assert best.witness_order == want.witness_order
+    assert witness_order(mg, best.removed) == want.witness_order
     assert report == want_report
 
 

@@ -89,6 +89,19 @@ def test_cited_reference_with_doi():
     assert ref.source == "EUR J OPER RES"
 
 
+@pytest.mark.parametrize("tag, doi", [
+    ("DOI:10.1000/abc", "10.1000/abc"),
+    ("DOI: 10.1000/abc", "10.1000/abc"),
+    ("doi:10.1000/ABC", "10.1000/abc"),
+    ("DOI 10.1000/abc", "10.1000/abc"),
+    ("DOI DOI 10.1000/abc", "10.1000/abc"),
+    ("DOI [10.1000/abc, 10.1000/def]", "10.1000/abc"),
+])
+def test_cited_reference_doi_tag_forms(tag, doi):
+    ref = parse_cited_reference(f"SMITH J, 2001, J FINANC, V5, P1, {tag}")
+    assert (ref.doi, ref.year, ref.source) == (doi, 2001, "J FINANC")
+
+
 def test_doi_normalization():
     assert normalize_doi("10.1016/J.EJOR.2006.08.043") == "10.1016/j.ejor.2006.08.043"
     assert normalize_doi("https://doi.org/10.2307/2490395") == "10.2307/2490395"
