@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import ENGINE_VERSION
 from .amortize import (
@@ -38,7 +38,7 @@ from .metrics import (
     mean_citation_per_elapsed_years, method_occurrence, source_article_counts,
     term_frequencies, trending_terms,
 )
-from .normalize import LEVEL_TAGS, REFERENCE_TAGS, field_values, to_document
+from .normalize import LEVEL_TAGS, TAG_FIELDS, field_values, to_document
 from .parsing import parse_bibtex_export, parse_plaintext_export
 from .records import Corpus, MAX_PLAUSIBLE_YEAR, MIN_PLAUSIBLE_YEAR
 from .tables import config_hash, fmt, ranked, write_table
@@ -220,12 +220,22 @@ def _read_json_object(path: Path) -> dict:
     return data
 
 
-def _load(args, references: bool = False) -> Corpus:
-    """Load ``--corpus``; only commands that read cited references ask
-    for them, since decoding them is most of a load."""
-    return _read_input(args.corpus,
-                       lambda path: load_corpus(path, references=references),
+def _load(args, fields: Iterable[str]) -> Corpus:
+    """Load ``--corpus`` with the document fields the command reads; the
+    load decodes no other line but the ids', and every other field is
+    None."""
+    return _read_input(args.corpus, lambda path: load_corpus(path, fields),
                        "corpus")
+
+
+def _tag_fields(*tags: str) -> set[str]:
+    """The document fields that ``field_values`` reads for ``tags``.  An
+    unknown tag adds none: the command refuses it where it reads it."""
+    return {name for tag in tags for name in TAG_FIELDS.get(tag, ())}
+
+
+# The document fields local-citation matching reads, besides the id.
+_MATCHING = ("authors", "pub_year", "source", "doi", "cited_refs")
 
 
 def _require_seed(args, config: dict) -> int:
@@ -289,7 +299,7 @@ def cmd_ingest(args, config):
 
 
 def cmd_coverage(args, config):
-    corpus = _load(args)
+    corpus = _load(args, ["missing_fields"])
     rows = [(r.tag, r.description, r.missing_count, fmt(r.missing_pct), r.label)
             for r in coverage_report(corpus)]
     write_table(rows, ["key", "description", "missing_count", "missing_pct",
@@ -298,7 +308,9 @@ def cmd_coverage(args, config):
 
 
 def cmd_stats(args, config):
-    corpus = _load(args, references=True)
+    corpus = _load(args, ["pub_year", "source", "total_citations", "cited_refs",
+                          "author_keywords", "keywords_plus", "authors",
+                          "affiliations"])
     stats = descriptive_summary(corpus)
     growth = "" if stats.annual_growth_rate_pct is None \
         else fmt(stats.annual_growth_rate_pct)
@@ -332,7 +344,7 @@ def cmd_stats(args, config):
 
 
 def cmd_bradford(args, config):
-    corpus = _load(args)
+    corpus = _load(args, ["source"])
     counts = source_article_counts(corpus)
     zones = bradford_zones(counts)
     source_rows = []
@@ -350,7 +362,7 @@ def cmd_bradford(args, config):
 
 
 def cmd_lotka(args, config):
-    corpus = _load(args)
+    corpus = _load(args, ["authors"])
     fit = lotka_fit(author_document_counts(corpus))
     rows = [(n, fit.observed[n], fmt(fit.predicted[n]))
             for n in sorted(fit.observed)]
@@ -360,7 +372,7 @@ def cmd_lotka(args, config):
 
 
 def cmd_hindex(args, config):
-    corpus = _load(args)
+    corpus = _load(args, _tag_fields(LEVEL_TAGS[args.level], "PY", "TC"))
     groups: dict[str, list] = {}
     for doc in corpus.documents:
         for key in field_values(doc, LEVEL_TAGS[args.level]):
@@ -441,14 +453,14 @@ def _display_value(row, table) -> float:
 
 
 def cmd_terms(args, config):
-    corpus = _load(args)
+    corpus = _load(args, _tag_fields(args.field))
     write_table(term_frequencies(corpus, args.field, top_n=args.top_n),
                 ["term", "frequency"], args.out / "terms.csv",
                 _meta(config, corpus))
 
 
 def cmd_trending(args, config):
-    corpus = _load(args)
+    corpus = _load(args, _tag_fields("DE", "PY"))
     stats = trending_terms(corpus, min_freq=args.min_freq,
                            max_per_year=args.max_per_year)
     rows = [(s.term, s.frequency, s.q1_year, s.median_year, s.q3_year)
@@ -484,21 +496,22 @@ def _write_graph_artifacts(args, config, corpus, graph, stem):
 
 
 def cmd_cooccur(args, config):
-    corpus = _load(args)
+    corpus = _load(args, _tag_fields(args.field))
     graph = cooccurrence_graph(corpus, args.field,
                                min_occurrence=args.min_occurrence)
     _write_graph_artifacts(args, config, corpus, graph, "cooccurrence")
 
 
 def cmd_cocite(args, config):
-    corpus = _load(args, references=True)
+    corpus = _load(args, _MATCHING)
     graph = cocitation_graph(match_local_citations(corpus),
                              min_citations=args.min_citations)
     _write_graph_artifacts(args, config, corpus, graph, "cocitation")
 
 
 def cmd_collab(args, config):
-    corpus = _load(args)
+    # collaboration_indices reads the countries and corresponding address
+    corpus = _load(args, _tag_fields(LEVEL_TAGS[args.level], "CO", "RP"))
     graph = collaboration_graph(corpus, args.level, top_n=args.top_n)
     _write_graph_artifacts(args, config, corpus, graph, f"collab_{args.level}")
     rows, excluded = collaboration_indices(corpus)
@@ -535,7 +548,7 @@ def cmd_walktrap(args, config):
 
 
 def cmd_historiograph(args, config):
-    corpus = _load(args, references=True)
+    corpus = _load(args, [*_MATCHING, "total_citations"])
     graph, flags = historiograph(corpus, match_local_citations(corpus),
                                  n=args.top_n)
     path = args.out / f"historiograph.{args.flavor}"
@@ -562,7 +575,9 @@ def cmd_historiograph(args, config):
 
 def cmd_sankey(args, config):
     pillars = (args.left, args.middle, args.right)
-    corpus = _load(args, references=not REFERENCE_TAGS.isdisjoint(pillars))
+    # a CR pillar shows local-citation labels, which matching gives
+    corpus = _load(args, _tag_fields(*pillars).union(
+        _MATCHING if "CR" in pillars else ()))
     flow = three_field_flow(corpus, *pillars,
                             k_left=args.k_left, k_mid=args.k_mid,
                             k_right=args.k_right)
@@ -593,7 +608,7 @@ def _parse_slices(text: str) -> list[tuple[int, int]]:
 
 
 def cmd_themes(args, config):
-    corpus = _load(args)
+    corpus = _load(args, ["abstract", "pub_year"])
     slices = thematic_evolution(corpus, _parse_slices(args.slices),
                                 n_terms=args.n_terms,
                                 min_cluster_freq=args.min_cluster_freq,
@@ -619,7 +634,7 @@ def cmd_themes(args, config):
 
 
 def cmd_rpys(args, config):
-    corpus = _load(args, references=True)
+    corpus = _load(args, _MATCHING)
     rows, undated = rpys(match_local_citations(corpus))
     write_table([(r.year, r.n_references, r.citations) for r in rows],
                 ["year", "n_references", "citations"],
@@ -637,7 +652,7 @@ def _term_lists(path: Path) -> dict[str, list[str]]:
 
 
 def cmd_methods(args, config):
-    corpus = _load(args)
+    corpus = _load(args, _tag_fields("DE"))
     lexicon = _read_input(args.lexicon, _term_lists, "term list")
     niches = _read_input(args.niches, _term_lists, "term list")
     result = method_occurrence(corpus, niches, lexicon, min_occ=args.min_occ)

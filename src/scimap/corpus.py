@@ -7,9 +7,10 @@ key among the exported fields.
 """
 from __future__ import annotations
 
+import io
 import json
 import re
-from itertools import chain, islice, product
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional
@@ -21,7 +22,7 @@ from .records import (
 )
 from .tables import round_half_up
 
-CORPUS_SCHEMA = "scimap-corpus/6"
+CORPUS_SCHEMA = "scimap-corpus/7"
 _ALNUM_RUN = re.compile(r"[a-z0-9]+")
 
 
@@ -168,43 +169,45 @@ def coverage_report(corpus: Corpus) -> list[CoverageRow]:
 # Line 1 is a JSON header: schema, reference year and provenance; the
 # screening ledger is not kept.  Line 2 is the reference table: a JSON
 # array with one positional array in REFERENCE_FIELDS order per distinct
-# cited reference, in the order the documents first cite them.  Each
-# document then takes two lines: its fields as a positional JSON array
-# in DOCUMENT_FIELDS order, and its cited references as a JSON array of
-# indices into the table.  Only the analyses of cited references decode
-# the table and the index lines; every other load skips them undecoded.
-# A load with references builds each table entry once, and every
-# document citing it shares that immutable CitedReference.
+# cited reference, in the order the documents first cite them.  Then
+# comes one line per document field, in DOCUMENT_FIELDS order: a JSON
+# array of that field's value in each document, in document order.  The
+# last line holds each document's cited references as an array of
+# indices into the table.  A load decodes the lines of the fields it
+# asks for, and the id line, which fixes the document count; it reads
+# past every other line undecoded.  A load with references builds each
+# table entry once, and every document citing it shares that immutable
+# CitedReference.
 
 REFERENCE_FIELDS = ("raw", "first_author", "year", "source", "doi")
-# The field types a reference array may have, in REFERENCE_FIELDS order:
-# raw a string, year an int or null, the rest strings or nulls.  Types
-# are matched exactly, so a bool year is refused.
-_TEXT = (str, type(None))
-_OPTIONAL_INT = (int, type(None))
-_REFERENCE_TYPES = frozenset(product((str,), _TEXT, _OPTIONAL_INT,
-                                     _TEXT, _TEXT))
-# The positions of a document line: Document's fields but cited_refs,
-# which the loader puts back at its place.
+# The field lines, in file order: Document's fields but cited_refs,
+# whose indices fill the last line.
 DOCUMENT_FIELDS = tuple(name for name in Document._fields
                         if name != "cited_refs")
-_CITED_REFS_AT = Document._fields.index("cited_refs")
-_document_values = itemgetter(*map(Document._fields.index, DOCUMENT_FIELDS))
-# The types save_corpus writes for a document's fields, in DOCUMENT_FIELDS
-# order, matched exactly like a reference's; every list holds strings.
-_STR, _INT, _LIST = (str,), (int,), (list,)
-_DOCUMENT_FIELD_TYPES = (
-    _STR, _LIST, _STR, _STR, _OPTIONAL_INT, _INT,          # id .. total_citations
-    _OPTIONAL_INT, _LIST, _LIST, _TEXT, _LIST, _TEXT,      # ref_count .. corresponding
-    _TEXT, _STR, _STR, _LIST, _LIST, _LIST)                # doi .. missing_fields
-_DOCUMENT_TYPES = frozenset(product(*_DOCUMENT_FIELD_TYPES))
-_document_lists = itemgetter(*(position for position, types
-                               in enumerate(_DOCUMENT_FIELD_TYPES)
-                               if types is _LIST))
-_ONLY_STR = frozenset((str,))
-_ONLY_INT = frozenset((int,))
-# References per write of the table line, so the encoded line is never
-# held whole.
+_STR = frozenset((str,))
+_INT = frozenset((int,))
+_TEXT = frozenset((str, type(None)))
+_OPTIONAL_INT = frozenset((int, type(None)))
+_LIST = frozenset((list,))
+# The value types a line may hold, matched exactly, so a bool year is
+# refused; every list holds strings.
+_TYPE_NAMES = {_STR: "strings", _INT: "integers", _TEXT: "strings or null",
+               _OPTIONAL_INT: "integers or null", _LIST: "lists of strings"}
+# In REFERENCE_FIELDS order: raw a string, year an int or null, the rest
+# strings or nulls.
+_REFERENCE_TYPES = (_STR, _TEXT, _OPTIONAL_INT, _TEXT, _TEXT)
+# What save_corpus writes for each document field, in DOCUMENT_FIELDS order.
+_FIELD_TYPES = {
+    "id": _STR, "authors": _LIST, "title": _STR, "source": _STR,
+    "pub_year": _OPTIONAL_INT, "total_citations": _INT,
+    "ref_count": _OPTIONAL_INT, "author_keywords": _LIST,
+    "keywords_plus": _LIST, "abstract": _TEXT, "affiliations": _LIST,
+    "corresponding": _TEXT, "doi": _TEXT, "doc_type": _STR, "language": _STR,
+    "categories": _LIST, "quality_flags": _LIST, "missing_fields": _LIST,
+}
+_INDEX_LINE = len(DOCUMENT_FIELDS) + 3
+# Values per write of an array line, so the encoded line is never held
+# whole.
 _TABLE_SLICE = 1024
 
 # One encoder and one decoder for every line: json.dumps with options
@@ -223,21 +226,39 @@ def _decoded(line: str):
     return value if line[end:] in ("\n", "") else None
 
 
+def _write_array(handle, values: Iterable) -> None:
+    """Write ``values`` as one JSON array line, a slice at a time: the
+    bytes of ``_dump(list(values))``, never one string."""
+    values = iter(values)
+    handle.write("[")
+    separator = ""
+    while chunk := list(islice(values, _TABLE_SLICE)):
+        handle.write(separator)
+        handle.write(_dump(chunk)[1:-1])
+        separator = ","
+    handle.write("]\n")
+
+
 def save_corpus(corpus: Corpus, path: str | Path) -> Path:
     """Write the versioned corpus file: one JSON header line, the reference
-    table, then two lines per document (fields, reference indices) in
-    stable field order.
+    table, one line per document field in stable field order, then the
+    reference indices.
 
-    Every document is checked to hold its references and its
-    ``missing_fields`` list, which ``load_corpus`` requires, before the
-    file is opened, so a data error leaves no file behind; then each
-    line is written straight to the open file.
+    A corpus loaded with only some fields is refused, and so is a
+    document without its references or its ``missing_fields`` list,
+    which ``load_corpus`` requires, all before the file is opened, so a
+    data error leaves no file behind; then each line is written straight
+    to the open file.
     """
     path = Path(path)
+    if corpus.fields != Document._fields:
+        unread = [name for name in Document._fields if name not in corpus.fields]
+        raise TypeError(f"corpus was loaded without {', '.join(unread)} "
+                        f"and cannot be saved")
     for doc in corpus.documents:
         if doc.cited_refs is None:
-            raise TypeError(f"document {doc.id!r} was loaded without its "
-                            f"references and cannot be saved")
+            raise TypeError(f"document {doc.id!r} has no references "
+                            f"and cannot be saved")
         if type(doc.missing_fields) is not list:
             raise TypeError(f"document {doc.id!r} has no missing_fields list "
                             f"and cannot be saved")
@@ -254,56 +275,64 @@ def save_corpus(corpus: Corpus, path: str | Path) -> Path:
         }))
         handle.write("\n")
         # A CitedReference is a tuple in REFERENCE_FIELDS order, so it
-        # dumps as the positional array.  The table goes out a slice at a
-        # time: the bytes of _dump(list(table)), never one string.
-        handle.write("[")
-        refs = iter(table)
-        separator = ""
-        while chunk := list(islice(refs, _TABLE_SLICE)):
-            handle.write(separator)
-            handle.write(_dump(chunk)[1:-1])
-            separator = ","
-        handle.write("]\n")
-        for doc in corpus.documents:
-            handle.write(_dump(_document_values(doc)))
-            handle.write("\n")
-            handle.write(_dump([table[ref] for ref in doc.cited_refs]))
-            handle.write("\n")
+        # dumps as the positional array.
+        _write_array(handle, table)
+        for name in DOCUMENT_FIELDS:
+            _write_array(handle, map(itemgetter(Document._fields.index(name)),
+                                     corpus.documents))
+        _write_array(handle, ([table[ref] for ref in doc.cited_refs]
+                              for doc in corpus.documents))
     return path
 
 
 def _reference_table(line: str) -> Optional[list[CitedReference]]:
-    """The references of the table line; None when it is malformed."""
+    """The references of the table line; None when it is malformed.
+    Each part is checked a column at a time."""
     entries = _decoded(line)
-    if type(entries) is not list or not all(
-            type(entry) is list and tuple(map(type, entry)) in _REFERENCE_TYPES
-            for entry in entries):
+    if (type(entries) is not list or not _LIST.issuperset(map(type, entries))
+            or not {len(REFERENCE_FIELDS)}.issuperset(map(len, entries))
+            or not all(types.issuperset(map(type, column)) for types, column
+                       in zip(_REFERENCE_TYPES, zip(*entries)))):
         return None
     return list(map(CitedReference._make, entries))
 
 
-def _cited(line: str, table: list[CitedReference],
-           ) -> Optional[list[CitedReference]]:
-    """The references of one index line; None when it is malformed."""
-    indices = _decoded(line)
-    if type(indices) is not list or not _ONLY_INT.issuperset(map(type, indices)):
-        return None
-    if indices and (min(indices) < 0 or max(indices) >= len(table)):
-        return None
-    return list(map(table.__getitem__, indices))
-
-
-def _document(line: str, cited_refs: Optional[list[CitedReference]],
-              ) -> Optional[Document]:
-    """The document of one document line; None when it is malformed."""
+def _field_values(line: str, types: frozenset) -> Optional[list]:
+    """The values of one field line; None when it is not a JSON array of
+    values of ``types``."""
     values = _decoded(line)
-    if (type(values) is not list
-            or tuple(map(type, values)) not in _DOCUMENT_TYPES
-            or not _ONLY_STR.issuperset(
-                map(type, chain.from_iterable(_document_lists(values))))):
+    if type(values) is not list or not types.issuperset(map(type, values)):
         return None
-    values.insert(_CITED_REFS_AT, cited_refs)
-    return Document._make(values)
+    if types is _LIST and not _STR.issuperset(
+            map(type, chain.from_iterable(values))):
+        return None
+    return values
+
+
+def _cited(line: str, table: list[CitedReference],
+           ) -> Optional[list[list[CitedReference]]]:
+    """Each document's references, from the index line; None when it is
+    malformed."""
+    indices = _decoded(line)
+    if (type(indices) is not list or not _LIST.issuperset(map(type, indices))
+            or not _INT.issuperset(map(type, chain.from_iterable(indices)))):
+        return None
+    if (min(chain.from_iterable(indices), default=0) < 0
+            or max(chain.from_iterable(indices), default=-1) >= len(table)):
+        return None
+    entry = table.__getitem__
+    return [list(map(entry, refs)) for refs in indices]
+
+
+def _read_past(handle) -> bool:
+    """Read past one line a buffer at a time, so it is never held whole;
+    False when the file has ended."""
+    read = False
+    while chunk := handle.readline(io.DEFAULT_BUFFER_SIZE):
+        read = True
+        if chunk[-1] == "\n":
+            break
+    return read
 
 
 def _header_fields(header: dict) -> tuple[int, list[str]]:
@@ -321,16 +350,29 @@ def _header_fields(header: dict) -> tuple[int, list[str]]:
     return reference_year, provenance
 
 
-def load_corpus(path: str | Path, references: bool = False) -> Corpus:
+def _check_count(lineno: int, name: str, values: list, ids: list) -> None:
+    """A line must hold one value per document, as the id line does."""
+    if len(values) != len(ids):
+        raise ValueError(f"line {lineno}: {name} line holds {len(values)} "
+                         f"values for {len(ids)} documents")
+
+def load_corpus(path: str | Path,
+                fields: Iterable[str] = Document._fields) -> Corpus:
     """Read a corpus file, with an empty screening ledger.
 
-    Without ``references`` the reference table and each index line are
-    skipped undecoded and every document's ``cited_refs`` is None, so
-    code that reads them without asking fails at once instead of seeing
-    empty lists.
+    Only the lines of the document ``fields`` named are decoded and
+    checked, and the id line, which fixes the document count; every
+    other line is read past undecoded, and its field is None in every
+    document, so code that reads a field it did not ask for fails at
+    once instead of seeing empty values.  The corpus's ``fields`` names
+    the fields read.
     """
+    wanted = {"id", *fields}
+    unknown = wanted.difference(Document._fields)
+    if unknown:
+        raise ValueError(f"unknown document fields: {', '.join(sorted(unknown))}")
     path = Path(path)
-    documents = []
+    columns = dict.fromkeys(Document._fields)
     with path.open(encoding="utf-8") as handle:
         header = _decoded(handle.readline())
         if header is None:
@@ -340,30 +382,51 @@ def load_corpus(path: str | Path, references: bool = False) -> Corpus:
             raise ValueError(f"unsupported corpus schema {schema!r} (expected "
                              f"{CORPUS_SCHEMA}): re-ingest with this version")
         reference_year, provenance = _header_fields(header)
-        table_line = handle.readline()
-        if not table_line:
+        references = "cited_refs" in wanted
+        line = handle.readline()
+        if not line:
             raise ValueError("line 2: no reference table")
-        table = _reference_table(table_line) if references else None
+        table = _reference_table(line) if references else None
         if references and table is None:
             raise ValueError(f"line 2: reference table is not a JSON array "
                              f"of {len(REFERENCE_FIELDS)}-element arrays "
                              f"(raw a string, year an integer or null, "
                              f"the rest strings or null)")
-        lineno = 3
-        while line := handle.readline():
-            index_line = handle.readline()
-            cited_refs = _cited(index_line, table) \
-                if references and index_line else None
-            doc = _document(line, cited_refs)
-            if doc is None:
-                raise ValueError(f"line {lineno}: not a document")
-            if not index_line:
-                raise ValueError(f"line {lineno}: document has no index line")
-            if references and cited_refs is None:
-                raise ValueError(f"line {lineno + 1}: index line is not a "
-                                 f"JSON array of reference table indices, "
-                                 f"integers in [0, {len(table)})")
-            documents.append(doc)
-            lineno += 2
+        for lineno, name in enumerate(DOCUMENT_FIELDS, start=3):
+            if name not in wanted:
+                if not _read_past(handle):
+                    raise ValueError(f"line {lineno}: no {name} line")
+                continue
+            line = handle.readline()
+            if not line:
+                raise ValueError(f"line {lineno}: no {name} line")
+            types = _FIELD_TYPES[name]
+            values = columns[name] = _field_values(line, types)
+            if values is None:
+                raise ValueError(f"line {lineno}: {name} line is not a JSON "
+                                 f"array of {_TYPE_NAMES[types]}")
+            _check_count(lineno, name, values, columns["id"])
+        if not references:
+            if not _read_past(handle):
+                raise ValueError(f"line {_INDEX_LINE}: no index line")
+        else:
+            line = handle.readline()
+            if not line:
+                raise ValueError(f"line {_INDEX_LINE}: no index line")
+            cited = columns["cited_refs"] = _cited(line, table)
+            if cited is None:
+                raise ValueError(f"line {_INDEX_LINE}: index line is not a "
+                                 f"JSON array of arrays of reference table "
+                                 f"indices, integers in [0, {len(table)})")
+            _check_count(_INDEX_LINE, "index", cited, columns["id"])
+        if _read_past(handle):
+            raise ValueError(f"line {_INDEX_LINE + 1}: a line after the "
+                             f"index line")
+    documents = list(map(Document._make, zip(*(
+        repeat(None) if values is None else values
+        for values in columns.values()))))
     return Corpus(documents=documents, reference_year=reference_year,
-                  provenance=provenance)
+                  provenance=provenance,
+                  fields=tuple(name for name in Document._fields
+                               if name in wanted))
+

@@ -346,9 +346,17 @@ _FIELD_VALUES: dict[str, Callable[[Document], set[str]]] = {
     "abstract-bigrams": lambda doc: set(bigrams_of(doc.abstract or "")),
 }
 
-# Tags whose values come from cited references: a command reading one of
-# them must load the corpus with its references.
-REFERENCE_TAGS = frozenset({"CR", "CR_SO"})
+# Tag -> the Document fields its accessor above reads: a command that
+# reads a tag loads the corpus with those fields.
+TAG_FIELDS: dict[str, tuple[str, ...]] = {
+    "AU": ("authors",), "CR": ("cited_refs",), "DT": ("doc_type",),
+    "SO": ("source",), "LA": ("language",), "NR": ("ref_count",),
+    "TI": ("title",), "TC": ("total_citations",), "AB": ("abstract",),
+    "C1": ("affiliations",), "RP": ("corresponding",), "DI": ("doi",),
+    "PY": ("pub_year",), "DE": ("author_keywords",), "ID": ("keywords_plus",),
+    "WC": ("categories",), "CO": ("affiliations",), "CR_SO": ("cited_refs",),
+    "title-bigrams": ("title",), "abstract-bigrams": ("abstract",),
+}
 
 # Entity levels of the collaboration network and the h-index table.
 LEVEL_TAGS = {"author": "AU", "institution": "C1", "country": "CO",

@@ -74,7 +74,8 @@ class Document(NamedTuple):
 
     Built in one call and changed only with ``_replace``.  Every field is
     required: a default list would be shared by every document.  Field
-    order is the corpus file's key order.
+    order is the corpus file's line order.  In a document that
+    ``load_corpus`` read, every field it was not asked for is None.
     """
 
     id: str
@@ -83,7 +84,6 @@ class Document(NamedTuple):
     source: str
     pub_year: Optional[int]
     total_citations: int
-    # None when load_corpus did not read the references.
     cited_refs: Optional[list[CitedReference]]
     ref_count: Optional[int]
     author_keywords: list[str]
@@ -117,18 +117,23 @@ class Corpus:
     ``reference_year`` is the year used as "now" by every age computation;
     it defaults to the latest publication year present and must be pinned
     explicitly for reproducible runs.  The corpus file does not keep the
-    ``screening`` ledger, so a loaded corpus has none.
+    ``screening`` ledger, so a loaded corpus has none.  ``fields`` names
+    the Document fields the documents hold; a corpus loaded with only
+    some holds None in the others.
     """
 
-    __slots__ = ("documents", "reference_year", "provenance", "screening")
+    __slots__ = ("documents", "reference_year", "provenance", "screening",
+                 "fields")
 
     def __init__(self, documents: list[Document], reference_year: int,
                  provenance: Optional[list[str]] = None,
-                 screening: Optional[list[ScreeningEntry]] = None) -> None:
+                 screening: Optional[list[ScreeningEntry]] = None,
+                 fields: tuple[str, ...] = Document._fields) -> None:
         self.documents = documents
         self.reference_year = reference_year
         self.provenance = [] if provenance is None else provenance
         self.screening = [] if screening is None else screening
+        self.fields = fields
 
     def __len__(self) -> int:
         return len(self.documents)

@@ -40,7 +40,7 @@ def assert_same_in_order(corpus: Corpus) -> None:
 def test_sample_export_matches_the_per_mention_oracle(tmp_path):
     path = tmp_path / "corpus.dat"
     assert main(["ingest", str(SAMPLE), "-o", str(path)]) == 0
-    corpus = load_corpus(path, references=True)
+    corpus = load_corpus(path)
     assert any(count > 1 for count in Counter(
         ref for doc in corpus.documents for ref in doc.cited_refs).values())
     local = match_local_citations(corpus)

@@ -379,6 +379,36 @@ def test_sankey_same_field_in_two_pillars(corpus_file, tmp_path):
         == set(pillars["right"])
 
 
+# The document fields local-citation matching reads, besides the id.
+MATCHING = {"authors", "pub_year", "source", "doi", "cited_refs"}
+# Command line -> the fields the command asks the loader for; the id
+# always loads.
+ASKED_FIELDS = {
+    "sankey --left AU --middle SO --right CR": MATCHING,
+    "sankey --left ID --middle CR_SO --right CO":
+        {"keywords_plus", "cited_refs", "affiliations"},
+    "sankey --left CO --middle DE --right C1":
+        {"affiliations", "author_keywords"},
+    "stats": {"pub_year", "source", "total_citations", "cited_refs",
+              "author_keywords", "keywords_plus", "authors", "affiliations"},
+    "rpys": MATCHING,
+    "coverage": {"missing_fields"},
+    "collab --level country": {"affiliations", "corresponding"},
+    "cocite": MATCHING,
+    "historiograph": MATCHING | {"total_citations"},
+    "bradford": {"source"},
+    "lotka": {"authors"},
+    "hindex --level author --amortized": {"authors", "pub_year",
+                                          "total_citations"},
+    "terms --field abstract-bigrams": {"abstract"},
+    "trending": {"author_keywords", "pub_year"},
+    "cooccur --field ID": {"keywords_plus"},
+    "collab --level author": {"authors", "affiliations", "corresponding"},
+    "themes --slices 2000-2023": {"abstract", "pub_year"},
+    "methods": {"author_keywords"},
+}
+
+
 @pytest.mark.parametrize("argv, references", [
     (["sankey", "--left", "AU", "--middle", "SO", "--right", "CR"], True),
     (["sankey", "--left", "ID", "--middle", "CR_SO", "--right", "CO"], True),
@@ -387,20 +417,37 @@ def test_sankey_same_field_in_two_pillars(corpus_file, tmp_path):
     (["rpys"], True),
     (["coverage"], False),
     (["collab", "--level", "country"], False),
+    (["cocite"], True),
+    (["historiograph"], True),
+    (["bradford"], False),
+    (["lotka"], False),
+    (["hindex", "--level", "author", "--amortized"], False),
+    (["terms", "--field", "abstract-bigrams"], False),
+    (["trending"], False),
+    (["cooccur", "--field", "ID"], False),
+    (["collab", "--level", "author"], False),
+    (["themes", "--slices", "2000-2023"], False),
+    (["methods"], False),
 ])
 def test_only_reference_readers_decode_references(corpus_file, tmp_path,
                                                   monkeypatch, argv, references):
     import scimap.cli
     asked = []
 
-    def recording_load(path, references=False):
-        asked.append(references)
-        return load_corpus(path, references=references)
+    def recording_load(path, fields):
+        asked.append(set(fields))
+        return load_corpus(path, fields)
 
     monkeypatch.setattr(scimap.cli, "load_corpus", recording_load)
+    expected = ASKED_FIELDS[" ".join(argv)]
+    if argv[0] == "methods":
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(json.dumps({"ML": ["machine learning"]}))
+        argv = argv + ["--lexicon", str(lexicon), "--niches", str(lexicon)]
     assert main(argv + ["--corpus", str(corpus_file),
                         "--out", str(tmp_path / "out")]) == 0
-    assert asked == [references]
+    assert asked == [expected]
+    assert ("cited_refs" in asked[0]) == references
 
 
 def test_methods_command(corpus_file, tmp_path):
@@ -743,8 +790,8 @@ def test_bibtex_and_plaintext_carriers_agree(tmp_path):
     from_txt = tmp_path / "txt.dat"
     assert main(["ingest", "--format", "plaintext", SAMPLE,
                  "--reference-year", "2023", "-o", str(from_txt)]) == 0
-    bib = load_corpus(from_bib, references=True)
-    txt = load_corpus(from_txt, references=True)
+    bib = load_corpus(from_bib)
+    txt = load_corpus(from_txt)
     pairs = {doc.doi: doc for doc in txt.documents if doc.doi}
     assert len(bib) == 2
     for doc in bib.documents:

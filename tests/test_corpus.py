@@ -328,7 +328,7 @@ def test_corpus_file_round_trip(tmp_path):
     corpus = build_corpus(docs + [make_document("c", title="Other", pub_year=2010)])
     path = tmp_path / "corpus.dat"
     save_corpus(corpus, path)
-    loaded = load_corpus(path, references=True)
+    loaded = load_corpus(path)
     assert loaded.reference_year == corpus.reference_year
     assert [d.id for d in loaded.documents] == [d.id for d in corpus.documents]
     assert loaded.documents[0] == corpus.documents[0]
@@ -358,7 +358,7 @@ def test_round_trip_preserves_analyses(tmp_path):
     corpus = build_corpus(docs, reference_year=2023)
     path = tmp_path / "corpus.dat"
     save_corpus(corpus, path)
-    loaded = load_corpus(path, references=True)
+    loaded = load_corpus(path)
     assert annual_production(loaded) == annual_production(corpus)
     assert term_frequencies(loaded, "DE") == term_frequencies(corpus, "DE")
     assert match_local_citations(loaded) == match_local_citations(corpus)
