@@ -29,8 +29,8 @@ from .community import walktrap
 from .corpus import coverage_report, dedupe_and_screen, load_corpus, save_corpus
 from .graphio import read_graph, write_graph
 from .graphs import (
-    cocitation_graph, collaboration_graph, cooccurrence_graph, historiograph,
-    match_local_citations, rpys, three_field_flow,
+    MATCHING_FIELDS, cocitation_graph, collaboration_graph, cooccurrence_graph,
+    historiograph, match_local_citations, rpys, three_field_flow,
 )
 from .metrics import (
     annual_production, author_document_counts, bradford_zones,
@@ -38,7 +38,7 @@ from .metrics import (
     mean_citation_per_elapsed_years, method_occurrence, source_article_counts,
     term_frequencies, trending_terms,
 )
-from .normalize import LEVEL_TAGS, TAG_FIELDS, field_values, to_document
+from .normalize import LEVEL_TAGS, field_values, tag_fields, to_document
 from .parsing import parse_bibtex_export, parse_plaintext_export
 from .records import Corpus, MAX_PLAUSIBLE_YEAR, MIN_PLAUSIBLE_YEAR
 from .tables import config_hash, fmt, ranked, write_table
@@ -228,16 +228,6 @@ def _load(args, fields: Iterable[str]) -> Corpus:
                        "corpus")
 
 
-def _tag_fields(*tags: str) -> set[str]:
-    """The document fields that ``field_values`` reads for ``tags``.  An
-    unknown tag adds none: the command refuses it where it reads it."""
-    return {name for tag in tags for name in TAG_FIELDS.get(tag, ())}
-
-
-# The document fields local-citation matching reads, besides the id.
-_MATCHING = ("authors", "pub_year", "source", "doi", "cited_refs")
-
-
 def _require_seed(args, config: dict) -> int:
     """Randomized commands must replay: synthesize and echo when absent."""
     if args.seed is None:
@@ -372,7 +362,7 @@ def cmd_lotka(args, config):
 
 
 def cmd_hindex(args, config):
-    corpus = _load(args, _tag_fields(LEVEL_TAGS[args.level], "PY", "TC"))
+    corpus = _load(args, tag_fields(LEVEL_TAGS[args.level], "PY", "TC"))
     groups: dict[str, list] = {}
     for doc in corpus.documents:
         for key in field_values(doc, LEVEL_TAGS[args.level]):
@@ -453,14 +443,14 @@ def _display_value(row, table) -> float:
 
 
 def cmd_terms(args, config):
-    corpus = _load(args, _tag_fields(args.field))
+    corpus = _load(args, tag_fields(args.field))
     write_table(term_frequencies(corpus, args.field, top_n=args.top_n),
                 ["term", "frequency"], args.out / "terms.csv",
                 _meta(config, corpus))
 
 
 def cmd_trending(args, config):
-    corpus = _load(args, _tag_fields("DE", "PY"))
+    corpus = _load(args, tag_fields("DE", "PY"))
     stats = trending_terms(corpus, min_freq=args.min_freq,
                            max_per_year=args.max_per_year)
     rows = [(s.term, s.frequency, s.q1_year, s.median_year, s.q3_year)
@@ -496,14 +486,14 @@ def _write_graph_artifacts(args, config, corpus, graph, stem):
 
 
 def cmd_cooccur(args, config):
-    corpus = _load(args, _tag_fields(args.field))
+    corpus = _load(args, tag_fields(args.field))
     graph = cooccurrence_graph(corpus, args.field,
                                min_occurrence=args.min_occurrence)
     _write_graph_artifacts(args, config, corpus, graph, "cooccurrence")
 
 
 def cmd_cocite(args, config):
-    corpus = _load(args, _MATCHING)
+    corpus = _load(args, MATCHING_FIELDS)
     graph = cocitation_graph(match_local_citations(corpus),
                              min_citations=args.min_citations)
     _write_graph_artifacts(args, config, corpus, graph, "cocitation")
@@ -511,7 +501,7 @@ def cmd_cocite(args, config):
 
 def cmd_collab(args, config):
     # collaboration_indices reads the countries and corresponding address
-    corpus = _load(args, _tag_fields(LEVEL_TAGS[args.level], "CO", "RP"))
+    corpus = _load(args, tag_fields(LEVEL_TAGS[args.level], "CO", "RP"))
     graph = collaboration_graph(corpus, args.level, top_n=args.top_n)
     _write_graph_artifacts(args, config, corpus, graph, f"collab_{args.level}")
     rows, excluded = collaboration_indices(corpus)
@@ -548,7 +538,7 @@ def cmd_walktrap(args, config):
 
 
 def cmd_historiograph(args, config):
-    corpus = _load(args, [*_MATCHING, "total_citations"])
+    corpus = _load(args, [*MATCHING_FIELDS, "total_citations"])
     graph, flags = historiograph(corpus, match_local_citations(corpus),
                                  n=args.top_n)
     path = args.out / f"historiograph.{args.flavor}"
@@ -576,8 +566,8 @@ def cmd_historiograph(args, config):
 def cmd_sankey(args, config):
     pillars = (args.left, args.middle, args.right)
     # a CR pillar shows local-citation labels, which matching gives
-    corpus = _load(args, _tag_fields(*pillars).union(
-        _MATCHING if "CR" in pillars else ()))
+    corpus = _load(args, tag_fields(*pillars).union(
+        MATCHING_FIELDS if "CR" in pillars else ()))
     flow = three_field_flow(corpus, *pillars,
                             k_left=args.k_left, k_mid=args.k_mid,
                             k_right=args.k_right)
@@ -634,7 +624,7 @@ def cmd_themes(args, config):
 
 
 def cmd_rpys(args, config):
-    corpus = _load(args, _MATCHING)
+    corpus = _load(args, MATCHING_FIELDS)
     rows, undated = rpys(match_local_citations(corpus))
     write_table([(r.year, r.n_references, r.citations) for r in rows],
                 ["year", "n_references", "citations"],
@@ -652,7 +642,7 @@ def _term_lists(path: Path) -> dict[str, list[str]]:
 
 
 def cmd_methods(args, config):
-    corpus = _load(args, _tag_fields("DE"))
+    corpus = _load(args, tag_fields("DE"))
     lexicon = _read_input(args.lexicon, _term_lists, "term list")
     niches = _read_input(args.niches, _term_lists, "term list")
     result = method_occurrence(corpus, niches, lexicon, min_occ=args.min_occ)

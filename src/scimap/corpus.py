@@ -356,6 +356,7 @@ def _check_count(lineno: int, name: str, values: list, ids: list) -> None:
         raise ValueError(f"line {lineno}: {name} line holds {len(values)} "
                          f"values for {len(ids)} documents")
 
+
 def load_corpus(path: str | Path,
                 fields: Iterable[str] = Document._fields) -> Corpus:
     """Read a corpus file, with an empty screening ledger.
@@ -383,15 +384,19 @@ def load_corpus(path: str | Path,
                              f"{CORPUS_SCHEMA}): re-ingest with this version")
         reference_year, provenance = _header_fields(header)
         references = "cited_refs" in wanted
-        line = handle.readline()
-        if not line:
-            raise ValueError("line 2: no reference table")
-        table = _reference_table(line) if references else None
-        if references and table is None:
-            raise ValueError(f"line 2: reference table is not a JSON array "
-                             f"of {len(REFERENCE_FIELDS)}-element arrays "
-                             f"(raw a string, year an integer or null, "
-                             f"the rest strings or null)")
+        if not references:
+            if not _read_past(handle):
+                raise ValueError("line 2: no reference table")
+        else:
+            line = handle.readline()
+            if not line:
+                raise ValueError("line 2: no reference table")
+            table = _reference_table(line)
+            if table is None:
+                raise ValueError(f"line 2: reference table is not a JSON "
+                                 f"array of {len(REFERENCE_FIELDS)}-element "
+                                 f"arrays (raw a string, year an integer or "
+                                 f"null, the rest strings or null)")
         for lineno, name in enumerate(DOCUMENT_FIELDS, start=3):
             if name not in wanted:
                 if not _read_past(handle):
@@ -429,4 +434,3 @@ def load_corpus(path: str | Path,
                   provenance=provenance,
                   fields=tuple(name for name in Document._fields
                                if name in wanted))
-

@@ -109,6 +109,10 @@ def _doc_ref_label(doc: Document) -> str:
     return f"{author}{initials}, {year}" + (f", {doc.source}" if doc.source else "")
 
 
+# The document fields match_local_citations reads, besides the id.
+MATCHING_FIELDS = ("authors", "pub_year", "source", "doi", "cited_refs")
+
+
 def match_local_citations(corpus: Corpus) -> LocalCitations:
     """Match every cited reference against the corpus.
 

@@ -320,42 +320,38 @@ def _present(value) -> set[str]:
     return set() if value is None or value == "" else {str(value)}
 
 
-# Tag -> the distinct values a document shows in that field: the sixteen
-# field roles plus derived fields.  C1 yields institutions; CR yields raw
-# reference strings (sankey labels CR by local-citation matching instead).
-_FIELD_VALUES: dict[str, Callable[[Document], set[str]]] = {
-    "AU": lambda doc: set(doc.authors),
-    "CR": lambda doc: {ref.raw for ref in doc.cited_refs},
-    "DT": lambda doc: _present(doc.doc_type),
-    "SO": lambda doc: _present(doc.source),
-    "LA": lambda doc: _present(doc.language),
-    "NR": lambda doc: _present(doc.ref_count),
-    "TI": lambda doc: _present(doc.title),
-    "TC": lambda doc: _present(doc.total_citations),
-    "AB": lambda doc: _present(doc.abstract),
-    "C1": lambda doc: {institution_of(a) for a in doc.affiliations},
-    "RP": lambda doc: _present(doc.corresponding),
-    "DI": lambda doc: _present(doc.doi),
-    "PY": lambda doc: _present(doc.pub_year),
-    "DE": lambda doc: set(doc.author_keywords),
-    "ID": lambda doc: set(doc.keywords_plus),
-    "WC": lambda doc: set(doc.categories),
-    "CO": lambda doc: {c for c in map(country_of, doc.affiliations) if c},
-    "CR_SO": lambda doc: {ref.source for ref in doc.cited_refs if ref.source},
-    "title-bigrams": lambda doc: set(bigrams_of(doc.title)),
-    "abstract-bigrams": lambda doc: set(bigrams_of(doc.abstract or "")),
-}
-
-# Tag -> the Document fields its accessor above reads: a command that
-# reads a tag loads the corpus with those fields.
-TAG_FIELDS: dict[str, tuple[str, ...]] = {
-    "AU": ("authors",), "CR": ("cited_refs",), "DT": ("doc_type",),
-    "SO": ("source",), "LA": ("language",), "NR": ("ref_count",),
-    "TI": ("title",), "TC": ("total_citations",), "AB": ("abstract",),
-    "C1": ("affiliations",), "RP": ("corresponding",), "DI": ("doi",),
-    "PY": ("pub_year",), "DE": ("author_keywords",), "ID": ("keywords_plus",),
-    "WC": ("categories",), "CO": ("affiliations",), "CR_SO": ("cited_refs",),
-    "title-bigrams": ("title",), "abstract-bigrams": ("abstract",),
+# Tag -> the Document fields its accessor reads, and the accessor: the
+# distinct values a document shows in that field, for the sixteen field
+# roles plus derived fields.  C1 yields institutions; CR yields raw
+# reference strings (sankey labels CR by local-citation matching
+# instead).  A command that reads a tag loads the corpus with its fields.
+_FIELD_VALUES: dict[str, tuple[tuple[str, ...],
+                               Callable[[Document], set[str]]]] = {
+    "AU": (("authors",), lambda doc: set(doc.authors)),
+    "CR": (("cited_refs",), lambda doc: {ref.raw for ref in doc.cited_refs}),
+    "DT": (("doc_type",), lambda doc: _present(doc.doc_type)),
+    "SO": (("source",), lambda doc: _present(doc.source)),
+    "LA": (("language",), lambda doc: _present(doc.language)),
+    "NR": (("ref_count",), lambda doc: _present(doc.ref_count)),
+    "TI": (("title",), lambda doc: _present(doc.title)),
+    "TC": (("total_citations",), lambda doc: _present(doc.total_citations)),
+    "AB": (("abstract",), lambda doc: _present(doc.abstract)),
+    "C1": (("affiliations",),
+           lambda doc: {institution_of(a) for a in doc.affiliations}),
+    "RP": (("corresponding",), lambda doc: _present(doc.corresponding)),
+    "DI": (("doi",), lambda doc: _present(doc.doi)),
+    "PY": (("pub_year",), lambda doc: _present(doc.pub_year)),
+    "DE": (("author_keywords",), lambda doc: set(doc.author_keywords)),
+    "ID": (("keywords_plus",), lambda doc: set(doc.keywords_plus)),
+    "WC": (("categories",), lambda doc: set(doc.categories)),
+    "CO": (("affiliations",),
+           lambda doc: {c for c in map(country_of, doc.affiliations) if c}),
+    "CR_SO": (("cited_refs",),
+              lambda doc: {ref.source for ref in doc.cited_refs
+                           if ref.source}),
+    "title-bigrams": (("title",), lambda doc: set(bigrams_of(doc.title))),
+    "abstract-bigrams": (("abstract",),
+                         lambda doc: set(bigrams_of(doc.abstract or ""))),
 }
 
 # Entity levels of the collaboration network and the h-index table.
@@ -363,11 +359,18 @@ LEVEL_TAGS = {"author": "AU", "institution": "C1", "country": "CO",
               "source": "SO"}
 
 
+def tag_fields(*tags: str) -> set[str]:
+    """The Document fields that ``field_values`` reads for ``tags``.  An
+    unknown tag adds none: a command refuses it where it reads it."""
+    return {name for tag in tags if tag in _FIELD_VALUES
+            for name in _FIELD_VALUES[tag][0]}
+
+
 def field_values(doc: Document, tag: str) -> set[str]:
     """The distinct values ``doc`` shows in the field ``tag``; empty when
     the field is absent.  An unknown tag is an error."""
     try:
-        values = _FIELD_VALUES[tag]
+        _, values = _FIELD_VALUES[tag]
     except KeyError:
         raise ValueError(f"unknown field tag {tag!r} "
                          f"(expected one of {', '.join(_FIELD_VALUES)})") from None

@@ -19,7 +19,7 @@ from scimap.corpus import (
     CORPUS_SCHEMA, DOCUMENT_FIELDS, REFERENCE_FIELDS, _dump, coverage_report,
     load_corpus, save_corpus,
 )
-from scimap.normalize import TAG_FIELDS, _FIELD_VALUES, field_values
+from scimap.normalize import _FIELD_VALUES, field_values
 from scimap.records import (
     CitedReference, Corpus, Document, FIELD_ROLES, ScreeningEntry,
 )
@@ -114,8 +114,8 @@ def test_load_without_references_leaves_them_unset(tmp_path):
     assert doc.cited_refs is None
     with pytest.raises(TypeError):
         len(doc.cited_refs)
-    for tag in _FIELD_VALUES:
-        if TAG_FIELDS[tag] == ("cited_refs",):
+    for tag, (names, _) in _FIELD_VALUES.items():
+        if names == ("cited_refs",):
             with pytest.raises(TypeError):
                 field_values(doc, tag)
         else:
@@ -123,9 +123,8 @@ def test_load_without_references_leaves_them_unset(tmp_path):
 
 
 def test_tag_fields_name_what_each_accessor_reads():
-    assert list(TAG_FIELDS) == list(_FIELD_VALUES)
     full = sample_corpus().documents[0]
-    for tag, names in TAG_FIELDS.items():
+    for tag, (names, _) in _FIELD_VALUES.items():
         # every other field None, as a load of only these fields leaves it
         only = Document._make(getattr(full, name) if name in names else None
                               for name in Document._fields)
@@ -505,13 +504,16 @@ def test_field_and_index_lines_are_written_in_slices(tmp_path):
 
 def test_loading_one_field_peaks_well_below_a_full_load(tmp_path):
     # 4,000 documents with abstracts, keywords, affiliations and 20
-    # references each.  A load of missing_fields decodes the ids and that
-    # one line and reads past the rest a buffer at a time.  The schema-6
-    # loader decoded every field but the references on each load: on the
-    # same documents that peaked at 10.1 MB under tracemalloc, against
-    # 15.3 MB for a full load here and 2.7 MB for this one.
-    refs = [CitedReference(f"AUTHOR{i} X, 2001, SOURCE {i}", f"AUTHOR{i} X",
-                           2001, f"SOURCE {i}") for i in range(4000)]
+    # references each, from a 4.7 MB reference table.  A load of
+    # missing_fields decodes the ids and that one line and reads past the
+    # rest, the table line too, a buffer at a time.  The schema-6 loader
+    # decoded every field but the references on each load: on the same
+    # documents that peaked at 14.5 MB under tracemalloc, against 19.7 MB
+    # for a full load here and 2.7 MB for this one.  Read whole, the
+    # table line alone took this load to 9.5 MB.
+    refs = [CitedReference(f"AUTHOR{i} X, 2001, {'SOURCE ' * 80}{i}",
+                           f"AUTHOR{i} X", 2001, f"{'SOURCE ' * 80}{i}")
+            for i in range(4000)]
     docs = [make_document(f"doc{j}", authors=[f"AUTHOR{j % 300}, X"],
                           title=f"A title of document {j}", pub_year=2000,
                           source="SOME JOURNAL", keywords=["a", "b", f"k{j}"],
@@ -521,6 +523,10 @@ def test_loading_one_field_peaks_well_below_a_full_load(tmp_path):
             for j in range(4000)]
     path = tmp_path / "corpus.dat"
     save_corpus(Corpus(docs, 2023), path)
+    with path.open(encoding="utf-8") as handle:
+        handle.readline()
+        table_size = len(handle.readline())
+    assert table_size > 4_500_000
     peaks = {}
     for fields in (["missing_fields"], Document._fields):
         tracemalloc.start()
@@ -533,6 +539,7 @@ def test_loading_one_field_peaks_well_below_a_full_load(tmp_path):
         del loaded
     partial, full = peaks[1], peaks[len(Document._fields)]
     assert partial < full / 4, peaks
+    assert partial < table_size, (partial, table_size)
 
 
 def test_save_fills_missing_fields_so_coverage_needs_no_references(tmp_path):
